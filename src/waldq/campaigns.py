@@ -17,8 +17,10 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import backend
+from ._purekern import pnorm
 from ._version import __version__
 from .hecke import HeckeElement, convolve, satake_basis, to_satake
 from .lattice import (
@@ -51,20 +53,6 @@ class ConfigInvalid(ValueError):
 
 #: Odd primes used by the polynomial-fit campaign, smallest first.
 PROBE_PRIMES = (3, 5, 7, 11, 13, 17, 19)
-
-CAMPAIGNS = (
-    "min-orbit",
-    "stratum-dim",
-    "counts",
-    "hecke-tables",
-    "ic-basis",
-    "multone",
-    "cs-matrix",
-    "module-axiom",
-    "eigen",
-    "quadform-orbits",
-    "isotropic",
-)
 
 
 @dataclasses.dataclass
@@ -164,8 +152,9 @@ def _lagrange(points):
 
 # -- cell handlers -------------------------------------------------------------
 #
-# Handlers are module-level so payloads stay picklable for the process pool.
-# Each takes (cell_id, *args) with args drawn from ints/strings/tuples only.
+# A payload is (handler, cell_id, *args).  Handlers are module-level, so a
+# payload pickles by reference for the process pool; args are drawn from
+# ints/strings/tuples only.
 
 
 def _cell_min_orbit(cell, q, kind, d, m):
@@ -491,12 +480,11 @@ def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
     ns = least_nonsquare(q)
     cert = backend.sym_normal_cert
     n_all = n_skip = n_ok = 0
-    codes = q ** width
-    e11 = _decode_poly(q, shard, width)
-    for c12 in range(codes):
-        e12 = _decode_poly(q, c12, width)
-        for c22 in range(codes):
-            e22 = _decode_poly(q, c22, width)
+    # code c stands for the polynomial whose coefficients are c's base-q digits
+    polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
+    e11 = polys[shard]
+    for e12 in polys:
+        for e22 in polys:
             n_all += 1
             out = cert(q, prec, check_prec, e11, e12, e22, ns)
             if out is None:
@@ -515,22 +503,6 @@ def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
     )
     computed = f"{n_ok}/{checked} certified, {n_skip} undetermined"
     return _row(cell, claim, f"{checked}/{checked} certified, {n_skip} undetermined", computed, "exhaustive")
-
-
-def _decode_poly(q, code, width):
-    coeffs = []
-    for _ in range(width):
-        coeffs.append(code % q)
-        code //= q
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return (0, ())
-    off = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        off += 1
-    return (off, tuple(coeffs))
 
 
 def _scan_isotropic(q, f11, f12, f22):
@@ -558,36 +530,8 @@ def _cell_isotropic(cell, q, f11):
     return _row(cell, claim, "all match", computed, "exhaustive")
 
 
-_HANDLERS = {
-    "min-orbit": _cell_min_orbit,
-    "stratum-fit": _cell_stratum_fit,
-    "stratum-zero": _cell_stratum_zero,
-    "count-exact": _cell_count_exact,
-    "count-closure": _cell_count_closure,
-    "hecke-identity": _cell_hecke_identity,
-    "hecke-triple": _cell_hecke_triple,
-    "hecke-pieri": _cell_hecke_pieri,
-    "hecke-satake": _cell_hecke_satake,
-    "ic-support": _cell_ic_support,
-    "ic-monomials": _cell_ic_monomials,
-    "ic-twist": _cell_ic_twist,
-    "multone-col": _cell_multone_col,
-    "cs-triangular": _cell_cs_triangular,
-    "cs-diag-monomial": _cell_cs_diag_monomial,
-    "cs-nonsemisimple": _cell_cs_nonsemisimple,
-    "module-axiom": _cell_module_axiom,
-    "eigen": _cell_eigen,
-    "quad-hyperbolic": _cell_quad_hyperbolic,
-    "quad-invariance": _cell_quad_invariance,
-    "quad-grid": _cell_quad_grid,
-    "quad-exhaustive": _cell_quad_exhaustive,
-    "isotropic": _cell_isotropic,
-}
-
-
 def _run_cell(payload):
-    handler = _HANDLERS[payload[0]]
-    return handler(payload[1], *payload[2:])
+    return payload[0](*payload[1:])
 
 
 # -- planners ------------------------------------------------------------------
@@ -595,30 +539,37 @@ def _run_cell(payload):
 
 def _plan_min_orbit(cfg):
     return [
-        ("min-orbit", f"d{d}-m{m}", cfg.q, cfg.kind, d, m)
+        (_cell_min_orbit, f"d{d}-m{m}", cfg.q, cfg.kind, d, m)
         for d in range(cfg.dmax + 1)
         for m in range(cfg.mmax + 1)
     ]
 
 
 def _plan_stratum_dim(cfg):
+    # a fit at invariant m needs max(m + 1, 3) probe primes plus a held-out one
+    top = len(PROBE_PRIMES) - 2
+    if min(cfg.dmax, cfg.mmax) > top:
+        raise ConfigInvalid(
+            f"stratum-dim fits need min(dmax, mmax) <= {top}: the probe primes "
+            f"{PROBE_PRIMES} run out above that"
+        )
     cells = []
     base = PROBE_PRIMES[:3]
     for a in range(cfg.dmax + 1):
         for m in range(min(a, cfg.mmax) + 1):
             probes = PROBE_PRIMES[: max(m + 1, 3)]
             holdout = PROBE_PRIMES[len(probes)]
-            cells.append(("stratum-fit", f"a{a}-m{m}", cfg.kind, a, m, probes, holdout))
+            cells.append((_cell_stratum_fit, f"a{a}-m{m}", cfg.kind, a, m, probes, holdout))
         for m in range(a + 1, cfg.mmax + 1):
-            cells.append(("stratum-zero", f"a{a}-m{m}", cfg.kind, a, m, base))
+            cells.append((_cell_stratum_zero, f"a{a}-m{m}", cfg.kind, a, m, base))
     return cells
 
 
 def _plan_counts(cfg):
     cells = []
     for d in range(cfg.dmax + 1):
-        cells.append(("count-exact", f"exact-d{d}", cfg.q, d))
-        cells.append(("count-closure", f"closure-d{d}", cfg.q, d))
+        cells.append((_cell_count_exact, f"exact-d{d}", cfg.q, d))
+        cells.append((_cell_count_closure, f"closure-d{d}", cfg.q, d))
     return cells
 
 
@@ -627,18 +578,18 @@ _SATAKE_POOL = ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0))
 
 
 def _plan_hecke_tables(cfg):
-    cells = [("hecke-identity", "identity", cfg.q)]
+    cells = [(_cell_hecke_identity, "identity", cfg.q)]
     rng = random.Random(cfg.seed)
     for i in range(50):
         lams = tuple(rng.choice(_TRIPLE_POOL) for _ in range(3))
-        cells.append(("hecke-triple", f"rand-{i:02d}", cfg.q, lams))
+        cells.append((_cell_hecke_triple, f"rand-{i:02d}", cfg.q, lams))
     for d in range(1, 5):
-        cells.append(("hecke-pieri", f"pieri-d{d}", cfg.q, d))
+        cells.append((_cell_hecke_pieri, f"pieri-d{d}", cfg.q, d))
     k = 0
     for i in range(len(_SATAKE_POOL)):
         for j in range(i, len(_SATAKE_POOL)):
             cells.append(
-                ("hecke-satake", f"satake-{k:02d}", cfg.q, _SATAKE_POOL[i], _SATAKE_POOL[j])
+                (_cell_hecke_satake, f"satake-{k:02d}", cfg.q, _SATAKE_POOL[i], _SATAKE_POOL[j])
             )
             k += 1
     return cells
@@ -647,23 +598,23 @@ def _plan_hecke_tables(cfg):
 def _plan_ic_basis(cfg):
     cells = []
     for d in range(cfg.dmax + 1):
-        cells.append(("ic-support", f"d{d}-support", cfg.q, cfg.kind, d))
-        cells.append(("ic-monomials", f"d{d}-monomials", cfg.q, cfg.kind, d))
-        cells.append(("ic-twist", f"d{d}-twist", cfg.q, cfg.kind, d))
+        cells.append((_cell_ic_support, f"d{d}-support", cfg.q, cfg.kind, d))
+        cells.append((_cell_ic_monomials, f"d{d}-monomials", cfg.q, cfg.kind, d))
+        cells.append((_cell_ic_twist, f"d{d}-twist", cfg.q, cfg.kind, d))
     return cells
 
 
 def _plan_multone(cfg):
     return [
-        ("multone-col", f"col{a}", cfg.q, cfg.kind, a) for a in range(cfg.depth + 1)
+        (_cell_multone_col, f"col{a}", cfg.q, cfg.kind, a) for a in range(cfg.depth + 1)
     ]
 
 
 def _plan_cs_matrix(cfg):
     return [
-        ("cs-triangular", "triangular", cfg.q, cfg.kind, cfg.depth),
-        ("cs-diag-monomial", "diag-monomial", cfg.q, cfg.kind, cfg.depth),
-        ("cs-nonsemisimple", "nonsemisimple", cfg.q, cfg.kind),
+        (_cell_cs_triangular, "triangular", cfg.q, cfg.kind, cfg.depth),
+        (_cell_cs_diag_monomial, "diag-monomial", cfg.q, cfg.kind, cfg.depth),
+        (_cell_cs_nonsemisimple, "nonsemisimple", cfg.q, cfg.kind),
     ]
 
 
@@ -694,7 +645,7 @@ def _plan_module_axiom(cfg):
             frows.append((m, exps, num, den))
         cells.append(
             (
-                "module-axiom",
+                _cell_module_axiom,
                 f"rand-{i:02d}",
                 cfg.q,
                 cfg.kind,
@@ -725,35 +676,27 @@ def _plan_eigen(cfg):
         else:
             rows = (("gamma", str(_nonzero_fraction(rng))),)
         e1 = str(_nonzero_fraction(rng))
-        cells.append(("eigen", f"draw-{i:02d}", cfg.q, cfg.kind, cfg.depth, e1, rows))
+        cells.append((_cell_eigen, f"draw-{i:02d}", cfg.q, cfg.kind, cfg.depth, e1, rows))
     return cells
 
 
-def _random_poly_raw(rng, q, max_deg, min_val=0, unit=False):
+def _random_poly_raw(rng, q, max_deg, unit=False):
     """Raw (offset, coeffs) data for a random polynomial, possibly forced unit."""
     deg = rng.randint(0, max_deg)
     coeffs = [rng.randrange(q) for _ in range(deg + 1)]
     if unit:
         coeffs[0] = rng.randrange(1, q)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return (0, ())
-    off = min_val
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        off += 1
-    return (off, tuple(coeffs))
+    return pnorm(q, 0, coeffs)
 
 
 def _plan_quadform_orbits(cfg):
     q = cfg.q
-    cells = [("quad-hyperbolic", "hyperbolic", q)]
+    cells = [(_cell_quad_hyperbolic, "hyperbolic", q)]
     for a in range(4):
         for bexp in range(a + 1):
             for dname in ("Square", "NonSquare"):
                 tag = "s" if dname == "Square" else "n"
-                cells.append(("quad-grid", f"grid-a{a}b{bexp}{tag}", q, a, bexp, dname))
+                cells.append((_cell_quad_grid, f"grid-a{a}b{bexp}{tag}", q, a, bexp, dname))
     rng = random.Random(cfg.seed)
     i = 0
     while i < 200:
@@ -771,41 +714,66 @@ def _plan_quadform_orbits(cfg):
             if not det.is_zero() and det.val == 0:
                 break
         uraw = _random_poly_raw(rng, q, 2, unit=True)
-        cells.append(("quad-invariance", f"invar-{i:03d}", q, braw, araw, uraw, 6))
+        cells.append((_cell_quad_invariance, f"invar-{i:03d}", q, braw, araw, uraw, 6))
         i += 1
     if q == 3:
         width = 4
         for shard in range(q ** width):
             cells.append(
-                ("quad-exhaustive", f"exhaustive-{shard:02d}", q, shard, width, 3, 8, 4)
+                (_cell_quad_exhaustive, f"exhaustive-{shard:02d}", q, shard, width, 3, 8, 4)
             )
     return cells
 
 
 def _plan_isotropic(cfg):
-    return [("isotropic", f"b11-{v}", cfg.q, v) for v in range(cfg.q)]
+    return [(_cell_isotropic, f"b11-{v}", cfg.q, v) for v in range(cfg.q)]
 
 
-_PLANNERS = {
-    "min-orbit": _plan_min_orbit,
-    "stratum-dim": _plan_stratum_dim,
-    "counts": _plan_counts,
-    "hecke-tables": _plan_hecke_tables,
-    "ic-basis": _plan_ic_basis,
-    "multone": _plan_multone,
-    "cs-matrix": _plan_cs_matrix,
-    "module-axiom": _plan_module_axiom,
-    "eigen": _plan_eigen,
-    "quadform-orbits": _plan_quadform_orbits,
-    "isotropic": _plan_isotropic,
-}
+class Campaign(NamedTuple):
+    """One ``wald`` campaign: its name, planner, CLI help and CLI aliases."""
+
+    name: str
+    planner: Callable
+    help: str
+    aliases: tuple = ()
+
+
+#: Every campaign, in ``wald --help`` and ``CAMPAIGNS`` order.
+CAMPAIGN_TABLE = (
+    Campaign("min-orbit", _plan_min_orbit,
+             "count closed-orbit sublattices from each orbit representative",
+             aliases=("verify-min-orbit",)),
+    Campaign("stratum-dim", _plan_stratum_dim,
+             "fit orbit-stratum counts to polynomials in q and cross-check"),
+    Campaign("counts", _plan_counts,
+             "check sublattice counts against the closed-form formula"),
+    Campaign("hecke-tables", _plan_hecke_tables,
+             "convolution identities, ring axioms, structure constants"),
+    Campaign("ic-basis", _plan_ic_basis,
+             "support, monomial counts and central twist of the basis functions"),
+    Campaign("multone", _plan_multone,
+             "triangularity of the algebra action on the unit delta"),
+    Campaign("cs-matrix", _plan_cs_matrix,
+             "shape of the basis-function matrix in the delta basis"),
+    Campaign("module-axiom", _plan_module_axiom,
+             "compatibility of the action with convolution on random data"),
+    Campaign("eigen", _plan_eigen,
+             "truncated eigenfunction window checks (batch or single run)"),
+    Campaign("quadform-orbits", _plan_quadform_orbits,
+             "symmetric-form invariants: constancy, parity, completeness"),
+    Campaign("isotropic", _plan_isotropic,
+             "isotropic line counts against a direct projective scan"),
+)
+
+CAMPAIGNS = tuple(c.name for c in CAMPAIGN_TABLE)
 
 
 def plan(name, cfg: SessionConfig):
     """The cell payloads a campaign will run, in report order."""
-    if name not in _PLANNERS:
-        raise ConfigInvalid(f"unknown campaign {name!r} (choose from {CAMPAIGNS})")
-    return _PLANNERS[name](cfg)
+    for campaign in CAMPAIGN_TABLE:
+        if campaign.name == name:
+            return campaign.planner(cfg)
+    raise ConfigInvalid(f"unknown campaign {name!r} (choose from {CAMPAIGNS})")
 
 
 def _report(name, cfg, rows):

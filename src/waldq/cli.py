@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .campaigns import (
-    CAMPAIGNS,
+    CAMPAIGN_TABLE,
     ConfigInvalid,
     SessionConfig,
     render_report,
@@ -26,21 +26,6 @@ from .campaigns import (
 from .hecke import HeckeElement, convolve
 from .lattice import Coweight
 from .quadform import PrecisionExhausted, SymMatrixO, covering_type, diagonalize
-
-_CAMPAIGN_HELP = {
-    "min-orbit": "count closed-orbit sublattices from each orbit representative",
-    "stratum-dim": "fit orbit-stratum counts to polynomials in q and cross-check",
-    "counts": "check sublattice counts against the closed-form formula",
-    "hecke-tables": "convolution identities, ring axioms, structure constants",
-    "ic-basis": "support, monomial counts and central twist of the basis functions",
-    "multone": "triangularity of the algebra action on the unit delta",
-    "cs-matrix": "shape of the basis-function matrix in the delta basis",
-    "module-axiom": "compatibility of the action with convolution on random data",
-    "eigen": "truncated eigenfunction window checks (batch or single run)",
-    "quadform-orbits": "symmetric-form invariants: constancy, parity, completeness",
-    "isotropic": "isotropic line counts against a direct projective scan",
-}
-
 
 def _env(name):
     return os.environ.get("WALDQ_" + name)
@@ -98,14 +83,11 @@ def _build_wald_parser():
         description="Batch verification campaigns for lattice-orbit combinatorics.",
     )
     sub = parser.add_subparsers(dest="campaign", required=True, metavar="CAMPAIGN")
-    for name in CAMPAIGNS:
-        p = sub.add_parser(name, help=_CAMPAIGN_HELP[name])
+    for campaign in CAMPAIGN_TABLE:
+        name = campaign.name
+        p = sub.add_parser(name, aliases=campaign.aliases, help=campaign.help)
+        p.set_defaults(campaign=name)
         _add_common(p)
-        if name == "min-orbit":
-            alias = sub.add_parser(
-                "verify-min-orbit", help="alias for the min-orbit campaign"
-            )
-            _add_common(alias)
         if name == "ic-basis":
             p.add_argument(
                 "--d", dest="dmax", type=int, help="alias for --dmax", default=argparse.SUPPRESS
@@ -156,8 +138,6 @@ def wald_main(argv=None) -> int:
         parser = _build_wald_parser()
         args = parser.parse_args(argv)
         name = args.campaign
-        if name == "verify-min-orbit":
-            name = "min-orbit"
         cfg = SessionConfig(
             q=args.q,
             kind=args.kind,

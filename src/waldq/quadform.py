@@ -145,6 +145,12 @@ class SymMatrixO:
 
     @classmethod
     def from_json(cls, q, obj):
+        if not (
+            isinstance(obj, list)
+            and len(obj) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in obj)
+        ):
+            raise ValueError(f"matrix must be 2x2 rows [[b11,b12],[b12,b22]], got {obj!r}")
         e11 = LaurentPoly.from_json(q, obj[0][0])
         e12 = LaurentPoly.from_json(q, obj[0][1])
         e21 = LaurentPoly.from_json(q, obj[1][0])

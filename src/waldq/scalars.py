@@ -313,19 +313,6 @@ class LaurentScalar:
         return cls(q, terms)
 
 
-def scalar_arith(x: LaurentScalar, y, op: str) -> LaurentScalar:
-    """Dispatch exact ring operations: op in {"add", "sub", "mul", "neg"}."""
-    if op == "neg":
-        return -x
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def monomial_invert(x: LaurentScalar) -> LaurentScalar:
     """Invert a single Laurent monomial (negate exponents, invert coefficient)."""
     if len(x.terms) != 1:

@@ -246,7 +246,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, q, obj):
-        return cls(q, int(obj["offset"]), [int(c) for c in obj["coeffs"]])
+        try:
+            off, coeffs = int(obj["offset"]), [int(c) for c in obj["coeffs"]]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f'polynomial record must be {{"offset": k, "coeffs": [...]}}, got {obj!r}'
+            ) from None
+        return cls(q, off, coeffs)
 
 
 def valuation(x: LaurentPoly):

@@ -342,17 +342,10 @@ class WaldModel:
         unit-monomial diagonal: the certificate that the module is free of
         rank one over the central-normalized algebra, to this truncation.
         """
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        cols = [
-            self.act(HeckeElement.basis(self.q, Coweight(a_, 0)), self.delta(0))
-            for a_ in range(depth + 1)
-        ]
-        zero = LaurentScalar.zero(self.q)
-        return [
-            [cols[a_].values.get(m, zero) for a_ in range(depth + 1)]
-            for m in range(depth + 1)
-        ]
+        return self._delta_matrix(
+            depth,
+            lambda a_: self.act(HeckeElement.basis(self.q, Coweight(a_, 0)), self.delta(0)),
+        )
 
     def cs_matrix(self, depth) -> list:
         """Matrix of the degree-d basis functions in the delta basis.
@@ -361,14 +354,15 @@ class WaldModel:
         monomial-count pattern 1 (ramified) / d-m+1 (split) below the
         diagonal.  Its inverse is where nontrivial denominators appear.
         """
+        return self._delta_matrix(depth, self.ic_basis)
+
+    def _delta_matrix(self, depth, column) -> list:
+        """Entry [m][k] is the value at orbit index m of the function column(k)."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        cols = [self.ic_basis(d) for d in range(depth + 1)]
+        cols = [column(k) for k in range(depth + 1)]
         zero = LaurentScalar.zero(self.q)
-        return [
-            [cols[d].values.get(m, zero) for d in range(depth + 1)]
-            for m in range(depth + 1)
-        ]
+        return [[col.values.get(m, zero) for col in cols] for m in range(depth + 1)]
 
     # -- truncated eigenfunction window check ---------------------------------
 

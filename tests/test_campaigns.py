@@ -1,0 +1,52 @@
+"""The campaign table: names, planners and picklable cell payloads."""
+
+import pickle
+
+import pytest
+
+import waldq
+from waldq import campaigns
+from waldq.campaigns import CAMPAIGN_TABLE, CAMPAIGNS, ConfigInvalid, SessionConfig, plan
+
+
+def small_config():
+    return SessionConfig(dmax=2, mmax=2, depth=3).validate()
+
+
+def test_campaign_names_and_order():
+    assert waldq.CAMPAIGNS == CAMPAIGNS == (
+        "min-orbit",
+        "stratum-dim",
+        "counts",
+        "hecke-tables",
+        "ic-basis",
+        "multone",
+        "cs-matrix",
+        "module-axiom",
+        "eigen",
+        "quadform-orbits",
+        "isotropic",
+    )
+    aliases = [a for c in CAMPAIGN_TABLE for a in c.aliases]
+    assert aliases == ["verify-min-orbit"]
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_plan_payloads_pickle_and_name_their_handler(name):
+    cells = plan(name, small_config())
+    assert cells
+    assert pickle.loads(pickle.dumps(cells)) == cells
+    for payload in cells:
+        handler = payload[0]
+        assert callable(handler)
+        assert handler.__module__ == "waldq.campaigns"
+        assert getattr(campaigns, handler.__name__) is handler
+        assert isinstance(payload[1], str)
+    assert len({payload[1] for payload in cells}) == len(cells)
+
+
+def test_unknown_campaign_is_config_invalid():
+    with pytest.raises(ConfigInvalid):
+        plan("nope", small_config())
+    with pytest.raises(ConfigInvalid):
+        plan("verify-min-orbit", small_config())

@@ -75,6 +75,13 @@ class TestWaldBasics:
         assert rc == 2
         assert "wald: error:" in err
 
+    def test_stratum_dim_past_probe_primes_exits_2(self, capsys):
+        # a fit at invariant 6 would need an eighth probe prime
+        rc, out, err = run_wald(capsys, "stratum-dim", "--dmax", "6", "--mmax", "6")
+        assert rc == 2
+        assert out == ""
+        assert "wald: error:" in err
+
     def test_bad_format_exits_2(self, capsys):
         # rejected by the argument parser before campaign dispatch
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +276,18 @@ class TestQuadformCli:
             [LaurentPoly.const(3, 1).to_json(), LaurentPoly.const(3, 1).to_json()],
             [LaurentPoly.const(3, 2).to_json(), LaurentPoly.const(3, 1).to_json()],
         ]
+        rc = quadform_main(["classify", "--matrix", json.dumps(bad)])
+        assert rc == 2
+        assert "quadform: error:" in capsys.readouterr().err
+
+    def test_wrong_shape_exits_2(self, capsys):
+        rc = quadform_main(["classify", "--matrix", "[[1]]"])
+        assert rc == 2
+        assert "quadform: error:" in capsys.readouterr().err
+
+    def test_entry_without_coeffs_exits_2(self, capsys):
+        entry = LaurentPoly.const(3, 1).to_json()
+        bad = [[{"offset": 0}, entry], [entry, entry]]
         rc = quadform_main(["classify", "--matrix", json.dumps(bad)])
         assert rc == 2
         assert "quadform: error:" in capsys.readouterr().err
