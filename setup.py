@@ -1,14 +1,13 @@
-"""Build script: compiles the optional fast kernel extension.
+"""Build script: compiles the fast kernel extension from the committed C.
 
-The package is pure Python plus one optional Cython extension
-(waldq._fastkern).  Without Cython the committed generated
-src/waldq/_fastkern.c is compiled instead.  If the extension cannot be built
-(no compiler, or WALDQ_NO_EXT=1), the install proceeds and the pure kernels
-are used at runtime.  ``python setup.py build_ext --inplace`` puts it next
-to the sources, where a checkout run with PYTHONPATH=src imports it.
+The package is pure Python plus one extension, waldq._fastkern, compiled from
+the committed src/waldq/_fastkern.c (generated by Cython from
+_fastkern.pyx; the README says how to regenerate it).  The build needs only a
+C compiler and the Python headers.  If it fails (no compiler), the install
+proceeds and the pure kernels are used at runtime.
+``python setup.py build_ext --inplace`` puts the extension next to the
+sources, where a checkout run with PYTHONPATH=src imports it.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -23,23 +22,8 @@ class optional_build_ext(build_ext):
         except Exception as exc:  # platform without a toolchain
             print(f"warning: fast kernel build skipped ({exc})")
 
-    def build_extension(self, ext):
-        try:
-            build_ext.build_extension(self, ext)
-        except Exception as exc:
-            print(f"warning: fast kernel build skipped ({exc})")
 
-
-ext_modules = []
-if not os.environ.get("WALDQ_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:  # build the committed generated C instead
-        ext_modules = [Extension("waldq._fastkern", ["src/waldq/_fastkern.c"])]
-    else:
-        ext_modules = cythonize(
-            [Extension("waldq._fastkern", ["src/waldq/_fastkern.pyx"])],
-            language_level=3,
-        )
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("waldq._fastkern", ["src/waldq/_fastkern.c"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

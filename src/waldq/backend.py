@@ -2,13 +2,15 @@
 
 The batch kernels (rel_pos, canon, sublattices, sym_diag, sym_normal_cert)
 exist twice: ``waldq._fastkern`` (Cython) and ``waldq._purekern`` (pure
-Python, the reference).  The compiled module is used when importable; set
+Python, the reference).  ``use(name)`` binds the five kernel names of this
+module to one of them; callers look them up as ``backend.<kernel>`` at call
+time.  The compiled module is used when importable; set
 ``WALDQ_BACKEND=pure`` or ``WALDQ_BACKEND=fast`` to force a choice.  Any
 other ``WALDQ_BACKEND`` value is ignored and the default choice applies
 (unlike the ``wald`` CLI's ``WALDQ_*`` mirrors, which exit 2 on a bad value).
 
 The fast kernels cap coefficient spans at a fixed buffer size and raise
-OverflowError beyond it; the wrappers below transparently retry the pure
+OverflowError beyond it; the fast bindings transparently retry the pure
 twin for such calls, so results never depend on the backend.
 """
 
@@ -38,69 +40,26 @@ def _guarded(fast_fn, pure_fn):
     return call
 
 
-class _Backend:
-    __slots__ = ("name", "rel_pos", "canon", "sublattices", "sym_diag", "sym_normal_cert")
-
-    def __init__(self, name, mod):
-        self.name = name
-        for k in _KERNELS:
-            fn = getattr(mod, k)
-            if name == "fast":
-                fn = _guarded(fn, getattr(_purekern, k))
-            setattr(self, k, fn)
-
-
-_PURE = _Backend("pure", _purekern)
-_FAST = _Backend("fast", _fastkern) if _fastkern is not None else None
-
-
 def available() -> tuple[str, ...]:
-    return ("pure", "fast") if _FAST is not None else ("pure",)
+    return ("pure", "fast") if _fastkern is not None else ("pure",)
 
 
 def use(name: str) -> None:
-    """Force the active backend ("pure" or "fast")."""
+    """Force the active backend ("pure" or "fast") by rebinding the kernels."""
     global _active
-    if name == "pure":
-        _active = _PURE
-    elif name == "fast":
-        if _FAST is None:
-            raise RuntimeError("fast kernels are not built")
-        _active = _FAST
-    else:
+    if name not in ("pure", "fast"):
         raise ValueError(f"unknown backend {name!r}")
+    if name == "fast" and _fastkern is None:
+        raise RuntimeError("fast kernels are not built")
+    for k in _KERNELS:
+        fn = getattr(_purekern, k)
+        globals()[k] = fn if name == "pure" else _guarded(getattr(_fastkern, k), fn)
+    _active = name
 
 
 def active_name() -> str:
-    return _active.name
+    return _active
 
 
 _env = os.environ.get("WALDQ_BACKEND", "").strip().lower()
-if _env == "pure":
-    _active = _PURE
-elif _env == "fast":
-    if _FAST is None:
-        raise RuntimeError("WALDQ_BACKEND=fast but the compiled kernels are not built")
-    _active = _FAST
-else:
-    _active = _FAST if _FAST is not None else _PURE
-
-
-def rel_pos(*args):
-    return _active.rel_pos(*args)
-
-
-def canon(*args):
-    return _active.canon(*args)
-
-
-def sublattices(*args):
-    return _active.sublattices(*args)
-
-
-def sym_diag(*args):
-    return _active.sym_diag(*args)
-
-
-def sym_normal_cert(*args):
-    return _active.sym_normal_cert(*args)
+use(_env if _env in ("pure", "fast") else available()[-1])

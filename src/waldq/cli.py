@@ -101,6 +101,8 @@ def _build_wald_parser():
 
 
 def _single_eigen(cfg, args):
+    if args.e1 is None:
+        raise ConfigInvalid("--alpha/--beta/--gamma apply only to a single eigen run with --e1")
     rows = []
     if cfg.kind == "split":
         if args.alpha is None or args.beta is None:
@@ -149,7 +151,7 @@ def wald_main(argv=None) -> int:
             out=args.out,
             fmt=args.fmt,
         ).validate()
-        if name == "eigen" and getattr(args, "e1", None) is not None:
+        if name == "eigen" and (args.e1, args.alpha, args.beta, args.gamma) != (None,) * 4:
             report = _single_eigen(cfg, args)
         else:
             report = run_campaign(name, cfg)

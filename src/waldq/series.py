@@ -247,11 +247,15 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, q, obj):
         try:
-            off, coeffs = int(obj["offset"]), [int(c) for c in obj["coeffs"]]
+            off, coeffs = obj["offset"], obj["coeffs"]
         except (KeyError, TypeError):
+            off = coeffs = None
+        ints = type(off) is int and type(coeffs) is list and all(type(c) is int for c in coeffs)
+        if not ints:
             raise ValueError(
-                f'polynomial record must be {{"offset": k, "coeffs": [...]}}, got {obj!r}'
-            ) from None
+                f'polynomial record must be {{"offset": k, "coeffs": [...]}} of integers, '
+                f"got {obj!r}"
+            )
         return cls(q, off, coeffs)
 
 

@@ -147,9 +147,7 @@ class TestDeterminism:
         claims2 = [l["claim"] for l in parse_ndjson(out2) if l["type"] == "cell"]
         assert claims1 != claims2
 
-    def test_backend_does_not_change_cells(self, capsys):
-        if "fast" not in backend.available():
-            pytest.skip("compiled kernels not built")
+    def test_backend_does_not_change_cells(self, capsys, fast_backend):
         argv = ("counts", "--dmax", "3", "--seed", "3")
         try:
             backend.use("pure")
@@ -210,6 +208,8 @@ class TestSingleEigen:
         assert rc == 2 and "beta" in err
         rc, _, err = run_wald(capsys, "eigen", "--kind", "ramified", "--e1", "2")
         assert rc == 2 and "gamma" in err
+        rc, _, err = run_wald(capsys, "eigen", "--D", "2", "--alpha", "5")
+        assert rc == 2 and "--e1" in err
         rc, _, err = run_wald(
             capsys, "eigen", "--e1", "2", "--alpha", "x", "--beta", "1"
         )
@@ -288,6 +288,16 @@ class TestQuadformCli:
     def test_entry_without_coeffs_exits_2(self, capsys):
         entry = LaurentPoly.const(3, 1).to_json()
         bad = [[{"offset": 0}, entry], [entry, entry]]
+        rc = quadform_main(["classify", "--matrix", json.dumps(bad)])
+        assert rc == 2
+        assert "quadform: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_entry", [{"offset": 1.7, "coeffs": [1]}, {"offset": 0, "coeffs": "12"}]
+    )
+    def test_non_integer_entry_exits_2(self, capsys, bad_entry):
+        entry = LaurentPoly.const(3, 1).to_json()
+        bad = [[bad_entry, entry], [entry, entry]]
         rc = quadform_main(["classify", "--matrix", json.dumps(bad)])
         assert rc == 2
         assert "quadform: error:" in capsys.readouterr().err

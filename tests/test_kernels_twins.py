@@ -1,8 +1,10 @@
 """Differential tests: the compiled kernels must match the pure reference."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,10 @@ from waldq import _purekern, backend
 # site-packages in an install), so a child interpreter imports the same copy.
 WALDQ_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(waldq.__file__)))
 
-HAVE_FAST = "fast" in backend.available()
+SRC = Path(__file__).resolve().parent.parent / "src" / "waldq"
 
-needs_fast = pytest.mark.skipif(not HAVE_FAST, reason="compiled kernels not built")
+# The compiled twin, built from the committed C when not installed (conftest.py).
+needs_fast = pytest.mark.usefixtures("fast_backend")
 
 
 def rand_raw(rng, q, max_len=4, min_off=-3, max_off=3, nonzero=False):
@@ -162,3 +165,18 @@ class TestSelection:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() in ("pure", "fast")
+
+
+def test_generated_c_matches_pyx():
+    """_fastkern.c was generated from the current _fastkern.pyx: every source
+    line Cython quotes (``/* "waldq/_fastkern.pyx":N`` blocks, the quoted line
+    marked ``# <<<<<<<<<<<<<<``) is line N of the .pyx."""
+    pyx = (SRC / "_fastkern.pyx").read_text().splitlines()
+    c_text = (SRC / "_fastkern.c").read_text()
+    block = re.compile(r'^ */\* "waldq/_fastkern\.pyx":(\d+)\n(.*?)\*/$', re.M | re.S)
+    marked = re.compile(r"^ *\* (.*?) *# <{14}$", re.M)
+    blocks = block.findall(c_text)
+    assert blocks
+    for lineno, body in blocks:
+        (quoted,) = marked.findall(body)
+        assert quoted == pyx[int(lineno) - 1].rstrip(), f"_fastkern.pyx:{lineno}"
