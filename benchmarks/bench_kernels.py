@@ -2,17 +2,26 @@
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py --repeat 5
+    python3 benchmarks/bench_kernels.py --repeat 20
 
 Each kernel is timed on a fixed representative workload; the table reports
-the best wall time per backend and the resulting speedup.
+the median wall time of one pass over it per backend and the speedup.
+Timing goes through ``timeit``, so the garbage collector is off while timing.
+Each sample repeats the pass until it lasts at least SAMPLE_S (the three-call
+``sublattices`` pass takes only a few milliseconds).  Samples alternate
+between the backends round by round, and the speedup is the median over
+rounds of the pure/fast ratio within a round, so a drift in the host's speed
+between rounds cancels out.
 """
 
 import argparse
 import random
-import time
+import statistics
+import timeit
 
 from waldq import backend
+
+SAMPLE_S = 0.05
 
 
 def workload_rel_pos(q):
@@ -75,22 +84,38 @@ WORKLOADS = (
 )
 
 
-def time_backend(name, kernel, args, repeat):
-    backend.use(name)
+def _pass_timer(kernel, args):
+    """A timer of one pass over args with the active backend, and its pass count."""
     fn = getattr(backend, kernel)
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
+
+    def one_pass():
         for a in args:
             fn(*a)
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+    timer = timeit.Timer(one_pass)
+    passes = 1
+    while timer.timeit(passes) < SAMPLE_S:
+        passes *= 2
+    return timer, passes
+
+
+def time_kernel(names, kernel, args, repeat):
+    """{backend: [time of one pass over args in each of repeat rounds]}."""
+    timers = {}
+    for name in names:
+        backend.use(name)
+        timers[name] = _pass_timer(kernel, args)
+    samples = {name: [] for name in names}
+    for _ in range(repeat):
+        for name, (timer, passes) in timers.items():
+            samples[name].append(timer.timeit(passes) / passes)
+    return samples
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--q", type=int, default=3, help="residue field size")
-    parser.add_argument("--repeat", type=int, default=5, help="timing repeats")
+    parser.add_argument("--repeat", type=int, default=20, help="timed samples per backend")
     args = parser.parse_args(argv)
 
     names = backend.available()
@@ -100,10 +125,7 @@ def main(argv=None):
     rows = []
     for make in WORKLOADS:
         kernel, payload = make(args.q)
-        per = {}
-        for name in names:
-            per[name] = time_backend(name, kernel, payload, args.repeat)
-        rows.append((kernel, len(payload), per))
+        rows.append((kernel, len(payload), time_kernel(names, kernel, payload, args.repeat)))
     backend.use(names[-1])
 
     width = max(len(r[0]) for r in rows)
@@ -116,10 +138,11 @@ def main(argv=None):
     print("-" * len(header))
     for kernel, ncalls, per in rows:
         line = f"{kernel:<{width}}  {ncalls:>6}  " + "  ".join(
-            f"{per[n] * 1e3:>11.3f}" for n in names
+            f"{statistics.median(per[n]) * 1e3:>11.3f}" for n in names
         )
         if len(names) > 1:
-            line += f"  {per['pure'] / per['fast']:>7.1f}x"
+            ratios = [p / f for p, f in zip(per["pure"], per["fast"])]
+            line += f"  {statistics.median(ratios):>7.1f}x"
         print(line)
 
 

@@ -366,18 +366,12 @@ def _cell_cs_nonsemisimple(cell, q, kind):
 
 
 def _build_hecke(q, rows):
-    acc = HeckeElement.zero(q)
-    for a1, a2, c in rows:
-        acc = acc + HeckeElement.basis(q, Coweight(a1, a2)).scaled(c)
-    return acc
+    return HeckeElement(q, [((a1, a2), c) for a1, a2, c in rows])
 
 
 def _build_fn(q, kind, rows):
-    vals = {}
-    for m, exps, num, den in rows:
-        term = LaurentScalar.monomial(q, exps, Fraction(num, den))
-        vals[m] = vals.get(m, LaurentScalar.zero(q)) + term
-    return WaldFunction(q, kind, vals)
+    values = [(m, LaurentScalar.monomial(q, e, Fraction(n, d))) for m, e, n, d in rows]
+    return WaldFunction(q, kind, values)
 
 
 def _cell_module_axiom(cell, q, kind, hrows1, hrows2, frows):

@@ -128,8 +128,11 @@ def _single_eigen(cfg, args):
 def _emit(report, cfg) -> int:
     text = render_report(report, cfg.fmt)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write the report to {cfg.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0 if report["summary"]["pass"] else 1
@@ -151,6 +154,8 @@ def wald_main(argv=None) -> int:
             out=args.out,
             fmt=args.fmt,
         ).validate()
+        if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+            raise ConfigInvalid(f"cannot write the report to {cfg.out}: no such directory")
         if name == "eigen" and (args.e1, args.alpha, args.beta, args.gamma) != (None,) * 4:
             report = _single_eigen(cfg, args)
         else:
@@ -162,15 +167,15 @@ def wald_main(argv=None) -> int:
 
 
 def hecke_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hecke", description="Spherical convolution of basis elements."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    conv = sub.add_parser("convolve", help="convolve two basis elements")
-    conv.add_argument("--q", type=int, default=_env_int("Q", 3))
-    conv.add_argument("--lhs", required=True, help='dominant pair like "(2,0)"')
-    conv.add_argument("--rhs", required=True, help='dominant pair like "(1,1)"')
     try:
+        parser = argparse.ArgumentParser(
+            prog="hecke", description="Spherical convolution of basis elements."
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        conv = sub.add_parser("convolve", help="convolve two basis elements")
+        conv.add_argument("--q", type=int, default=_env_int("Q", 3))
+        conv.add_argument("--lhs", required=True, help='dominant pair like "(2,0)"')
+        conv.add_argument("--rhs", required=True, help='dominant pair like "(1,1)"')
         args = parser.parse_args(argv)
         lhs = Coweight.parse(args.lhs)
         rhs = Coweight.parse(args.rhs)
@@ -185,20 +190,20 @@ def hecke_main(argv=None) -> int:
 
 
 def quadform_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="quadform",
-        description="Classify a symmetric matrix over the power-series ring.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    cls = sub.add_parser("classify", help="diagonal invariant and covering type")
-    cls.add_argument("--q", type=int, default=_env_int("Q", 3))
-    cls.add_argument(
-        "--matrix",
-        required=True,
-        help='JSON rows [[b11,b12],[b12,b22]], entries {"offset":k,"coeffs":[...]}',
-    )
-    cls.add_argument("--precision", type=int, default=None)
     try:
+        parser = argparse.ArgumentParser(
+            prog="quadform",
+            description="Classify a symmetric matrix over the power-series ring.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        cls = sub.add_parser("classify", help="diagonal invariant and covering type")
+        cls.add_argument("--q", type=int, default=_env_int("Q", 3))
+        cls.add_argument(
+            "--matrix",
+            required=True,
+            help='JSON rows [[b11,b12],[b12,b22]], entries {"offset":k,"coeffs":[...]}',
+        )
+        cls.add_argument("--precision", type=int, default=None)
         args = parser.parse_args(argv)
         mat = SymMatrixO.from_json(args.q, json.loads(args.matrix))
         inv, _a, _eps = diagonalize(mat, args.precision)

@@ -45,8 +45,9 @@ class HeckeElement:
     """A finite linear combination of basis elements T_lam.
 
     Immutable; ``terms`` maps dominant Coweights to nonzero LaurentScalar
-    coefficients.  Addition and scalar multiplication are componentwise;
-    ``*`` between two elements is convolution.
+    coefficients, merged and cleared of zeros in the constructor and nowhere
+    else.  Addition and scalar multiplication are componentwise; ``*`` between
+    two elements is convolution.
     """
 
     __slots__ = ("q", "terms")
@@ -59,14 +60,10 @@ class HeckeElement:
             if not cw.is_dominant():
                 raise ValueError(f"basis index {cw} is not dominant")
             coeff = _as_scalar(q, coeff)
-            if cw in cleaned:
-                coeff = cleaned[cw] + coeff
-            if coeff.is_zero():
-                cleaned.pop(cw, None)
-            else:
-                cleaned[cw] = coeff
+            prev = cleaned.get(cw)
+            cleaned[cw] = coeff if prev is None else prev + coeff
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", {k: c for k, c in cleaned.items() if not c.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElement is immutable")
@@ -98,11 +95,8 @@ class HeckeElement:
             return NotImplemented
         if self.q != other.q:
             raise ValueError("mixed residue characteristics")
-        acc = dict(self.terms)
-        for cw, coeff in other.terms.items():
-            cur = acc.get(cw)
-            acc[cw] = coeff * sign if cur is None else cur + coeff * sign
-        return HeckeElement(self.q, acc)
+        pairs = [*self.terms.items(), *((cw, c * sign) for cw, c in other.terms.items())]
+        return HeckeElement(self.q, pairs)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -188,16 +182,12 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         raise TypeError("convolve expects two HeckeElements")
     if x.q != y.q:
         raise ValueError("mixed residue characteristics")
-    acc = {}
+    terms = []
     for lam, cx in x.terms.items():
         for mu, cy in y.terms.items():
             c = cx * cy
-            for nu, count in _pair_product(x.q, tuple(lam), tuple(mu)):
-                cw = Coweight(*nu)
-                term = c * count
-                cur = acc.get(cw)
-                acc[cw] = term if cur is None else cur + term
-    return HeckeElement(x.q, acc)
+            terms += ((nu, c * count) for nu, count in _pair_product(x.q, tuple(lam), tuple(mu)))
+    return HeckeElement(x.q, terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,10 +272,5 @@ def central_normalize(h: HeckeElement, kind) -> HeckeElement:
     """
     kind = EtaleKind(kind)
     unit_char = chi_c(h.q, kind)
-    acc = {}
-    for cw, coeff in h.terms.items():
-        target = Coweight(cw.a1 - cw.a2, 0)
-        term = coeff * unit_char ** cw.a2
-        cur = acc.get(target)
-        acc[target] = term if cur is None else cur + term
-    return HeckeElement(h.q, acc)
+    terms = [((cw.a1 - cw.a2, 0), c * unit_char ** cw.a2) for cw, c in h.terms.items()]
+    return HeckeElement(h.q, terms)

@@ -113,7 +113,8 @@ class LaurentScalar:
     """Exact Laurent 'polynomial' in alpha, beta, gamma over Q(sqrt(q)).
 
     Stored as a map from exponent triples (ea, eb, eg) in Z^3 to nonzero
-    SqrtQ coefficients.
+    SqrtQ coefficients.  Given as a dict or as (exps, coeff) pairs, terms are
+    merged and zeros dropped here in the constructor, and nowhere else.
     """
 
     __slots__ = ("q", "terms")
@@ -121,20 +122,16 @@ class LaurentScalar:
     def __init__(self, q, terms=None):
         object.__setattr__(self, "q", q)
         clean = {}
-        for exps, coeff in (terms or {}).items():
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        for exps, coeff in items:
             if not isinstance(coeff, SqrtQ):
                 coeff = SqrtQ.of(q, coeff)
-            if coeff.q != q:
+            elif coeff.q != q:
                 raise ValueError("mixed scalar fields")
-            if not coeff.is_zero():
-                key = (int(exps[0]), int(exps[1]), int(exps[2]))
-                prev = clean.get(key)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
+            key = (int(exps[0]), int(exps[1]), int(exps[2]))
+            prev = clean.get(key)
+            clean[key] = coeff if prev is None else prev + coeff
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if not c.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentScalar is immutable")
@@ -201,14 +198,7 @@ class LaurentScalar:
 
     def __add__(self, other):
         o = self._same(other)
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            s = out.get(k, SqrtQ.zero(self.q)) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return LaurentScalar(self.q, out)
+        return LaurentScalar(self.q, [*self.terms.items(), *o.terms.items()])
 
     __radd__ = __add__
 
@@ -220,16 +210,14 @@ class LaurentScalar:
 
     def __mul__(self, other):
         o = self._same(other)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in o.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                s = out.get(k, SqrtQ.zero(self.q)) + v1 * v2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return LaurentScalar(self.q, out)
+        return LaurentScalar(
+            self.q,
+            [
+                ((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2]), v1 * v2)
+                for k1, v1 in self.terms.items()
+                for k2, v2 in o.terms.items()
+            ],
+        )
 
     __rmul__ = __mul__
 

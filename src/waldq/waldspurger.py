@@ -13,7 +13,7 @@ import dataclasses
 import functools
 from fractions import Fraction
 
-from .hecke import HeckeElement, ZeroEigenvalue, satake_basis, schur_gl2
+from .hecke import HeckeElement, ZeroEigenvalue, _as_scalar, satake_basis, schur_gl2
 from .lattice import Coweight, Lattice2, _raw_members
 from .scalars import LaurentScalar, specialize
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
@@ -70,18 +70,12 @@ class CharacterParams:
         return dict(self.assignment)
 
 
-def _as_value(q, v):
-    if isinstance(v, LaurentScalar):
-        if v.q != q:
-            raise ValueError("mixed residue characteristics")
-        return v
-    if isinstance(v, (int, Fraction)):
-        return LaurentScalar.from_fraction(q, Fraction(v))
-    raise TypeError(f"cannot use {type(v).__name__} as a function value")
-
-
 class WaldFunction:
-    """Finitely supported values on orbit indices, with symbolic coefficients."""
+    """Finitely supported values on orbit indices, with symbolic coefficients.
+
+    ``values`` maps orbit indices to nonzero LaurentScalars, merged and cleared
+    of zeros in the constructor and nowhere else.
+    """
 
     __slots__ = ("q", "kind", "values")
 
@@ -92,16 +86,12 @@ class WaldFunction:
         for m, v in items:
             if not isinstance(m, int) or m < 0:
                 raise ValueError("orbit indices are nonnegative integers")
-            v = _as_value(q, v)
-            if m in cleaned:
-                v = cleaned[m] + v
-            if v.is_zero():
-                cleaned.pop(m, None)
-            else:
-                cleaned[m] = v
+            v = _as_scalar(q, v)
+            prev = cleaned.get(m)
+            cleaned[m] = v if prev is None else prev + v
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "values", {m: v for m, v in cleaned.items() if not v.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("WaldFunction is immutable")
@@ -120,11 +110,8 @@ class WaldFunction:
             return NotImplemented
         if self.q != other.q or self.kind is not other.kind:
             raise ValueError("mixed function spaces")
-        acc = dict(self.values)
-        for m, v in other.values.items():
-            cur = acc.get(m)
-            acc[m] = v * sign if cur is None else cur + v * sign
-        return WaldFunction(self.q, self.kind, acc)
+        pairs = [*self.values.items(), *((m, v * sign) for m, v in other.values.items())]
+        return WaldFunction(self.q, self.kind, pairs)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -136,7 +123,7 @@ class WaldFunction:
         return WaldFunction(self.q, self.kind, {m: -v for m, v in self.values.items()})
 
     def scaled(self, value) -> "WaldFunction":
-        s = _as_value(self.q, value)
+        s = _as_scalar(self.q, value)
         return WaldFunction(self.q, self.kind, {m: v * s for m, v in self.values.items()})
 
     def __mul__(self, other):
@@ -280,12 +267,11 @@ class WaldModel:
             return WaldFunction(self.q, self.kind, {})
         mlo = min(f.values)
         mhi = max(f.values)
-        acc = {}
+        values = []
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
             for m0 in range(max(0, mlo - width), mhi + width + 1):
-                cell = None
                 for m1, exps, count in _transitions(
                     self.q, self.kind.value, m0, (eff.a1, eff.a2)
                 ):
@@ -293,12 +279,8 @@ class WaldModel:
                     if fv is None:
                         continue
                     chi = LaurentScalar.monomial(self.q, _exps3(self.kind, exps))
-                    term = coeff * chi * fv * count
-                    cell = term if cell is None else cell + term
-                if cell is not None and not cell.is_zero():
-                    cur = acc.get(m0)
-                    acc[m0] = cell if cur is None else cur + cell
-        return WaldFunction(self.q, self.kind, acc)
+                    values.append((m0, coeff * chi * fv * count))
+        return WaldFunction(self.q, self.kind, values)
 
     def ic_basis(self, d) -> WaldFunction:
         """Action of the degree-d self-dual basis element on the delta at 0.
@@ -414,9 +396,7 @@ class WaldModel:
         for d in range(depth + 1):
             for m, v in wtab[d].items():
                 kvals[m] = kvals.get(m, Fraction(0)) + coeff[d] * v
-        kfun = WaldFunction(
-            self.q, self.kind, {m: v for m, v in kvals.items() if v != 0}
-        )
+        kfun = WaldFunction(self.q, self.kind, kvals)
 
         acted = self.act(satake_basis(self.q, Coweight(1, 0)), kfun)
         lhs = {m: specialize(v, assignment, r_value) for m, v in acted.values.items()}

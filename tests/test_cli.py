@@ -125,6 +125,17 @@ class TestFormats:
         assert lines[0]["type"] == "header"
         assert lines[-1]["pass"] is True
 
+    @pytest.mark.parametrize("name", ["missing/report.ndjson", "."])
+    def test_out_unwritable_exits_2(self, capsys, tmp_path, name):
+        # a missing directory is refused before the campaign runs; a path
+        # that is a directory fails when the report is written
+        target = str(tmp_path / name)
+        rc, out, err = run_wald(capsys, "counts", "--dmax", "2", "--out", target)
+        assert rc == 2
+        assert out == ""
+        assert "wald: error:" in err and target in err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestDeterminism:
     def test_byte_identical_repeats(self, capsys):
@@ -240,6 +251,12 @@ class TestHeckeCli:
         assert rc == 2
         assert "hecke: error:" in capsys.readouterr().err
 
+    def test_env_bad_q_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("WALDQ_Q", "abc")
+        rc = hecke_main(["convolve", "--lhs", "(1,0)", "--rhs", "(1,0)"])
+        assert rc == 2
+        assert "hecke: error: WALDQ_Q" in capsys.readouterr().err
+
 
 class TestQuadformCli:
     @staticmethod
@@ -305,6 +322,12 @@ class TestQuadformCli:
     def test_bad_json_exits_2(self, capsys):
         rc = quadform_main(["classify", "--matrix", "not json"])
         assert rc == 2
+
+    def test_env_bad_q_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("WALDQ_Q", "abc")
+        rc = quadform_main(["classify", "--matrix", self.mat_json(3, {}, {0: 1}, {})])
+        assert rc == 2
+        assert "quadform: error: WALDQ_Q" in capsys.readouterr().err
 
     def test_precision_exhausted_exits_1(self, capsys):
         rc = quadform_main(

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from waldq.hecke import HeckeElement
+from waldq.lattice import Coweight
 from waldq.scalars import (
     LaurentScalar,
     NotAMonomial,
@@ -14,6 +16,7 @@ from waldq.scalars import (
     monomial_invert,
     specialize,
 )
+from waldq.waldspurger import WaldFunction
 
 
 def rand_scalar(rng, q, nterms=3, span=2):
@@ -165,3 +168,30 @@ def test_monomial_count_projections():
     assert monomial_count(LaurentScalar.zero(q), ("alpha",)) == 0
     with pytest.raises(ValueError):
         monomial_count(x, ("delta",))
+
+
+# (constructor from terms, the terms attribute, two keys, coefficient for an int)
+NORMALISED_TYPES = {
+    "LaurentScalar": (LaurentScalar, "terms", (1, 0, -1), (0, 2, 0), SqrtQ.of),
+    "HeckeElement": (
+        HeckeElement, "terms", Coweight(1, 0), Coweight(2, 2), LaurentScalar.from_fraction,
+    ),
+    "WaldFunction": (
+        lambda q, t: WaldFunction(q, "split", t), "values", 0, 3, LaurentScalar.from_fraction,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NORMALISED_TYPES))
+@pytest.mark.parametrize("form", ["dict", "pairs", "iterator"])
+def test_constructor_is_the_normalisation_point(kind, form):
+    make, attr, k1, k2, coeff = NORMALISED_TYPES[kind]
+    q = 3
+    if form == "dict":
+        x = make(q, {k1: 7, k2: 0})
+    else:
+        pairs = [(k1, 2), (k2, 3), (k1, 5), (k2, -3)]
+        x = make(q, pairs if form == "pairs" else iter(pairs))
+    # repeats merged, cancelled and zero coefficients dropped
+    assert getattr(x, attr) == {k1: coeff(q, 7)}
+    assert getattr(x - x, attr) == {}
