@@ -80,13 +80,13 @@ class SessionConfig:
             raise ConfigInvalid(str(exc)) from None
         for name in ("dmax", "mmax"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ConfigInvalid(f"{name} must be a nonnegative integer")
-        if not isinstance(self.depth, int) or self.depth < 2:
+        if type(self.depth) is not int or self.depth < 2:
             raise ConfigInvalid("depth must be an integer >= 2")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ConfigInvalid("seed must be an integer")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if type(self.workers) is not int or self.workers < 1:
             raise ConfigInvalid("workers must be a positive integer")
         if self.fmt == "json":
             self.fmt = "ndjson"

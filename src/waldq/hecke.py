@@ -10,9 +10,12 @@ L0 -> L'' -> L_nu with the prescribed relative positions.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 
-from .lattice import Coweight, Lattice2, enumerate_in_position, relative_position
+from . import backend
+from ._purekern import INF, PZERO
+from .lattice import Coweight, _member_histogram
 from .scalars import LaurentScalar
 from .torus import EtaleKind, chi_c
 
@@ -162,18 +165,16 @@ def _pair_product(q, lam, mu):
     L'' in exact position lam from the standard lattice such that the
     position of L'' relative to the diagonal lattice L_nu is mu.
     """
-    base = Lattice2.standard(q)
-    mids = enumerate_in_position(base, Coweight(*lam))
-    mu_cw = Coweight(*mu)
     total = lam[0] + lam[1] + mu[0] + mu[1]
-    out = []
-    for nu1 in range(-(-total // 2), lam[0] + mu[0] + 1):
-        nu = (nu1, total - nu1)
-        target = Lattice2.diagonal(q, nu[0], nu[1])
-        count = sum(1 for mid in mids if relative_position(mid, target) == mu_cw)
-        if count:
-            out.append((nu, count))
-    return tuple(out)
+    counts = Counter()
+    for (a, b, vc, s), n in _member_histogram(q, (0, 0, PZERO), Coweight(*lam)).items():
+        if s == 0:
+            # against a diagonal lattice (c2 = 0) rel_pos reads only val c1, so t^(val c1) will do
+            c1 = (vc, (1,)) if vc < INF else PZERO
+            for nu1 in range(-(-total // 2), lam[0] + mu[0] + 1):
+                if backend.rel_pos(q, a, b, c1, nu1, total - nu1, PZERO) == mu:
+                    counts[nu1, total - nu1] += n
+    return tuple(sorted(counts.items()))
 
 
 def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:

@@ -10,14 +10,17 @@ Sublattice enumeration is exact and duplicate-free: the colength-n
 sublattices of L biject with triangular triples (alpha, beta, w), alpha +
 beta = n, w a polynomial of degree < alpha, giving sum(q^alpha) members, of
 which the ones in exact relative position (n, 0) are q^(n-1) * (q+1).
+Only _raw_members reads the kernel's member rows; the orbit tables and the
+Hecke structure constants read them through _member_histogram's counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from . import backend
-from ._purekern import pshift, ptrunc
+from ._purekern import pshift, ptrunc, pval
 from .series import LaurentPoly
 
 
@@ -168,7 +171,7 @@ def relative_position(l1: Lattice2, l2: Lattice2) -> Coweight:
 
 
 def _raw_members(q, triple, lam):
-    """Raw enumeration backing closure_members / enumerate_in_position.
+    """Raw member rows, read only by _member_histogram and _members.
 
     Returns (a2, b2, c2_raw, s) tuples for all sublattices of t^lam2 * L of
     colength lam1 - lam2; s = 0 exactly for the members in position lam.
@@ -180,28 +183,35 @@ def _raw_members(q, triple, lam):
     return backend.sublattices(q, a + lam.a2, b + lam.a2, base_c, lam.a1 - lam.a2)
 
 
+def _member_histogram(q, triple, lam) -> Counter:
+    """Counter of (a2, b2, val c2, s) over the rows of _raw_members.
+
+    Its readers (waldspurger's orbit tables, hecke._pair_product) need no
+    more: envelopes and rel_pos against a diagonal lattice read c2 only
+    through val c2.  The counts are Hall polynomials in q.
+    """
+    return Counter((a2, b2, pval(c2), s) for a2, b2, c2, s in _raw_members(q, triple, lam))
+
+
+def _members(lat, lam, exact):
+    """The rows of _raw_members as sorted lattices; only s = 0 rows if exact."""
+    rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
+    out = [Lattice2.from_triple(lat.q, a2, b2, c2) for a2, b2, c2, s in rows if s == 0 or not exact]
+    return sorted(out, key=lambda l: l.sort_key)
+
+
 def closure_members(lat: Lattice2, lam: Coweight) -> list[Lattice2]:
     """All lattices whose relative position w.r.t. lat is dominated by lam.
 
     These are exactly the colength-(lam1 - lam2) sublattices of t^lam2 * lat;
     the result is sorted by the canonical structural key.
     """
-    rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
-    out = [Lattice2.from_triple(lat.q, a2, b2, c2) for (a2, b2, c2, _s) in rows]
-    out.sort(key=lambda l: l.sort_key)
-    return out
+    return _members(lat, lam, exact=False)
 
 
 def enumerate_in_position(lat: Lattice2, lam: Coweight) -> list[Lattice2]:
     """All lattices in exact relative position lam from lat, sorted."""
-    rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
-    out = [
-        Lattice2.from_triple(lat.q, a2, b2, c2)
-        for (a2, b2, c2, s) in rows
-        if s == 0
-    ]
-    out.sort(key=lambda l: l.sort_key)
-    return out
+    return _members(lat, lam, exact=True)
 
 
 def position_count_formula(q, d):

@@ -172,6 +172,8 @@ def diagonalize(b: SymMatrixO, precision: int | None = None):
     Raises PrecisionExhausted when val(det B) >= precision.
     """
     prec = default_precision(b) if precision is None else int(precision)
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
     out = backend.sym_diag(b.q, prec, b.e11.raw, b.e12.raw, b.e22.raw)
     if out is None:
         raise PrecisionExhausted(

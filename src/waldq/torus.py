@@ -129,14 +129,13 @@ def embed(q, kind, x: LaurentPoly, y: LaurentPoly):
     return ((x, y.shift(1)), (y, x))
 
 
-def _envelope_raw(kind, a, b, craw):
-    """(class exponents, m) for the lattice triple (a, b, c): O(1) arithmetic.
+def _envelope_raw(kind, a, b, vc):
+    """(class exponents, m) for a triple (a, b, c) with val c = vc: O(1) arithmetic.
 
-    Split: the envelope is t^v1 O x t^v2 O with v1 = min val of first
-    coordinates = min(a, val c), v2 = b.  Ramified: the envelope is s^k O[s]
-    with k the minimum s-valuation of the two basis vectors.
+    Read by envelope() and by the orbit tables on _member_histogram rows.
+    Split: the envelope is t^v1 O x t^v2 O, v1 = min(a, val c), v2 = b.
+    Ramified: s^k O[s], k the minimum s-valuation of the two basis vectors.
     """
-    vc = pval(craw)
     if kind is EtaleKind.SPLIT:
         v1 = min(a, vc)
         v2 = b
@@ -152,7 +151,7 @@ def envelope(lat: Lattice2, kind) -> tuple[TorusClass, int]:
     m = valdet(lat) - valdet(envelope) >= 0.
     """
     kind = EtaleKind(kind)
-    exps, m = _envelope_raw(kind, lat.a, lat.b, lat.c.raw)
+    exps, m = _envelope_raw(kind, lat.a, lat.b, pval(lat.c.raw))
     return TorusClass(kind, exps), m
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from fractions import Fraction
 
 from .hecke import HeckeElement, ZeroEigenvalue, _as_scalar, satake_basis, schur_gl2
-from .lattice import Coweight, Lattice2, _raw_members
+from .lattice import Coweight, Lattice2, _member_histogram
 from .scalars import LaurentScalar, specialize
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
 
@@ -184,13 +185,11 @@ def _transitions(q, kind_value, m0, lam):
     """
     kind = EtaleKind(kind_value)
     rep = orbit_representative(q, kind, m0)
-    agg = {}
-    for a2, b2, c2, s in _raw_members(q, rep.triple, Coweight(*lam)):
-        if s != 0:
-            continue
-        exps, m1 = _envelope_raw(kind, a2, b2, c2)
-        key = (m1, exps)
-        agg[key] = agg.get(key, 0) + 1
+    agg = Counter()
+    for (a2, b2, vc, s), n in _member_histogram(q, rep.triple, Coweight(*lam)).items():
+        if s == 0:
+            exps, m1 = _envelope_raw(kind, a2, b2, vc)
+            agg[m1, exps] += n
     return tuple(sorted((m1, exps, n) for (m1, exps), n in agg.items()))
 
 
@@ -201,13 +200,11 @@ def _stratum_table(q, lam):
     One enumeration serves both algebra kinds: returns a sorted tuple of
     ((kind_value, m), count) over closure members of position lam.
     """
-    triple = Lattice2.standard(q).triple
-    counts = {}
-    for a2, b2, c2, _s in _raw_members(q, triple, Coweight(*lam)):
+    counts = Counter()
+    hist = _member_histogram(q, Lattice2.standard(q).triple, Coweight(*lam))
+    for (a2, b2, vc, _s), n in hist.items():
         for kind in (EtaleKind.SPLIT, EtaleKind.RAMIFIED):
-            _exps, m1 = _envelope_raw(kind, a2, b2, c2)
-            key = (kind.value, m1)
-            counts[key] = counts.get(key, 0) + 1
+            counts[kind.value, _envelope_raw(kind, a2, b2, vc)[1]] += n
     return tuple(sorted(counts.items()))
 
 
@@ -301,21 +298,12 @@ class WaldModel:
         if d < 0 or m < 0:
             raise ValueError("arguments must be nonnegative")
         rep = orbit_representative(self.q, self.kind, m)
-        n = 0
-        for a2, b2, c2, _s in _raw_members(self.q, rep.triple, Coweight(d, 0)):
-            _exps, m1 = _envelope_raw(self.kind, a2, b2, c2)
-            if m1 == 0:
-                n += 1
-        return n
+        rows = _member_histogram(self.q, rep.triple, Coweight(d, 0)).items()
+        return sum(n for (a, b, vc, _s), n in rows if _envelope_raw(self.kind, a, b, vc)[1] == 0)
 
     def orbit_stratum_counts(self, lam, m) -> int:
         """Number of closure members of the standard lattice with invariant m."""
-        lam = Coweight(*lam)
-        table = _stratum_table(self.q, (lam.a1, lam.a2))
-        for (kind_value, m1), count in table:
-            if kind_value == self.kind.value and m1 == m:
-                return count
-        return 0
+        return dict(_stratum_table(self.q, tuple(Coweight(*lam)))).get((self.kind.value, m), 0)
 
     def multone_matrix(self, depth) -> list:
         """Matrix of {T_(a,0) acting on delta0}_{a<=depth} in the delta basis.

@@ -7,11 +7,16 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import waldq
 from waldq import backend
 
 REPO = Path(__file__).resolve().parent.parent
+
+# a fixed example sequence per test and no example database: tier-1 is repeatable
+settings.register_profile("derandomize", derandomize=True, database=None)
+settings.load_profile("derandomize")
 
 
 @pytest.fixture

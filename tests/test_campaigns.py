@@ -50,3 +50,10 @@ def test_unknown_campaign_is_config_invalid():
         plan("nope", small_config())
     with pytest.raises(ConfigInvalid):
         plan("verify-min-orbit", small_config())
+
+
+@pytest.mark.parametrize("field", ["dmax", "mmax", "depth", "seed", "workers"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_fields_are_config_invalid(field, flag):
+    with pytest.raises(ConfigInvalid, match=field):
+        SessionConfig(**{field: flag}).validate()

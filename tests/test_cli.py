@@ -339,3 +339,9 @@ class TestQuadformCli:
         )
         assert rc == 1
         assert "undetermined" in capsys.readouterr().err
+
+    def test_nonpositive_precision_exits_2(self, capsys):
+        mat = self.mat_json(3, {0: 1}, {}, {0: 1})
+        rc = quadform_main(["classify", "--matrix", mat, "--precision", "-3"])
+        assert rc == 2
+        assert "quadform: error: precision must be >= 1" in capsys.readouterr().err

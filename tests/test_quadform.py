@@ -154,6 +154,13 @@ class TestDiagonalize:
         inv, _, _ = diagonalize(b, precision=5)
         assert inv == FormInvariant(2, 2, Delta.SQUARE)
 
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_nonpositive_precision_is_value_error(self, precision):
+        b = SymMatrixO.from_entries(3, {0: 1}, {}, {0: 1})
+        for fn in (diagonalize, normal_transport):
+            with pytest.raises(ValueError, match="precision must be >= 1"):
+                fn(b, precision=precision)
+
 
 class TestCoveringType:
     def test_rules(self):
