@@ -1,0 +1,129 @@
+"""End-to-end wall time and peak RSS of the acceptance configs.
+
+Run from the repository root:
+
+    python3 benchmarks/bench.py --label counting --entry after --repeat 3
+    python3 benchmarks/bench.py --label counting --entry before --tree ../old --commit SHA
+
+Each config runs ``wald`` in a fresh interpreter on the source in TREE
+(``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``), after compiling TREE's
+bytecode, so that no run pays for compiling stale or missing ``.pyc`` files.
+Per config the entry records the median and every wall time, the peak RSS
+(the child's ``ru_maxrss``, as ``RUSAGE_CHILDREN`` counts it, read with
+``os.wait4`` so that each child is measured on its own), the SHA-256 of the
+report and the backend named in its header.  The entry also names the
+commit, Python and the machine, and is stored under its name in
+``BENCH_<label>.json`` at the repository root; other entries in that file
+are kept.  Nothing here asserts a timing.
+"""
+
+import argparse
+import compileall
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: The enumeration-bound acceptance configs, as ``wald`` arguments.
+CONFIGS = {
+    "stratum-dim": ["stratum-dim"],
+    "min-orbit-q7": ["min-orbit", "--q", "7", "--dmax", "7", "--mmax", "3"],
+    "hecke-tables-q11": ["hecke-tables", "--q", "11"],
+}
+
+RUN_WALD = "import sys; from waldq.cli import wald_main; sys.exit(wald_main(sys.argv[1:]))"
+
+
+def run_once(tree, argv):
+    """(wall seconds, peak RSS in MB, report bytes, exit code) of one fresh run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), WALDQ_BACKEND="pure")
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-c", RUN_WALD, *argv], stdout=out, env=env)
+        _pid, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        return wall, usage.ru_maxrss / 1024.0, out.read(), code
+
+
+def commit_of(tree):
+    """HEAD of TREE, with "-dirty" appended while tracked files differ from it."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tree.parent))
+    cmd = ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"]
+    try:
+        out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def cpu_model():
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def measure(tree, repeat):
+    results = {}
+    for name, argv in CONFIGS.items():
+        walls, rss, digests, codes = [], [], set(), set()
+        for _ in range(repeat):
+            wall, peak, report, code = run_once(tree, argv)
+            walls.append(round(wall, 3))
+            rss.append(round(peak, 1))
+            digests.add(hashlib.sha256(report).hexdigest())
+            codes.add(code)
+        if len(digests) != 1 or codes != {0}:
+            raise SystemExit(f"{name}: reports differ between runs or a run failed: {codes}")
+        header = json.loads(report.splitlines()[0])
+        results[name] = {
+            "argv": argv,
+            "wall_s": statistics.median(walls),
+            "wall_s_runs": walls,
+            "peak_rss_mb": max(rss),
+            "report_sha256": digests.pop(),
+            "backend": header.get("backend"),
+        }
+        print(f"{name}: {results[name]['wall_s']} s, {results[name]['peak_rss_mb']} MB", flush=True)
+    return results
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--entry", required=True, help="entry name, e.g. before or after")
+    ap.add_argument("--tree", type=Path, default=REPO, help="source tree to run (default: this)")
+    ap.add_argument("--commit", help="commit of TREE, when it is not a git checkout")
+    ap.add_argument("--repeat", type=int, default=1, help="fresh runs per config")
+    args = ap.parse_args()
+    tree = args.tree.resolve()
+    compileall.compile_dir(tree / "src" / "waldq", quiet=1)
+    entry = {
+        "commit": args.commit or commit_of(tree),
+        "python": platform.python_version(),
+        "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "platform": platform.platform()},
+        "repeat": args.repeat,
+        "configs": measure(tree, args.repeat),
+    }
+    path = REPO / f"BENCH_{args.label}.json"
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data[args.entry] = entry
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path.name}: {args.entry}")
+
+
+if __name__ == "__main__":
+    main()

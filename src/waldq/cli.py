@@ -26,6 +26,7 @@ from .campaigns import (
 from .hecke import HeckeElement, convolve
 from .lattice import Coweight
 from .quadform import PrecisionExhausted, SymMatrixO, covering_type, diagonalize
+from .series import _check_q
 
 def _env(name):
     return os.environ.get("WALDQ_" + name)
@@ -177,6 +178,7 @@ def hecke_main(argv=None) -> int:
         conv.add_argument("--lhs", required=True, help='dominant pair like "(2,0)"')
         conv.add_argument("--rhs", required=True, help='dominant pair like "(1,1)"')
         args = parser.parse_args(argv)
+        _check_q(args.q)
         lhs = Coweight.parse(args.lhs)
         rhs = Coweight.parse(args.rhs)
         out = convolve(

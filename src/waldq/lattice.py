@@ -10,8 +10,10 @@ Sublattice enumeration is exact and duplicate-free: the colength-n
 sublattices of L biject with triangular triples (alpha, beta, w), alpha +
 beta = n, w a polynomial of degree < alpha, giving sum(q^alpha) members, of
 which the ones in exact relative position (n, 0) are q^(n-1) * (q+1).
-Only _raw_members reads the kernel's member rows; the orbit tables and the
-Hecke structure constants read them through _member_histogram's counts.
+closure_members and enumerate_in_position enumerate them, through
+_raw_members and the sublattices kernel.  The orbit tables and the Hecke
+structure constants read only _member_histogram, which counts the members
+of each (a2, b2, val c2, s) class in closed form and enumerates nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import backend
-from ._purekern import pshift, ptrunc, pval
+from ._purekern import INF, pshift, ptrunc, pval
 from .series import LaurentPoly
 
 
@@ -170,27 +172,72 @@ def relative_position(l1: Lattice2, l2: Lattice2) -> Coweight:
     return Coweight(*r)
 
 
+def _shifted(triple, lam):
+    """(a, b, c, n): the triple of t^lam2 * L and the colength lam1 - lam2."""
+    if not lam.is_dominant():
+        raise ValueError(f"coweight {lam} is not dominant")
+    a, b, c = triple
+    return a + lam.a2, b + lam.a2, ptrunc(pshift(c, lam.a2), a + lam.a2), lam.a1 - lam.a2
+
+
 def _raw_members(q, triple, lam):
-    """Raw member rows, read only by _member_histogram and _members.
+    """Every member row, enumerated: read by _members and as the reference
+    that _member_histogram's counts are tested against.
 
     Returns (a2, b2, c2_raw, s) tuples for all sublattices of t^lam2 * L of
     colength lam1 - lam2; s = 0 exactly for the members in position lam.
     """
-    if not lam.is_dominant():
-        raise ValueError(f"coweight {lam} is not dominant")
-    a, b, c = triple
-    base_c = ptrunc(pshift(c, lam.a2), a + lam.a2)
-    return backend.sublattices(q, a + lam.a2, b + lam.a2, base_c, lam.a1 - lam.a2)
+    return backend.sublattices(q, *_shifted(triple, lam))
 
 
 def _member_histogram(q, triple, lam) -> Counter:
-    """Counter of (a2, b2, val c2, s) over the rows of _raw_members.
+    """Counter of (a2, b2, val c2, s) over the rows of _raw_members, counted
+    in O(n^2) steps without enumerating them.
 
     Its readers (waldspurger's orbit tables, hecke._pair_product) need no
     more: envelopes and rel_pos against a diagonal lattice read c2 only
     through val c2.  The counts are Hall polynomials in q.
+
+    The member (alpha, beta, w) has a2 = a + alpha, b2 = b + beta,
+    c2 = w t^a + cs mod t^a2 with cs = c t^beta mod t^a2, and s =
+    min(alpha, beta, val w); w runs over the q^alpha polynomials of degree
+    < alpha.  So the class of w is fixed by v = val w and by val c2.
     """
-    return Counter((a2, b2, pval(c2), s) for a2, b2, c2, s in _raw_members(q, triple, lam))
+    a, b, c, n = _shifted(triple, lam)
+    hist = Counter()
+    for alpha in range(n + 1):
+        beta = n - alpha
+        ca, cb, top = a + alpha, b + beta, min(alpha, beta)
+        vs = pval(ptrunc(pshift(c, beta), ca))
+
+        def tail(k):
+            # the w with w_i fixed for i < k, w_k off one value, any w_i after
+            return (q - 1) * q ** (alpha - k - 1) if k < alpha else 1
+
+        if vs < a:
+            # w t^a misses the terms of cs below t^a: val c2 = vs, only v varies
+            for v in range(alpha + 1):
+                hist[ca, cb, vs, min(top, v)] += tail(v)
+            continue
+        # val c2 = a + j at the first j with w_j != d_j := -coef_(a+j) cs (INF
+        # if there is none); the first nonzero d_i is at z = val cs - a (alpha
+        # if cs = 0)
+        z = min(vs, ca) - a
+        for k in range(z):
+            # j = v = k < z: w_i = 0 = d_i below k, w_k != 0
+            hist[ca, cb, a + k, min(top, k)] += tail(k)
+        if z == alpha:
+            # d = 0: w = 0 gives c2 = 0
+            hist[ca, cb, INF, top] += 1
+            continue
+        # j = v = z: w_z is neither 0 nor d_z
+        hist[ca, cb, a + z, min(top, z)] += (q - 2) * q ** (alpha - z - 1)
+        for k in range(z + 1, alpha + 1):
+            # j = z < v = k: w_z = 0 != d_z
+            hist[ca, cb, a + z, min(top, k)] += tail(k)
+            # v = z < j = k: w_z = d_z, then w_i = d_i up to k
+            hist[ca, cb, a + k if k < alpha else INF, min(top, z)] += tail(k)
+    return hist
 
 
 def _members(lat, lam, exact):

@@ -2,9 +2,9 @@
 
 A function here is determined by finitely many values on orbit representatives
 (indexed by the nonnegative invariant m) and extends to the whole lattice set
-by chi-equivariance.  The Hecke action is computed by exact enumeration of
-sublattice transitions; everything stays symbolic in the character variables
-unless explicitly specialized.
+by chi-equivariance.  The Hecke action is computed by exact counting of
+sublattice transitions (lattice._member_histogram); everything stays symbolic
+in the character variables unless explicitly specialized.
 """
 
 from __future__ import annotations

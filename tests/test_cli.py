@@ -251,6 +251,14 @@ class TestHeckeCli:
         assert rc == 2
         assert "hecke: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", [4, 9, -3])
+    def test_q_not_an_odd_prime_exits_2(self, capsys, q):
+        rc = hecke_main(["convolve", "--q", str(q), "--lhs", "(1,0)", "--rhs", "(1,0)"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"hecke: error: q must be an odd prime, got {q}" in captured.err
+
     def test_env_bad_q_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_Q", "abc")
         rc = hecke_main(["convolve", "--lhs", "(1,0)", "--rhs", "(1,0)"])
