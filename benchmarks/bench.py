@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python3 benchmarks/bench.py --label counting --entry after --repeat 3
-    python3 benchmarks/bench.py --label counting --entry before --tree ../old --commit SHA
+    python3 benchmarks/bench.py --label scalars --entry after --repeat 3
+    python3 benchmarks/bench.py --label scalars --entry before --tree ../old --commit SHA
 
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
 (``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``), after compiling TREE's
@@ -32,12 +32,20 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The enumeration-bound acceptance configs, as ``wald`` arguments.
+#: The acceptance configs, as ``wald`` arguments: first the enumeration-bound
+#: ones, then the scalar-bound ones of criteria 04-08, in both algebra kinds
+#: where the campaign takes a kind.
 CONFIGS = {
     "stratum-dim": ["stratum-dim"],
     "min-orbit-q7": ["min-orbit", "--q", "7", "--dmax", "7", "--mmax", "3"],
     "hecke-tables-q11": ["hecke-tables", "--q", "11"],
+    "hecke-tables-q5": ["hecke-tables", "--q", "5"],
 }
+for _kind in ("split", "ramified"):
+    CONFIGS[f"ic-basis-{_kind}"] = ["ic-basis", "--kind", _kind, "--dmax", "5"]
+    CONFIGS[f"multone-{_kind}"] = ["multone", "--kind", _kind, "--D", "5"]
+    CONFIGS[f"module-axiom-{_kind}"] = ["module-axiom", "--kind", _kind]
+    CONFIGS[f"eigen-{_kind}"] = ["eigen", "--kind", _kind, "--D", "6"]
 
 RUN_WALD = "import sys; from waldq.cli import wald_main; sys.exit(wald_main(sys.argv[1:]))"
 

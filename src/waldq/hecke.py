@@ -71,6 +71,9 @@ class HeckeElement:
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElement is immutable")
 
+    def __reduce__(self):
+        return (HeckeElement, (self.q, self.terms))
+
     @classmethod
     def basis(cls, q, lam) -> "HeckeElement":
         return cls(q, [(Coweight(*lam), 1)])

@@ -72,6 +72,9 @@ class Lattice2:
     def __setattr__(self, name, value):
         raise AttributeError("Lattice2 is immutable")
 
+    def __reduce__(self):
+        return (Lattice2, (self.q, self.a, self.b, self.c))
+
     # construction ---------------------------------------------------------
 
     @classmethod

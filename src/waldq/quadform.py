@@ -97,6 +97,9 @@ class SymMatrixO:
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrixO is immutable")
 
+    def __reduce__(self):
+        return (SymMatrixO, (self.e11, self.e12, self.e22))
+
     @classmethod
     def from_entries(cls, q, e11, e12, e22):
         mk = lambda v: v if isinstance(v, LaurentPoly) else LaurentPoly.from_terms(q, v)

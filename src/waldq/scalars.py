@@ -8,12 +8,15 @@ Nothing is ever evaluated in floating point: ``specialize`` substitutes exact
 rationals for the variables, and r survives symbolically unless a value for
 it is supplied.
 
-``Rational`` is the stdlib Fraction: exact, hashable, and sufficient.
+``Rational`` is the stdlib Fraction: exact, hashable, and sufficient.  A
+coefficient part stays a plain ``int`` while it is integral and becomes a
+Fraction only when it is not, so the integer values that almost every
+computation produces cost integer arithmetic; an int and the equal Fraction
+compare and hash alike, and both carry ``numerator``/``denominator``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -37,25 +40,47 @@ class ResidualSqrtQ(ValueError):
     """Raised when specialize leaves a sqrt(q) term with no value for it."""
 
 
-@dataclass(frozen=True)
-class SqrtQ:
-    """An element a + b*r of Q(r), r = sqrt(q) formal with r*r = q."""
+def _rational(x):
+    """x as a plain int when it is integral, else as a Fraction."""
+    x = x if type(x) is Fraction else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    q: int
-    a: Fraction
-    b: Fraction
+
+class SqrtQ:
+    """An element a + b*r of Q(r), r = sqrt(q) formal with r*r = q.
+
+    Immutable.  ``a`` and ``b`` are plain ints while they are integral and
+    Fractions otherwise, normalised here in the constructor.
+    """
+
+    __slots__ = ("q", "a", "b")
+
+    def __init__(self, q, a, b=0):
+        if type(a) is not int:
+            a = _rational(a)
+        if type(b) is not int:
+            b = _rational(b)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SqrtQ is immutable")
+
+    def __reduce__(self):
+        return (SqrtQ, (self.q, self.a, self.b))
 
     @classmethod
     def of(cls, q, a, b=0):
-        return cls(q, Fraction(a), Fraction(b))
+        return cls(q, a, b)
 
     @classmethod
     def zero(cls, q):
-        return cls.of(q, 0)
+        return cls(q, 0)
 
     @classmethod
     def one(cls, q):
-        return cls.of(q, 1)
+        return cls(q, 1)
 
     def _same(self, other):
         if not isinstance(other, SqrtQ) or other.q != self.q:
@@ -72,31 +97,43 @@ class SqrtQ:
 
     def __mul__(self, other):
         o = self._same(other)
-        return SqrtQ(
-            self.q,
-            self.a * o.a + self.q * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        a, b, oa, ob = self.a, self.b, o.a, o.b
+        if not b:
+            return SqrtQ(self.q, a * oa, a * ob if ob else 0)
+        if not ob:
+            return SqrtQ(self.q, a * oa, b * oa)
+        return SqrtQ(self.q, a * oa + self.q * b * ob, a * ob + b * oa)
 
     def __neg__(self):
         return SqrtQ(self.q, -self.a, -self.b)
 
+    def __eq__(self, other):
+        if not isinstance(other, SqrtQ):
+            return NotImplemented
+        return self.q == other.q and self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.q, self.a, self.b))
+
+    def __repr__(self):
+        return f"SqrtQ(q={self.q!r}, a={Fraction(self.a)!r}, b={Fraction(self.b)!r})"
+
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def is_rational(self):
-        return self.b == 0
+        return not self.b
 
     def inverse(self):
         # norm a^2 - q b^2 vanishes only at 0 (sqrt(q) is irrational)
-        n = self.a * self.a - self.q * self.b * self.b
+        n = Fraction(self.a * self.a - self.q * self.b * self.b)
         if n == 0:
             raise ZeroDivisionError("zero scalar")
         return SqrtQ(self.q, self.a / n, -self.b / n)
 
     def specialize_r(self, r_value=None) -> Fraction:
-        if self.b == 0:
-            return self.a
+        if not self.b:
+            return Fraction(self.a)
         if r_value is None:
             raise ResidualSqrtQ("value contains sqrt(q) but no r value was given")
         return self.a + self.b * Fraction(r_value)
@@ -125,16 +162,19 @@ class LaurentScalar:
         items = terms.items() if isinstance(terms, dict) else terms or ()
         for exps, coeff in items:
             if not isinstance(coeff, SqrtQ):
-                coeff = SqrtQ.of(q, coeff)
+                coeff = SqrtQ(q, coeff)
             elif coeff.q != q:
                 raise ValueError("mixed scalar fields")
             key = (int(exps[0]), int(exps[1]), int(exps[2]))
             prev = clean.get(key)
             clean[key] = coeff if prev is None else prev + coeff
-        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if not c.is_zero()})
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c.a or c.b})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentScalar is immutable")
+
+    def __reduce__(self):
+        return (LaurentScalar, (self.q, self.terms))
 
     # construction -------------------------------------------------------
 
@@ -148,14 +188,14 @@ class LaurentScalar:
 
     @classmethod
     def from_fraction(cls, q, x):
-        return cls(q, {(0, 0, 0): SqrtQ.of(q, Fraction(x))})
+        return cls(q, {(0, 0, 0): SqrtQ(q, x)})
 
     from_int = from_fraction
 
     @classmethod
     def monomial(cls, q, exps, coeff=1):
         if not isinstance(coeff, SqrtQ):
-            coeff = SqrtQ.of(q, coeff)
+            coeff = SqrtQ(q, coeff)
         if coeff.is_zero():
             raise ZeroCoefficient("monomial with zero coefficient")
         return cls(q, {tuple(exps): coeff})
@@ -209,6 +249,11 @@ class LaurentScalar:
         return LaurentScalar(self.q, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = self.q
+            return LaurentScalar(
+                q, {k: SqrtQ(q, v.a * other, v.b * other) for k, v in self.terms.items()}
+            )
         o = self._same(other)
         return LaurentScalar(
             self.q,

@@ -24,14 +24,49 @@ class NotAUnit(ArithmeticError):
     """Raised when inverting an element of nonzero valuation (or zero)."""
 
 
+#: Below this, trial division up to sqrt(q) is faster than Miller-Rabin.
+_TRIAL_DIVISION_BELOW = 1 << 18
+
+#: Miller-Rabin bases: the first 13 primes.  No composite below
+#: _MILLER_RABIN_BELOW is a strong pseudoprime to all of them (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017),
+#: so the test is exact there; larger q are refused.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BELOW = 3317044064679887385961981
+
+
+def _miller_rabin(q):
+    """Is the odd q > 41 a strong probable prime to every base?"""
+    d, s = q - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_q(q):
     if not isinstance(q, int) or q < 3 or q % 2 == 0:
         raise ValueError(f"q must be an odd prime, got {q!r}")
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            raise ValueError(f"q must be an odd prime, got {q!r}")
-        d += 2
+    if q < _TRIAL_DIVISION_BELOW:
+        d = 3
+        while d * d <= q:
+            if q % d == 0:
+                raise ValueError(f"q must be an odd prime, got {q!r}")
+            d += 2
+    elif q >= _MILLER_RABIN_BELOW:
+        raise ValueError(f"q must be below {_MILLER_RABIN_BELOW}, got {q}")
+    elif not _miller_rabin(q):
+        raise ValueError(f"q must be an odd prime, got {q!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +123,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return (LaurentPoly, (self.q, self.off, self.co))
 
     # construction -----------------------------------------------------
 

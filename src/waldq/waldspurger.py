@@ -97,6 +97,9 @@ class WaldFunction:
     def __setattr__(self, name, value):
         raise AttributeError("WaldFunction is immutable")
 
+    def __reduce__(self):
+        return (WaldFunction, (self.q, self.kind, self.values))
+
     def is_zero(self):
         return not self.values
 
@@ -235,6 +238,9 @@ class WaldModel:
     def __setattr__(self, name, value):
         raise AttributeError("WaldModel is immutable")
 
+    def __reduce__(self):
+        return (WaldModel, (self.q, self.kind, self.convention))
+
     def delta(self, m) -> WaldFunction:
         """The unit value at orbit index m."""
         return WaldFunction(self.q, self.kind, {m: 1})
@@ -268,15 +274,18 @@ class WaldModel:
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
+            # one product per transition row: the Hecke coefficient goes into
+            # the values once per term, the multiplicity into the character
+            scaled = {m1: coeff * fv for m1, fv in f.values.items()}
             for m0 in range(max(0, mlo - width), mhi + width + 1):
                 for m1, exps, count in _transitions(
                     self.q, self.kind.value, m0, (eff.a1, eff.a2)
                 ):
-                    fv = f.values.get(m1)
-                    if fv is None:
+                    cf = scaled.get(m1)
+                    if cf is None:
                         continue
-                    chi = LaurentScalar.monomial(self.q, _exps3(self.kind, exps))
-                    values.append((m0, coeff * chi * fv * count))
+                    chi = LaurentScalar.monomial(self.q, _exps3(self.kind, exps), count)
+                    values.append((m0, chi * cf))
         return WaldFunction(self.q, self.kind, values)
 
     def ic_basis(self, d) -> WaldFunction:

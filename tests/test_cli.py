@@ -70,6 +70,19 @@ class TestWaldBasics:
         assert rc == 2
         assert "wald: error:" in err
 
+    def test_large_prime_q_runs(self, capsys):
+        # 2^61 - 1: the primality check must not take time growing with sqrt(q)
+        q = str(2**61 - 1)
+        rc, out, err = run_wald(capsys, "min-orbit", "--q", q, "--dmax", "2", "--mmax", "2")
+        assert rc == 0, err
+        assert parse_ndjson(out)[-1]["pass"] is True
+
+    def test_q_past_the_exact_primality_range_exits_2(self, capsys):
+        rc, out, err = run_wald(capsys, "min-orbit", "--q", str(10**25 + 13))
+        assert rc == 2
+        assert out == ""
+        assert "wald: error: q must be below" in err
+
     def test_bad_kind_exits_2(self, capsys):
         rc, _, err = run_wald(capsys, "min-orbit", "--kind", "cubic")
         assert rc == 2

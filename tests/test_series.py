@@ -5,7 +5,17 @@ import math
 import pytest
 
 import oracles
-from waldq.series import FqElem, LaurentPoly, NotAUnit, invert_unit, poly_arith, valuation
+from waldq.series import (
+    _MILLER_RABIN_BELOW,
+    FqElem,
+    LaurentPoly,
+    NotAUnit,
+    _check_q,
+    _miller_rabin,
+    invert_unit,
+    poly_arith,
+    valuation,
+)
 
 
 def rand_poly(rng, q, span=8):
@@ -151,3 +161,32 @@ def test_json_roundtrip(rng):
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(ValueError):
         LaurentPoly.one(3) + LaurentPoly.one(5)
+
+
+# 2^61 - 1 is a Mersenne prime; 3215031751 is a strong pseudoprime
+# to bases 2, 3, 5 and 7, and 318665857834031151167461 to each of the first 12
+# primes, so only the 13th base (41) exposes it.
+@pytest.mark.parametrize("q", [3, 13, 262139, 262147, 1000000007, 2**61 - 1])
+def test_check_q_accepts_primes(q):
+    _check_q(q)
+
+
+@pytest.mark.parametrize(
+    "q", [4, 9, -3, 561, 262143, 3215031751, 2**61 + 1, 318665857834031151167461]
+)
+def test_check_q_rejects_composites(q):
+    with pytest.raises(ValueError, match="odd prime"):
+        _check_q(q)
+
+
+def test_check_q_refuses_q_past_the_exact_range():
+    with pytest.raises(ValueError, match="must be below"):
+        _check_q(_MILLER_RABIN_BELOW + 2)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    def trial(n):
+        return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+    for n in range(43, 20000, 2):
+        assert _miller_rabin(n) == trial(n), n
