@@ -99,9 +99,7 @@ class SqrtQ:
         o = self._same(other)
         a, b, oa, ob = self.a, self.b, o.a, o.b
         if not b:
-            return SqrtQ(self.q, a * oa, a * ob if ob else 0)
-        if not ob:
-            return SqrtQ(self.q, a * oa, b * oa)
+            return SqrtQ(self.q, a * oa, a * ob)
         return SqrtQ(self.q, a * oa + self.q * b * ob, a * ob + b * oa)
 
     def __neg__(self):
