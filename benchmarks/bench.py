@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 benchmarks/bench.py --label scalars --entry after --repeat 3
     python3 benchmarks/bench.py --label scalars --entry before --tree ../old --commit SHA
+    python3 benchmarks/bench.py --label act --entry after --against ../old --repeat 5
 
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
 (``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``), after compiling TREE's
@@ -15,6 +16,12 @@ report and the backend named in its header.  The entry also names the
 commit, Python and the machine, and is stored under its name in
 ``BENCH_<label>.json`` at the repository root; other entries in that file
 are kept.  Nothing here asserts a timing.
+
+Entries recorded in separate sessions differ by the host's drift in speed
+as much as by the code.  ``--against OTHER`` measures OTHER in the same
+session, its runs alternating with TREE's (OTHER first on even repeats,
+TREE first on odd ones), and stores it as the entry ``before`` next to
+``--entry``; the two reports must then have the same bytes.
 """
 
 import argparse
@@ -33,8 +40,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: The acceptance configs, as ``wald`` arguments: first the enumeration-bound
-#: ones, then the scalar-bound ones of criteria 04-08, in both algebra kinds
-#: where the campaign takes a kind.
+#: ones, then the scalar-bound ones of criteria 04-08, then those of criteria
+#: 01-03 and 10, in both algebra kinds where the campaign takes a kind.
 CONFIGS = {
     "stratum-dim": ["stratum-dim"],
     "min-orbit-q7": ["min-orbit", "--q", "7", "--dmax", "7", "--mmax", "3"],
@@ -46,6 +53,16 @@ for _kind in ("split", "ramified"):
     CONFIGS[f"multone-{_kind}"] = ["multone", "--kind", _kind, "--D", "5"]
     CONFIGS[f"module-axiom-{_kind}"] = ["module-axiom", "--kind", _kind]
     CONFIGS[f"eigen-{_kind}"] = ["eigen", "--kind", _kind, "--D", "6"]
+for _q in ("3", "5"):
+    for _kind in ("split", "ramified"):
+        CONFIGS[f"min-orbit-q{_q}-{_kind}"] = [
+            "min-orbit", "--q", _q, "--kind", _kind, "--dmax", "5", "--mmax", "5"
+        ]
+for _kind in ("split", "ramified"):
+    CONFIGS[f"stratum-dim-{_kind}"] = ["stratum-dim", "--kind", _kind, "--dmax", "4", "--mmax", "5"]
+for _q in ("3", "5"):
+    CONFIGS[f"counts-q{_q}"] = ["counts", "--q", _q, "--dmax", "4"]
+    CONFIGS[f"isotropic-q{_q}"] = ["isotropic", "--q", _q]
 
 RUN_WALD = "import sys; from waldq.cli import wald_main; sys.exit(wald_main(sys.argv[1:]))"
 
@@ -84,29 +101,50 @@ def cpu_model():
     return platform.processor() or None
 
 
-def measure(tree, repeat):
-    results = {}
+def summarize(name, argv, runs):
+    """The config's figures from its (wall, peak RSS, report, exit code) runs."""
+    digests = {hashlib.sha256(report).hexdigest() for _w, _p, report, _c in runs}
+    codes = {code for _w, _p, _r, code in runs}
+    if len(digests) != 1 or codes != {0}:
+        raise SystemExit(f"{name}: reports differ between runs or a run failed: {codes}")
+    walls = [round(wall, 3) for wall, _p, _r, _c in runs]
+    header = json.loads(runs[0][2].splitlines()[0])
+    return {
+        "argv": argv,
+        "wall_s": statistics.median(walls),
+        "wall_s_runs": walls,
+        "peak_rss_mb": max(round(peak, 1) for _w, peak, _r, _c in runs),
+        "report_sha256": digests.pop(),
+        "backend": header.get("backend"),
+    }
+
+
+def measure(trees, repeat):
+    """Per tree, the figures of every config; the trees' runs alternate."""
+    results = [{} for _ in trees]
     for name, argv in CONFIGS.items():
-        walls, rss, digests, codes = [], [], set(), set()
-        for _ in range(repeat):
-            wall, peak, report, code = run_once(tree, argv)
-            walls.append(round(wall, 3))
-            rss.append(round(peak, 1))
-            digests.add(hashlib.sha256(report).hexdigest())
-            codes.add(code)
-        if len(digests) != 1 or codes != {0}:
-            raise SystemExit(f"{name}: reports differ between runs or a run failed: {codes}")
-        header = json.loads(report.splitlines()[0])
-        results[name] = {
-            "argv": argv,
-            "wall_s": statistics.median(walls),
-            "wall_s_runs": walls,
-            "peak_rss_mb": max(rss),
-            "report_sha256": digests.pop(),
-            "backend": header.get("backend"),
-        }
-        print(f"{name}: {results[name]['wall_s']} s, {results[name]['peak_rss_mb']} MB", flush=True)
+        runs = [[] for _ in trees]
+        for r in range(repeat):
+            order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
+            for i in order:
+                runs[i].append(run_once(trees[i], argv))
+        for i in range(len(trees)):
+            results[i][name] = summarize(name, argv, runs[i])
+        if len({res[name]["report_sha256"] for res in results}) != 1:
+            raise SystemExit(f"{name}: the trees' reports differ")
+        line = " vs ".join(f"{res[name]['wall_s']} s, {res[name]['peak_rss_mb']} MB" for res in results)
+        print(f"{name}: {line}", flush=True)
     return results
+
+
+def entry_of(tree, commit, repeat, configs):
+    return {
+        "commit": commit or commit_of(tree),
+        "python": platform.python_version(),
+        "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "platform": platform.platform()},
+        "repeat": repeat,
+        "configs": configs,
+    }
 
 
 def main():
@@ -115,22 +153,25 @@ def main():
     ap.add_argument("--entry", required=True, help="entry name, e.g. before or after")
     ap.add_argument("--tree", type=Path, default=REPO, help="source tree to run (default: this)")
     ap.add_argument("--commit", help="commit of TREE, when it is not a git checkout")
+    ap.add_argument("--against", type=Path, help="also run this tree, alternating, as 'before'")
     ap.add_argument("--repeat", type=int, default=1, help="fresh runs per config")
     args = ap.parse_args()
-    tree = args.tree.resolve()
-    compileall.compile_dir(tree / "src" / "waldq", quiet=1)
-    entry = {
-        "commit": args.commit or commit_of(tree),
-        "python": platform.python_version(),
-        "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "platform": platform.platform()},
-        "repeat": args.repeat,
-        "configs": measure(tree, args.repeat),
-    }
+    trees = [args.tree.resolve()]
+    entries = [args.entry]
+    if args.against:
+        if args.entry == "before":
+            ap.error("--against stores its tree as 'before'; name --entry otherwise")
+        trees.insert(0, args.against.resolve())
+        entries.insert(0, "before")
+    for tree in trees:
+        compileall.compile_dir(tree / "src" / "waldq", quiet=1)
+    results = measure(trees, args.repeat)
     path = REPO / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
-    data[args.entry] = entry
+    data[entries[0]] = entry_of(trees[0], None, args.repeat, results[0])
+    data[entries[-1]] = entry_of(trees[-1], args.commit, args.repeat, results[-1])
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.name}: {args.entry}")
+    print(f"wrote {path.name}: {', '.join(entries)}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ compare and hash alike, and both carry ``numerator``/``denominator``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Rational = Fraction
 
@@ -359,6 +360,13 @@ def specialize(x: LaurentScalar, assignment, r_value=None) -> Fraction:
     rationals; only variables that occur with nonzero exponent are required.
     ``r_value`` substitutes sqrt(q) when coefficients involve it; if omitted
     and some coefficient has a sqrt(q) part, ResidualSqrtQ is raised.
+
+    The sum is taken over a common denominator: with v = n/d and the
+    exponents e of v running over lo..lo+K, each v^e is n^(e-lo) d^(K-e+lo)
+    over the shared d^K (n/d)^(-lo), so the terms add as integers (as
+    Fractions only where a coefficient is not integral) and one Fraction
+    is built at the end.  Errors are raised as a term-by-term evaluation in
+    ``terms`` order would meet them.
     """
     vals = {}
     for name, v in (assignment or {}).items():
@@ -368,16 +376,33 @@ def specialize(x: LaurentScalar, assignment, r_value=None) -> Fraction:
         if v == 0:
             raise ZeroAssignment(f"{name} = 0")
         vals[name] = v
-    total = Fraction(0)
-    for (ea, eb, eg), coeff in x.terms.items():
-        c = coeff.specialize_r(r_value)
-        for name, e in (("alpha", ea), ("beta", eb), ("gamma", eg)):
-            if e:
-                if name not in vals:
-                    raise KeyError(f"no value for {name}")
-                c *= vals[name] ** e
-        total += c
-    return total
+    terms = x.terms
+    if not terms:
+        return Fraction(0)
+    cols = tuple(zip(*terms))
+    used = [i for i in range(3) if any(cols[i])]
+    missing = [i for i in used if VARS[i] not in vals]
+    products = []
+    for exps, coeff in terms.items():
+        products.append(coeff.specialize_r(r_value) if coeff.b else coeff.a)
+        for i in missing:
+            if exps[i]:
+                raise KeyError(f"no value for {VARS[i]}")
+    num = den = 1
+    for i in used:
+        v = vals[VARS[i]]
+        n, d = v.numerator, v.denominator
+        lo = min(cols[i])
+        span = max(cols[i]) - lo
+        table = [n**k * d ** (span - k) for k in range(span + 1)]
+        products = list(map(mul, products, [table[e - lo] for e in cols[i]]))
+        if lo >= 0:
+            num *= n**lo
+            den *= d ** (lo + span)
+        else:
+            num *= d**-lo
+            den *= n**-lo * d**span
+    return Fraction(sum(products) * num, den)
 
 
 def monomial_count(x: LaurentScalar, variables) -> int:

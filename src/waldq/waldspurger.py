@@ -5,6 +5,11 @@ A function here is determined by finitely many values on orbit representatives
 by chi-equivariance.  The Hecke action is computed by exact counting of
 sublattice transitions (lattice._member_histogram); everything stays symbolic
 in the character variables unless explicitly specialized.
+
+``WaldModel.act`` reads the cached transition rows (``_transitions``) and
+makes one LaurentScalar per orbit index of its result: each row contributes
+shifted, rescaled copies of the function's terms as raw pairs, and the
+constructor merges them, so no intermediate sum or product is built.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 from .hecke import HeckeElement, ZeroEigenvalue, _as_scalar, satake_basis, schur_gl2
 from .lattice import Coweight, Lattice2, _member_histogram
-from .scalars import LaurentScalar, specialize
+from .scalars import LaurentScalar, SqrtQ, specialize
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
 
 __all__ = [
@@ -85,7 +90,7 @@ class WaldFunction:
         cleaned = {}
         items = values.items() if isinstance(values, dict) else values
         for m, v in items:
-            if not isinstance(m, int) or m < 0:
+            if type(m) is not int or m < 0:
                 raise ValueError("orbit indices are nonnegative integers")
             v = _as_scalar(q, v)
             prev = cleaned.get(m)
@@ -259,6 +264,12 @@ class WaldModel:
         Value at representative m0: sum over lattices L' in exact position
         lam of chi(class of L') * f[invariant of L'], summed over the terms
         of h with their coefficients.
+
+        Each output value is one LaurentScalar construction: the Hecke
+        coefficient is multiplied into the function values once per term,
+        and every transition row only shifts their exponents by its
+        character class and scales their coefficients by its multiplicity,
+        as raw (exponents, coefficient) pairs that the constructor merges.
         """
         if not isinstance(h, HeckeElement) or not isinstance(f, WaldFunction):
             raise TypeError("act expects (HeckeElement, WaldFunction)")
@@ -266,27 +277,30 @@ class WaldModel:
             raise ValueError("mixed residue characteristics")
         if f.kind is not self.kind:
             raise ValueError("function kind does not match the model")
+        q = self.q
         if h.is_zero() or f.is_zero():
-            return WaldFunction(self.q, self.kind, {})
+            return WaldFunction(q, self.kind, {})
         mlo = min(f.values)
         mhi = max(f.values)
-        values = []
+        pairs = {}
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
-            # one product per transition row: the Hecke coefficient goes into
-            # the values once per term, the multiplicity into the character
-            scaled = {m1: coeff * fv for m1, fv in f.values.items()}
+            scaled = {m1: tuple((coeff * fv).terms.items()) for m1, fv in f.values.items()}
             for m0 in range(max(0, mlo - width), mhi + width + 1):
-                for m1, exps, count in _transitions(
-                    self.q, self.kind.value, m0, (eff.a1, eff.a2)
-                ):
-                    cf = scaled.get(m1)
-                    if cf is None:
+                out = pairs.setdefault(m0, [])
+                for m1, exps, count in _transitions(q, self.kind.value, m0, (eff.a1, eff.a2)):
+                    terms = scaled.get(m1)
+                    if terms is None:
                         continue
-                    chi = LaurentScalar.monomial(self.q, _exps3(self.kind, exps), count)
-                    values.append((m0, chi * cf))
-        return WaldFunction(self.q, self.kind, values)
+                    e1, e2, e3 = _exps3(self.kind, exps)
+                    out.extend(
+                        ((k[0] + e1, k[1] + e2, k[2] + e3), SqrtQ(q, v.a * count, v.b * count))
+                        for k, v in terms
+                    )
+        return WaldFunction(
+            q, self.kind, {m0: LaurentScalar(q, rows) for m0, rows in pairs.items() if rows}
+        )
 
     def ic_basis(self, d) -> WaldFunction:
         """Action of the degree-d self-dual basis element on the delta at 0.
@@ -294,7 +308,7 @@ class WaldModel:
         Supported on {0..d}; the value at m is a single character monomial in
         the ramified case and a (d-m+1)-monomial sum in the split case.
         """
-        if not isinstance(d, int) or d < 0:
+        if type(d) is not int or d < 0:
             raise ValueError("degree must be a nonnegative integer")
         return _ic_cached(self.q, self.kind.value, self.convention == "mirror", d)
 

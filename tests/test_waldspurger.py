@@ -84,6 +84,18 @@ class TestWaldFunction:
         with pytest.raises(ValueError):
             f + g
 
+    def test_bool_orbit_index_rejected(self):
+        # True == 1, but an orbit index that serializes as "m": true is not one
+        q = 3
+        model = WaldModel(q, EtaleKind.SPLIT)
+        with pytest.raises(ValueError):
+            WaldFunction(q, "split", {True: 1})
+        with pytest.raises(ValueError):
+            model.delta(True)
+        with pytest.raises(ValueError):
+            model.ic_basis(True)
+        assert model.delta(1).to_json()["values"][0]["m"] == 1
+
     def test_json_roundtrip(self, rng):
         q = 3
         for kind in ("split", "ramified"):
