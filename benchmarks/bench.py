@@ -17,9 +17,9 @@ commit, Python and the machine, and is stored under its name in
 ``BENCH_<label>.json`` at the repository root; other entries in that file
 are kept.  Nothing here asserts a timing.
 
-Entries recorded in separate sessions differ by the host's drift in speed
+Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
-session, its runs alternating with TREE's (OTHER first on even repeats,
+invocation, its runs alternating with TREE's (OTHER first on even repeats,
 TREE first on odd ones), and stores it as the entry ``before`` next to
 ``--entry``; the two reports must then have the same bytes.
 """

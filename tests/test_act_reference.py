@@ -119,9 +119,9 @@ def test_act_on_the_ic_basis_matches_per_row_products():
         for kind in EtaleKind:
             for convention in ("standard", "mirror"):
                 model = WaldModel(q, kind, convention=convention)
+                f = model.ic_basis(2)
                 for d in range(4):
                     t = HeckeElement.basis(q, Coweight(d, 0))
-                    f = model.ic_basis(2)
                     assert model.act(t, f) == act_reference(model, t, f)
 
 
