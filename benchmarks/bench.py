@@ -9,7 +9,10 @@ Run from the repository root:
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
 (``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``), after compiling TREE's
 bytecode, so that no run pays for compiling stale or missing ``.pyc`` files.
-Per config the entry records the median and every wall time, the peak RSS
+Per config the entry records the median and every wall time, the median and
+every ``run_s`` (the time the child spends inside ``wald_main``, without
+interpreter start and ``import waldq``, which are most of a short run), the
+peak RSS
 (the child's ``ru_maxrss``, as ``RUSAGE_CHILDREN`` counts it, read with
 ``os.wait4`` so that each child is measured on its own), the SHA-256 of the
 report and the backend named in its header.  The entry also names the
@@ -41,7 +44,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: The acceptance configs, as ``wald`` arguments: first the enumeration-bound
 #: ones, then the scalar-bound ones of criteria 04-08, then those of criteria
-#: 01-03 and 10, in both algebra kinds where the campaign takes a kind.
+#: 01-03 and 10, in both algebra kinds where the campaign takes a kind, then
+#: the form campaign at two primes and criterion 09's exhaustive q=3 sweep
+#: (81 shards of 6,561 forms: by far the longest run here).
 CONFIGS = {
     "stratum-dim": ["stratum-dim"],
     "min-orbit-q7": ["min-orbit", "--q", "7", "--dmax", "7", "--mmax", "3"],
@@ -63,21 +68,34 @@ for _kind in ("split", "ramified"):
 for _q in ("3", "5"):
     CONFIGS[f"counts-q{_q}"] = ["counts", "--q", _q, "--dmax", "4"]
     CONFIGS[f"isotropic-q{_q}"] = ["isotropic", "--q", _q]
+for _q in ("5", "13"):
+    CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
+CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]
 
-RUN_WALD = "import sys; from waldq.cli import wald_main; sys.exit(wald_main(sys.argv[1:]))"
+#: Runs wald_main and writes the seconds spent inside it as the last line of
+#: standard error.
+RUN_WALD = (
+    "import sys, time; from waldq.cli import wald_main; t = time.perf_counter(); "
+    "code = wald_main(sys.argv[1:]); print(time.perf_counter() - t, file=sys.stderr); "
+    "sys.exit(code)"
+)
 
 
 def run_once(tree, argv):
-    """(wall seconds, peak RSS in MB, report bytes, exit code) of one fresh run."""
+    """(wall s, run_s, peak RSS in MB, report bytes, exit code) of one fresh run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), WALDQ_BACKEND="pure")
-    with tempfile.TemporaryFile() as out:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-c", RUN_WALD, *argv], stdout=out, env=env)
+        child = subprocess.Popen(
+            [sys.executable, "-c", RUN_WALD, *argv], stdout=out, stderr=err, env=env
+        )
         _pid, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         child.returncode = code = os.waitstatus_to_exitcode(status)
         out.seek(0)
-        return wall, usage.ru_maxrss / 1024.0, out.read(), code
+        err.seek(0)
+        run_s = float(err.read().split()[-1]) if code == 0 else None
+        return wall, run_s, usage.ru_maxrss / 1024.0, out.read(), code
 
 
 def commit_of(tree):
@@ -102,18 +120,21 @@ def cpu_model():
 
 
 def summarize(name, argv, runs):
-    """The config's figures from its (wall, peak RSS, report, exit code) runs."""
-    digests = {hashlib.sha256(report).hexdigest() for _w, _p, report, _c in runs}
-    codes = {code for _w, _p, _r, code in runs}
+    """The config's figures from its (wall, run_s, peak RSS, report, exit code) runs."""
+    digests = {hashlib.sha256(report).hexdigest() for _w, _s, _p, report, _c in runs}
+    codes = {code for _w, _s, _p, _r, code in runs}
     if len(digests) != 1 or codes != {0}:
         raise SystemExit(f"{name}: reports differ between runs or a run failed: {codes}")
-    walls = [round(wall, 3) for wall, _p, _r, _c in runs]
-    header = json.loads(runs[0][2].splitlines()[0])
+    walls = [round(wall, 3) for wall, _s, _p, _r, _c in runs]
+    run_s = [round(s, 3) for _w, s, _p, _r, _c in runs]
+    header = json.loads(runs[0][3].splitlines()[0])
     return {
         "argv": argv,
         "wall_s": statistics.median(walls),
         "wall_s_runs": walls,
-        "peak_rss_mb": max(round(peak, 1) for _w, peak, _r, _c in runs),
+        "run_s": statistics.median(run_s),
+        "run_s_runs": run_s,
+        "peak_rss_mb": max(round(peak, 1) for _w, _s, peak, _r, _c in runs),
         "report_sha256": digests.pop(),
         "backend": header.get("backend"),
     }
@@ -132,7 +153,10 @@ def measure(trees, repeat):
             results[i][name] = summarize(name, argv, runs[i])
         if len({res[name]["report_sha256"] for res in results}) != 1:
             raise SystemExit(f"{name}: the trees' reports differ")
-        line = " vs ".join(f"{res[name]['wall_s']} s, {res[name]['peak_rss_mb']} MB" for res in results)
+        line = " vs ".join(
+            f"{res[name]['wall_s']} s (run {res[name]['run_s']} s), {res[name]['peak_rss_mb']} MB"
+            for res in results
+        )
         print(f"{name}: {line}", flush=True)
     return results
 

@@ -10,6 +10,11 @@ The batch kernels at the bottom (``rel_pos``, ``canon``, ``sublattices``,
 between the two at import time.  Everything here is exact: no global
 truncation, and unit inverses are produced to an explicit finite precision
 that each caller derives from valuations.
+
+``pmul`` is the exact product.  ``pdot(q, prec, pairs)`` is the fused one:
+the sum of the products of raw pairs, truncated below ``t^prec`` (``INF``
+keeps everything) and normalized once.  The form layer (``sym_diag``,
+``sym_normal_cert``, ``quadform.SymMatrixO``) builds every product with it.
 """
 
 from __future__ import annotations
@@ -81,6 +86,54 @@ def pmul(q, x, y):
             for j, b in enumerate(yc):
                 acc[i + j] += a * b
     return pnorm(q, xo + yo, acc)
+
+
+def pdot(q, prec, pairs):
+    """Sum of x * y over the raw pairs (x, y), keeping the terms below t^prec.
+
+    ``prec = INF`` keeps every term.  Each product is exact, so operands of
+    any valuation are fine; only the sum is truncated.  The accumulator spans
+    the exponents the products reach below ``prec``, and the sum is reduced
+    mod q and trimmed once, as ``pnorm`` would.
+    """
+    lo, hi = INF, -INF
+    for (xo, xc), (yo, yc) in pairs:
+        if xc and yc:
+            o = xo + yo
+            if o < lo:
+                lo = o
+            o += len(xc) + len(yc) - 1
+            if o > hi:
+                hi = o
+    if hi > prec:
+        hi = prec
+    if lo >= hi:
+        return PZERO
+    n = hi - lo
+    acc = [0] * n
+    for (xo, xc), (yo, yc) in pairs:
+        if not xc or not yc:
+            continue
+        if len(xc) > len(yc):
+            xc, yc = yc, xc
+        k = xo + yo - lo
+        for a in xc:
+            if k >= n:
+                break
+            if a:
+                if k + len(yc) > n:
+                    yc = yc[: n - k]
+                for j, b in enumerate(yc, k):
+                    acc[j] += a * b
+            k += 1
+    i = 0
+    while i < n and not acc[i] % q:
+        i += 1
+    if i == n:
+        return PZERO
+    while not acc[n - 1] % q:
+        n -= 1
+    return (lo + i, tuple([c % q for c in acc[i:n]]))
 
 
 def pconstmul(q, x, c):
@@ -216,61 +269,51 @@ def sublattices(q, a, b, c, n):
     return out
 
 
-def _sym_apply(q, prec, e11, e12, e21, e22, t11, t12, t22, A):
-    # T <- E T E^t, A <- E A, everything truncated mod t^prec
-    x1 = padd(q, pmul(q, e11, t11), pmul(q, e12, t12))
-    x2 = padd(q, pmul(q, e11, t12), pmul(q, e12, t22))
-    y1 = padd(q, pmul(q, e21, t11), pmul(q, e22, t12))
-    y2 = padd(q, pmul(q, e21, t12), pmul(q, e22, t22))
-    n11 = ptrunc(padd(q, pmul(q, x1, e11), pmul(q, x2, e12)), prec)
-    n12 = ptrunc(padd(q, pmul(q, x1, e21), pmul(q, x2, e22)), prec)
-    n22 = ptrunc(padd(q, pmul(q, y1, e21), pmul(q, y2, e22)), prec)
-    a11, a12, a21, a22 = A
-    nA = (
-        ptrunc(padd(q, pmul(q, e11, a11), pmul(q, e12, a21)), prec),
-        ptrunc(padd(q, pmul(q, e11, a12), pmul(q, e12, a22)), prec),
-        ptrunc(padd(q, pmul(q, e21, a11), pmul(q, e22, a21)), prec),
-        ptrunc(padd(q, pmul(q, e21, a12), pmul(q, e22, a22)), prec),
-    )
-    return n11, n12, n22, nA
-
-
 def sym_diag(q, prec, b11, b12, b22):
     """Diagonalize a symmetric O-matrix under B -> E B E^t, mod t^prec.
 
-    Requires val(det) < prec (returns None otherwise; the determinant is
-    computed exactly from the inputs).  Returns (va, vb, w, A, eps) with
-    va >= vb, A unimodular (a product of elementary matrices), eps a unit, and
+    The entries must lie in O (valuation >= 0).  Requires val(det) < prec
+    (returns None otherwise).  Returns (va, vb, w, A, eps) with va >= vb, A
+    unimodular (a product of elementary matrices), eps a unit, and
     A B A^t eps == diag(t^va, t^vb * w) mod t^prec, where w is a unit
     polynomial.  q must be odd: the off-diagonal pivot step adds the two basis
     vectors and relies on 2 != 0.
     """
-    det = psub(q, pmul(q, b11, b22), pmul(q, b12, b12))
-    if not det[1] or pval(det) >= prec:
-        return None
-    one, zero = pconst(q, 1), PZERO
+    if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
+        return None  # val(det) >= prec, or det == 0
+    one, two, zero = pconst(q, 1), pconst(q, 2), PZERO
     t11, t12, t22 = ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
     A = (one, zero, zero, one)
     v11, v12, v22 = pval(t11), pval(t12), pval(t22)
     if v12 < v11 and v12 < v22:
         # min val sits strictly off-diagonal: e1 += e2 moves it to slot 11
-        t11, t12, t22, A = _sym_apply(q, prec, one, one, zero, one, t11, t12, t22, A)
+        t11 = pdot(q, prec, ((t11, one), (t12, two), (t22, one)))
+        t12 = padd(q, t12, t22)
+        A = (one, one, zero, one)
     if pval(t22) < pval(t11):
         t11, t22 = t22, t11
         A = (A[2], A[3], A[0], A[1])
     vb = pval(t11)
     if t12[1]:
+        # e2 -= h e1 with h = t12 / t11 mod t^prec clears slot 12.  Since
+        # h t11 == t12 mod t^prec, the new slot 22 t22 - 2 h t12 + h^2 t11 is
+        # t22 - h t12; slot 12 is never read again.
         uinv = pinv_unit(q, pshift(t11, -vb), prec)
-        h = ptrunc(pmul(q, pshift(t12, -vb), uinv), prec)
-        t11, t12, t22, A = _sym_apply(
-            q, prec, one, zero, pneg(q, h), one, t11, t12, t22, A
+        mh = pneg(q, pdot(q, prec, ((pshift(t12, -vb), uinv),)))
+        t22 = pdot(q, prec, ((t22, one), (mh, t12)))
+        a11, a12, a21, a22 = A
+        A = (
+            a11,
+            a12,
+            pdot(q, prec, ((a21, one), (mh, a11))),
+            pdot(q, prec, ((a22, one), (mh, a12))),
         )
     va = pval(t22)
     # larger exponent goes to the first slot
     t11, t22 = t22, t11
     A = (A[2], A[3], A[0], A[1])
     eps = pinv_unit(q, pshift(t11, -va), prec)
-    w = ptrunc(pshift(pmul(q, t22, eps), -vb), prec)
+    w = pshift(pdot(q, prec + vb, ((t22, eps),)), -vb)
     return (va, vb, w, A, eps)
 
 
@@ -289,23 +332,24 @@ def sym_normal_cert(q, prec, check_prec, b11, b12, b22, ns):
     res = w[1][0]
     issq = 1 if issquare(q, res) else 0
     w0 = 1 if issq else ns
-    target = ptrunc(pconstmul(q, pinv_unit(q, w, prec), w0), prec)
-    u = psqrt_unit(q, target, prec)
+    # rescale the second row of A by u = sqrt(w0 / w).  Everything lies in O,
+    # so the check below needs every factor only mod t^check_prec
+    cp = check_prec
+    p = min(prec, cp)
+    u = psqrt_unit(q, pconstmul(q, pinv_unit(q, w, p), w0), p)
     a11, a12, a21, a22 = A
-    a21, a22 = ptrunc(pmul(q, u, a21), prec), ptrunc(pmul(q, u, a22), prec)
+    a21, a22 = pdot(q, p, ((u, a21),)), pdot(q, p, ((u, a22),))
     # verify A B A^t eps == diag(t^va, t^vb * w0) mod t^check_prec
-    x1 = padd(q, pmul(q, a11, b11), pmul(q, a12, b12))
-    x2 = padd(q, pmul(q, a11, b12), pmul(q, a12, b22))
-    y1 = padd(q, pmul(q, a21, b11), pmul(q, a22, b12))
-    y2 = padd(q, pmul(q, a21, b12), pmul(q, a22, b22))
-    m11 = padd(q, pmul(q, x1, a11), pmul(q, x2, a12))
-    m12 = padd(q, pmul(q, x1, a21), pmul(q, x2, a22))
-    m22 = padd(q, pmul(q, y1, a21), pmul(q, y2, a22))
-    ok = 1
-    if ptrunc(pmul(q, m11, eps), check_prec) != ptrunc((va, (1,)), check_prec):
-        ok = 0
-    if ptrunc(pmul(q, m12, eps), check_prec) != PZERO:
-        ok = 0
-    if ptrunc(pmul(q, m22, eps), check_prec) != ptrunc((vb, (w0,)), check_prec):
-        ok = 0
+    x1 = pdot(q, cp, ((a11, b11), (a12, b12)))
+    x2 = pdot(q, cp, ((a11, b12), (a12, b22)))
+    y1 = pdot(q, cp, ((a21, b11), (a22, b12)))
+    y2 = pdot(q, cp, ((a21, b12), (a22, b22)))
+    m11 = pdot(q, cp, ((pdot(q, cp, ((x1, a11), (x2, a12))), eps),))
+    m12 = pdot(q, cp, ((pdot(q, cp, ((x1, a21), (x2, a22))), eps),))
+    m22 = pdot(q, cp, ((pdot(q, cp, ((y1, a21), (y2, a22))), eps),))
+    ok = int(
+        m11 == ptrunc((va, (1,)), cp)
+        and m12 == PZERO
+        and m22 == ptrunc((vb, (w0,)), cp)
+    )
     return (va, vb, issq, ok)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import backend
-from ._purekern import pnorm
+from ._purekern import pdot, pneg, pnorm
 from ._version import __version__
 from .hecke import HeckeElement, convolve, satake_basis, to_satake
 from .lattice import (
@@ -703,9 +703,9 @@ def _plan_quadform_orbits(cfg):
             continue
         while True:
             araw = tuple(_random_poly_raw(rng, q, 2) for _ in range(4))
-            a11, a12, a21, a22 = (_mk_poly(q, r) for r in araw)
-            det = a11 * a22 - a12 * a21
-            if not det.is_zero() and det.val == 0:
+            a11, a12, a21, a22 = araw
+            # A is unimodular iff det A has a nonzero constant term
+            if pdot(q, 1, ((a11, a22), (pneg(q, a12), a21)))[1]:
                 break
         uraw = _random_poly_raw(rng, q, 2, unit=True)
         cells.append((_cell_quad_invariance, f"invar-{i:03d}", q, braw, araw, uraw, 6))

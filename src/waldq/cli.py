@@ -25,7 +25,13 @@ from .campaigns import (
 )
 from .hecke import HeckeElement, convolve
 from .lattice import Coweight
-from .quadform import PrecisionExhausted, SymMatrixO, covering_type, diagonalize
+from .quadform import (
+    PrecisionExhausted,
+    SymMatrixO,
+    covering_type,
+    default_precision,
+    diagonalize,
+)
 from .series import _check_q
 
 def _env(name):
@@ -208,7 +214,10 @@ def quadform_main(argv=None) -> int:
         cls.add_argument("--precision", type=int, default=None)
         args = parser.parse_args(argv)
         mat = SymMatrixO.from_json(args.q, json.loads(args.matrix))
-        inv, _a, _eps = diagonalize(mat, args.precision)
+        # the invariants are fixed once the precision exceeds val(det), which
+        # the default precision does: a larger one only costs time and memory
+        prec = args.precision
+        inv, _a, _eps = diagonalize(mat, prec if prec is None else min(prec, default_precision(mat)))
         cover, in_scope = covering_type(inv, args.q)
         print(
             json.dumps(

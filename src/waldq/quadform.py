@@ -77,7 +77,7 @@ def least_nonsquare(q):
 class SymMatrixO:
     """A symmetric 2x2 matrix over O with nonzero determinant."""
 
-    __slots__ = ("q", "e11", "e12", "e22")
+    __slots__ = ("q", "e11", "e12", "e22", "_det")
 
     def __init__(self, e11: LaurentPoly, e12: LaurentPoly, e22: LaurentPoly):
         q = e11.q
@@ -86,13 +86,15 @@ class SymMatrixO:
         for e in (e11, e12, e22):
             if not e.is_zero() and e.off < 0:
                 raise ValueError("entries must lie in O (valuation >= 0)")
-        det = e11 * e22 - e12 * e12
-        if det.is_zero():
+        r12 = e12.raw
+        det = _pk.pdot(q, _pk.INF, ((e11.raw, e22.raw), (_pk.pneg(q, r12), r12)))
+        if not det[1]:
             raise ValueError("determinant is zero")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "e11", e11)
         object.__setattr__(self, "e12", e12)
         object.__setattr__(self, "e22", e22)
+        object.__setattr__(self, "_det", LaurentPoly.from_raw(q, det))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrixO is immutable")
@@ -107,24 +109,35 @@ class SymMatrixO:
 
     @property
     def det(self) -> LaurentPoly:
-        return self.e11 * self.e22 - self.e12 * self.e12
+        return self._det
 
     @property
     def det_valuation(self) -> int:
-        return self.det.off
+        return self._det.off
+
+    def _raw(self, x):
+        if isinstance(x, int):
+            return _pk.pconst(self.q, x)
+        if not isinstance(x, LaurentPoly) or x.q != self.q:
+            raise ValueError("mixed coefficient fields")
+        return x.raw
 
     def congruent_by(self, a_mat, eps: LaurentPoly) -> "SymMatrixO":
         """A B A^t eps for a 2x2 matrix A (rows) and a scalar eps."""
-        (a11, a12), (a21, a22) = a_mat
-        x1 = a11 * self.e11 + a12 * self.e12
-        x2 = a11 * self.e12 + a12 * self.e22
-        y1 = a21 * self.e11 + a22 * self.e12
-        y2 = a21 * self.e12 + a22 * self.e22
-        return SymMatrixO(
-            (x1 * a11 + x2 * a12) * eps,
-            (x1 * a21 + x2 * a22) * eps,
-            (y1 * a21 + y2 * a22) * eps,
-        )
+        (a11, a12), (a21, a22) = [[self._raw(x) for x in row] for row in a_mat]
+        eps = self._raw(eps)
+        q, inf = self.q, _pk.INF
+        b11, b12, b22 = self.e11.raw, self.e12.raw, self.e22.raw
+        x1 = _pk.pdot(q, inf, ((a11, b11), (a12, b12)))
+        x2 = _pk.pdot(q, inf, ((a11, b12), (a12, b22)))
+        y1 = _pk.pdot(q, inf, ((a21, b11), (a22, b12)))
+        y2 = _pk.pdot(q, inf, ((a21, b12), (a22, b22)))
+        m11 = _pk.pdot(q, inf, ((x1, a11), (x2, a12)))
+        m12 = _pk.pdot(q, inf, ((x1, a21), (x2, a22)))
+        m22 = _pk.pdot(q, inf, ((y1, a21), (y2, a22)))
+        return SymMatrixO(*(
+            LaurentPoly.from_raw(q, _pk.pdot(q, inf, ((m, eps),))) for m in (m11, m12, m22)
+        ))
 
     def __eq__(self, other):
         return (
@@ -168,15 +181,25 @@ def default_precision(b: SymMatrixO) -> int:
     return 2 * b.det_valuation + 2
 
 
+def _precision(b: SymMatrixO, precision) -> int:
+    """The working precision: ``precision``, or the default when it is None."""
+    if precision is None:
+        return default_precision(b)
+    if type(precision) is not int:
+        raise ValueError(f"precision must be an integer, got {precision!r}")
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    return precision
+
+
 def diagonalize(b: SymMatrixO, precision: int | None = None):
     """Invariant and certificate: A B A^t eps == diag(t^a, t^b w) mod t^precision.
 
     w is a unit polynomial whose residue class is the delta invariant.
-    Raises PrecisionExhausted when val(det B) >= precision.
+    Raises PrecisionExhausted when val(det B) >= precision, and ValueError
+    when precision is not an int (bool included) or is below 1.
     """
-    prec = default_precision(b) if precision is None else int(precision)
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
+    prec = _precision(b, precision)
     out = backend.sym_diag(b.q, prec, b.e11.raw, b.e12.raw, b.e22.raw)
     if out is None:
         raise PrecisionExhausted(
@@ -206,7 +229,7 @@ def normal_form(inv: FormInvariant, q) -> SymMatrixO:
 def normal_transport(b: SymMatrixO, precision: int | None = None):
     """Certificate to the literal normal form: (inv, A, eps) with
     A B A^t eps == normal_form(inv) mod t^precision."""
-    prec = default_precision(b) if precision is None else int(precision)
+    prec = _precision(b, precision)
     inv, a_mat, eps = diagonalize(b, prec)
     q = b.q
     # rescale the second row by u = sqrt(w0 / w) to land exactly on w0

@@ -361,6 +361,15 @@ class TestQuadformCli:
         assert rc == 1
         assert "undetermined" in capsys.readouterr().err
 
+    def test_huge_precision_prints_the_default_answer(self, capsys):
+        # the invariants are fixed past val(det): no list as long as 10^9
+        mat = self.mat_json(3, {1: 1}, {1: 1}, {1: 1, 2: 1})
+        assert quadform_main(["classify", "--matrix", mat]) == 0
+        default = capsys.readouterr().out
+        rc = quadform_main(["classify", "--matrix", mat, "--precision", "1000000000"])
+        assert rc == 0
+        assert capsys.readouterr().out == default
+
     def test_nonpositive_precision_exits_2(self, capsys):
         mat = self.mat_json(3, {0: 1}, {}, {0: 1})
         rc = quadform_main(["classify", "--matrix", mat, "--precision", "-3"])

@@ -1,0 +1,277 @@
+"""The form layer's fused truncated products against the routes they replaced.
+
+``_purekern.pdot`` sums exact products and normalizes once, truncated below
+``t^prec``.  ``sym_diag`` makes its two elementary moves with it directly,
+``sym_normal_cert`` verifies its certificate mod ``t^check_prec`` with it, and
+``SymMatrixO`` computes its determinant once and ``congruent_by`` on raw pairs.
+The references here are the routes these replaced: ``pmul``/``padd``/``ptrunc``
+chains, a generic ``E T E^t`` update with 24 products per elementary matrix,
+exact certificate products truncated at the end, and ``LaurentPoly`` arithmetic.
+"""
+
+import copy
+import itertools
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waldq._purekern import (
+    INF,
+    PZERO,
+    issquare,
+    padd,
+    pconst,
+    pconstmul,
+    pdot,
+    pinv_unit,
+    pmul,
+    pneg,
+    pnorm,
+    pshift,
+    psqrt_unit,
+    psub,
+    ptrunc,
+    pval,
+    sym_diag,
+    sym_normal_cert,
+)
+from waldq.quadform import SymMatrixO, least_nonsquare
+from waldq.series import LaurentPoly
+
+QS = st.sampled_from([3, 5, 7])
+
+
+def _sym_apply_reference(q, prec, e11, e12, e21, e22, t11, t12, t22, A):
+    # T <- E T E^t, A <- E A, everything truncated mod t^prec
+    x1 = padd(q, pmul(q, e11, t11), pmul(q, e12, t12))
+    x2 = padd(q, pmul(q, e11, t12), pmul(q, e12, t22))
+    y1 = padd(q, pmul(q, e21, t11), pmul(q, e22, t12))
+    y2 = padd(q, pmul(q, e21, t12), pmul(q, e22, t22))
+    n11 = ptrunc(padd(q, pmul(q, x1, e11), pmul(q, x2, e12)), prec)
+    n12 = ptrunc(padd(q, pmul(q, x1, e21), pmul(q, x2, e22)), prec)
+    n22 = ptrunc(padd(q, pmul(q, y1, e21), pmul(q, y2, e22)), prec)
+    a11, a12, a21, a22 = A
+    nA = (
+        ptrunc(padd(q, pmul(q, e11, a11), pmul(q, e12, a21)), prec),
+        ptrunc(padd(q, pmul(q, e11, a12), pmul(q, e12, a22)), prec),
+        ptrunc(padd(q, pmul(q, e21, a11), pmul(q, e22, a21)), prec),
+        ptrunc(padd(q, pmul(q, e21, a12), pmul(q, e22, a22)), prec),
+    )
+    return n11, n12, n22, nA
+
+
+def sym_diag_reference(q, prec, b11, b12, b22):
+    """Diagonalization by generic elementary-matrix updates and exact products."""
+    det = psub(q, pmul(q, b11, b22), pmul(q, b12, b12))
+    if not det[1] or pval(det) >= prec:
+        return None
+    one, zero = pconst(q, 1), PZERO
+    t11, t12, t22 = ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
+    A = (one, zero, zero, one)
+    v11, v12, v22 = pval(t11), pval(t12), pval(t22)
+    if v12 < v11 and v12 < v22:
+        t11, t12, t22, A = _sym_apply_reference(
+            q, prec, one, one, zero, one, t11, t12, t22, A
+        )
+    if pval(t22) < pval(t11):
+        t11, t22 = t22, t11
+        A = (A[2], A[3], A[0], A[1])
+    vb = pval(t11)
+    if t12[1]:
+        uinv = pinv_unit(q, pshift(t11, -vb), prec)
+        h = ptrunc(pmul(q, pshift(t12, -vb), uinv), prec)
+        t11, t12, t22, A = _sym_apply_reference(
+            q, prec, one, zero, pneg(q, h), one, t11, t12, t22, A
+        )
+    va = pval(t22)
+    t11, t22 = t22, t11
+    A = (A[2], A[3], A[0], A[1])
+    eps = pinv_unit(q, pshift(t11, -va), prec)
+    w = ptrunc(pshift(pmul(q, t22, eps), -vb), prec)
+    return (va, vb, w, A, eps)
+
+
+def sym_normal_cert_reference(q, prec, check_prec, b11, b12, b22, ns):
+    """The certificate multiplied out exactly, truncated only for the comparison."""
+    r = sym_diag_reference(q, prec, b11, b12, b22)
+    if r is None:
+        return None
+    va, vb, w, A, eps = r
+    issq = 1 if issquare(q, w[1][0]) else 0
+    w0 = 1 if issq else ns
+    target = ptrunc(pconstmul(q, pinv_unit(q, w, prec), w0), prec)
+    u = psqrt_unit(q, target, prec)
+    a11, a12, a21, a22 = A
+    a21, a22 = ptrunc(pmul(q, u, a21), prec), ptrunc(pmul(q, u, a22), prec)
+    x1 = padd(q, pmul(q, a11, b11), pmul(q, a12, b12))
+    x2 = padd(q, pmul(q, a11, b12), pmul(q, a12, b22))
+    y1 = padd(q, pmul(q, a21, b11), pmul(q, a22, b12))
+    y2 = padd(q, pmul(q, a21, b12), pmul(q, a22, b22))
+    m11 = padd(q, pmul(q, x1, a11), pmul(q, x2, a12))
+    m12 = padd(q, pmul(q, x1, a21), pmul(q, x2, a22))
+    m22 = padd(q, pmul(q, y1, a21), pmul(q, y2, a22))
+    ok = 1
+    if ptrunc(pmul(q, m11, eps), check_prec) != ptrunc((va, (1,)), check_prec):
+        ok = 0
+    if ptrunc(pmul(q, m12, eps), check_prec) != PZERO:
+        ok = 0
+    if ptrunc(pmul(q, m22, eps), check_prec) != ptrunc((vb, (w0,)), check_prec):
+        ok = 0
+    return (va, vb, issq, ok)
+
+
+@st.composite
+def raw_polys(draw, q, min_off=-4, max_off=4, max_len=5):
+    """A normalized raw poly: zero, or offsets in [min_off, max_off]."""
+    co = draw(st.lists(st.integers(0, q - 1), max_size=max_len))
+    return pnorm(q, draw(st.integers(min_off, max_off)), co)
+
+
+@st.composite
+def dot_cases(draw):
+    q = draw(QS)
+    pairs = draw(st.lists(st.tuples(raw_polys(q), raw_polys(q)), max_size=4))
+    prec = draw(st.one_of(st.just(INF), st.integers(-10, 10)))
+    return q, prec, pairs
+
+
+def dot_reference(q, prec, pairs):
+    total = PZERO
+    for x, y in pairs:
+        total = padd(q, total, pmul(q, x, y))
+    return ptrunc(total, prec)
+
+
+class TestPdot:
+    @settings(max_examples=500, deadline=None)
+    @given(dot_cases())
+    def test_matches_truncated_sum_of_products(self, case):
+        assert pdot(*case) == dot_reference(*case)
+
+    def test_edges(self):
+        q = 5
+        x, y = (-2, (1, 2, 3)), (1, (4, 0, 1))
+        exact = pmul(q, x, y)  # exponents -1 .. 3
+        assert pdot(q, INF, [(x, y)]) == exact
+        assert pdot(q, INF, []) == PZERO
+        assert pdot(q, INF, [(x, PZERO), (PZERO, y)]) == PZERO
+        for prec in (-5, -1):  # at or below the lowest exponent
+            assert pdot(q, prec, [(x, y)]) == PZERO
+        for prec in range(0, 6):
+            assert pdot(q, prec, [(x, y)]) == ptrunc(exact, prec)
+        # terms that cancel leave no zero fringe behind
+        assert pdot(q, INF, [(x, y), (pneg(q, x), y)]) == PZERO
+        assert pdot(q, 2, [(x, y), ((0, (1,)), (2, (3,)))]) == ptrunc(exact, 2)
+
+
+def o_entries(q, vmax=3, width=4):
+    return raw_polys(q, min_off=0, max_off=vmax, max_len=width)
+
+
+@st.composite
+def form_cases(draw):
+    q = draw(QS)
+    b = tuple(draw(o_entries(q)) for _ in range(3))
+    prec = draw(st.integers(1, 10))
+    check_prec = draw(st.integers(0, prec + 2))
+    return q, prec, check_prec, b
+
+
+def _cube(q, width):
+    """Every polynomial of degree < width over F_q, by coefficient code."""
+    return [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
+
+
+class TestSymKernels:
+    @settings(max_examples=800, deadline=None)
+    @given(form_cases())
+    def test_sym_diag_matches_reference(self, case):
+        q, prec, _cp, b = case
+        assert sym_diag(q, prec, *b) == sym_diag_reference(q, prec, *b)
+
+    @settings(max_examples=800, deadline=None)
+    @given(form_cases())
+    def test_sym_normal_cert_matches_reference(self, case):
+        q, prec, cp, b = case
+        ns = least_nonsquare(q)
+        got = sym_normal_cert(q, prec, cp, *b, ns)
+        assert got == sym_normal_cert_reference(q, prec, cp, *b, ns)
+
+    def test_whole_q3_width3_cube(self):
+        # the exhaustive campaign's precisions (8, check 4) on every form
+        q, ns = 3, least_nonsquare(3)
+        polys = _cube(q, 3)
+        for b in itertools.product(polys, repeat=3):
+            assert sym_diag(q, 8, *b) == sym_diag_reference(q, 8, *b)
+            assert sym_normal_cert(q, 8, 4, *b, ns) == sym_normal_cert_reference(
+                q, 8, 4, *b, ns
+            )
+
+
+def _poly(q, raw):
+    return LaurentPoly.from_raw(q, raw)
+
+
+def _nonsingular(q, b):
+    return pdot(q, INF, ((b[0], b[2]), (pneg(q, b[1]), b[1])))[1]
+
+
+def _matrices_over(q):
+    entries = st.tuples(*(o_entries(q, vmax=2, width=3) for _ in range(3)))
+    return entries.filter(lambda b: _nonsingular(q, b)).map(
+        lambda b: SymMatrixO(*(_poly(q, r) for r in b))
+    )
+
+
+matrices = QS.flatmap(_matrices_over)
+
+
+class TestSymMatrixO:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices)
+    def test_stored_det(self, m):
+        want = m.e11 * m.e22 - m.e12 * m.e12
+        assert m.det == want
+        assert m.det_valuation == want.off
+        for other in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert other == m
+            assert other.det == want
+            assert other.det_valuation == want.off
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices, st.data())
+    def test_congruent_by_matches_object_route(self, m, data):
+        q = m.q
+        entries = [_poly(q, data.draw(raw_polys(q, 0, 2, 3))) for _ in range(5)]
+        (a11, a12, a21, a22, eps) = entries
+        x1 = a11 * m.e11 + a12 * m.e12
+        x2 = a11 * m.e12 + a12 * m.e22
+        y1 = a21 * m.e11 + a22 * m.e12
+        y2 = a21 * m.e12 + a22 * m.e22
+        want = [
+            (x1 * a11 + x2 * a12) * eps,
+            (x1 * a21 + x2 * a22) * eps,
+            (y1 * a21 + y2 * a22) * eps,
+        ]
+        a_mat = ((a11, a12), (a21, a22))
+        if (want[0] * want[2] - want[1] * want[1]).is_zero():
+            with pytest.raises(ValueError, match="determinant is zero"):
+                m.congruent_by(a_mat, eps)
+            return
+        got = m.congruent_by(a_mat, eps)
+        assert (got.e11, got.e12, got.e22) == tuple(want)
+        assert got.det == want[0] * want[2] - want[1] * want[1]
+
+    def test_congruent_by_int_entries_and_mixed_fields(self):
+        q = 5
+        m = SymMatrixO.from_entries(q, {0: 1}, {1: 2}, {1: 3})
+        one = LaurentPoly.one(q)
+        zero = LaurentPoly.zero(q)
+        assert m.congruent_by(((1, 0), (0, 1)), 1) == m
+        assert m.congruent_by(((one, zero), (zero, one)), 2) == m.congruent_by(
+            ((one, zero), (zero, one)), LaurentPoly.const(q, 2)
+        )
+        with pytest.raises(ValueError, match="mixed"):
+            m.congruent_by(((LaurentPoly.one(3), zero), (zero, one)), one)

@@ -161,6 +161,13 @@ class TestDiagonalize:
             with pytest.raises(ValueError, match="precision must be >= 1"):
                 fn(b, precision=precision)
 
+    @pytest.mark.parametrize("precision", [True, False, "5", 7.9, 8.0])
+    def test_non_int_precision_is_value_error(self, precision):
+        b = SymMatrixO.from_entries(3, {0: 1}, {}, {0: 1})
+        for fn in (diagonalize, normal_transport):
+            with pytest.raises(ValueError, match="precision must be an integer"):
+                fn(b, precision=precision)
+
 
 class TestCoveringType:
     def test_rules(self):
