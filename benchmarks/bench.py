@@ -5,6 +5,7 @@ Run from the repository root:
     python3 benchmarks/bench.py --label scalars --entry after --repeat 3
     python3 benchmarks/bench.py --label scalars --entry before --tree ../old --commit SHA
     python3 benchmarks/bench.py --label act --entry after --against ../old --repeat 5
+    python3 benchmarks/bench.py --label counts --entry after --against ../old --only counts-q3 counts-q5
 
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
 (``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``), after compiling TREE's
@@ -18,7 +19,9 @@ peak RSS
 report and the backend named in its header.  The entry also names the
 commit, Python and the machine, and is stored under its name in
 ``BENCH_<label>.json`` at the repository root; other entries in that file
-are kept.  Nothing here asserts a timing.
+are kept.  ``--only NAME ...`` runs just the named configs (an unknown name
+exits 2), so a change that cannot touch the q=3 sweep need not wait for it.
+Nothing here asserts a timing.
 
 Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
@@ -45,8 +48,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: The acceptance configs, as ``wald`` arguments: first the enumeration-bound
 #: ones, then the scalar-bound ones of criteria 04-08, then those of criteria
 #: 01-03 and 10, in both algebra kinds where the campaign takes a kind, then
-#: the form campaign at two primes and criterion 09's exhaustive q=3 sweep
-#: (81 shards of 6,561 forms: by far the longest run here).
+#: ``counts`` past the acceptance range (dmax 7, 2 x 97,656 members), then the
+#: form campaign at two primes and criterion 09's exhaustive q=3 sweep (81
+#: shards of 6,561 forms: by far the longest run here).
 CONFIGS = {
     "stratum-dim": ["stratum-dim"],
     "min-orbit-q7": ["min-orbit", "--q", "7", "--dmax", "7", "--mmax", "3"],
@@ -68,6 +72,7 @@ for _kind in ("split", "ramified"):
 for _q in ("3", "5"):
     CONFIGS[f"counts-q{_q}"] = ["counts", "--q", _q, "--dmax", "4"]
     CONFIGS[f"isotropic-q{_q}"] = ["isotropic", "--q", _q]
+CONFIGS["counts-q5-d7"] = ["counts", "--q", "5", "--dmax", "7"]
 for _q in ("5", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]
@@ -140,10 +145,11 @@ def summarize(name, argv, runs):
     }
 
 
-def measure(trees, repeat):
-    """Per tree, the figures of every config; the trees' runs alternate."""
+def measure(trees, repeat, names):
+    """Per tree, the figures of the named configs; the trees' runs alternate."""
     results = [{} for _ in trees]
-    for name, argv in CONFIGS.items():
+    for name in names:
+        argv = CONFIGS[name]
         runs = [[] for _ in trees]
         for r in range(repeat):
             order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
@@ -179,7 +185,11 @@ def main():
     ap.add_argument("--commit", help="commit of TREE, when it is not a git checkout")
     ap.add_argument("--against", type=Path, help="also run this tree, alternating, as 'before'")
     ap.add_argument("--repeat", type=int, default=1, help="fresh runs per config")
+    ap.add_argument("--only", nargs="+", metavar="NAME", help="run only these configs")
     args = ap.parse_args()
+    unknown = [name for name in args.only or () if name not in CONFIGS]
+    if unknown:
+        ap.error(f"unknown config {', '.join(unknown)}; known: {', '.join(CONFIGS)}")
     trees = [args.tree.resolve()]
     entries = [args.entry]
     if args.against:
@@ -189,7 +199,7 @@ def main():
         entries.insert(0, "before")
     for tree in trees:
         compileall.compile_dir(tree / "src" / "waldq", quiet=1)
-    results = measure(trees, args.repeat)
+    results = measure(trees, args.repeat, args.only or list(CONFIGS))
     path = REPO / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data[entries[0]] = entry_of(trees[0], None, args.repeat, results[0])

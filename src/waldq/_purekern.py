@@ -19,6 +19,8 @@ keeps everything) and normalized once.  The form layer (``sym_diag``,
 
 from __future__ import annotations
 
+from itertools import product
+
 NAME = "pure"
 
 INF = 1 << 60  # valuation of the zero polynomial
@@ -254,18 +256,45 @@ def sublattices(q, a, b, c, n):
     duplicates.
     """
     out = []
+    append = out.append
+    digits = range(q)
     for alpha in range(n + 1):
         beta = n - alpha
-        ca, cb = a + alpha, b + beta
-        cshift = pshift(c, beta)
-        for code in range(q**alpha):
-            m, wc = code, []
-            while m:
-                m, r = divmod(m, q)
-                wc.append(r)
-            w = pnorm(q, 0, wc)
-            c2 = ptrunc(padd(q, pshift(w, a), cshift), ca)
-            out.append((ca, cb, c2, min(alpha, beta, pval(w))))
+        ca, cb, top = a + alpha, b + beta, min(alpha, beta)
+        # c2 = w t^a + cs mod t^ca with cs = c t^beta mod t^ca.  Product
+        # order with each tuple reversed is code order: w_0 = code mod q, then
+        # w_1, ...; s = min(top, val w), and v = alpha if w = 0
+        co, cc = ptrunc(pshift(c, beta), ca)
+        if not cc:
+            for t in product(digits, repeat=alpha):
+                w = t[::-1]
+                v = 0
+                while v < alpha and not w[v]:
+                    v += 1
+                if v == alpha:
+                    append((ca, cb, PZERO, top))
+                    continue
+                h = alpha
+                while not w[h - 1]:
+                    h -= 1
+                append((ca, cb, (a + v, w[v:h]), v if v < top else top))
+            continue
+        # split cs once into its coefficients from t^base up to t^a and its
+        # dense digit row d on [a, ca), to which the digits of w add
+        base, prefix = a, []
+        if co < a:
+            base, prefix = co, list(cc[: a - co]) + [0] * (a - co - len(cc))
+        d = [0] * alpha
+        for i, x in enumerate(cc, co - a):
+            if i >= 0:
+                d[i] = x
+        for t in product(digits, repeat=alpha):
+            w = t[::-1]
+            v = 0
+            while v < alpha and not w[v]:
+                v += 1
+            c2 = pnorm(q, base, prefix + [x + y for x, y in zip(w, d)])
+            append((ca, cb, c2, v if v < top else top))
     return out
 
 

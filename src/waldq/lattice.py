@@ -10,10 +10,14 @@ Sublattice enumeration is exact and duplicate-free: the colength-n
 sublattices of L biject with triangular triples (alpha, beta, w), alpha +
 beta = n, w a polynomial of degree < alpha, giving sum(q^alpha) members, of
 which the ones in exact relative position (n, 0) are q^(n-1) * (q+1).
-closure_members and enumerate_in_position enumerate them, through
-_raw_members and the sublattices kernel.  The orbit tables and the Hecke
-structure constants read only _member_histogram, which counts the members
-of each (a2, b2, val c2, s) class in closed form and enumerates nothing.
+closure_members and enumerate_in_position enumerate them as sorted
+lattices, through _raw_members and the sublattices kernel.  The counts
+campaign reads _member_count, which counts the same kernel rows without
+building a lattice or sorting.  The orbit tables and the Hecke structure
+constants read only _member_histogram, which counts the members of each
+(a2, b2, val c2, s) class in closed form and enumerates nothing.
+
+Exponents and coweight entries must be ints (bool and float are rejected).
 """
 
 from __future__ import annotations
@@ -59,14 +63,16 @@ class Lattice2:
     __slots__ = ("q", "a", "b", "c")
 
     def __init__(self, q, a, b, c=None):
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"lattice exponents must be integers, got a={a!r}, b={b!r}")
         c = LaurentPoly.zero(q) if c is None else c
         if c.q != q:
             raise ValueError("mixed coefficient fields")
         if not c.is_zero() and c.degree() >= a:
             raise ValueError("c must be reduced mod t^a")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
     def __setattr__(self, name, value):
@@ -146,7 +152,7 @@ class Lattice2:
 
     @classmethod
     def from_json(cls, q, obj):
-        return cls(q, int(obj["a"]), int(obj["b"]), LaurentPoly.from_json(q, obj["c"]))
+        return cls(q, obj["a"], obj["b"], LaurentPoly.from_json(q, obj["c"]))
 
 
 def canonicalize(q, columns) -> Lattice2:
@@ -177,6 +183,8 @@ def relative_position(l1: Lattice2, l2: Lattice2) -> Coweight:
 
 def _shifted(triple, lam):
     """(a, b, c, n): the triple of t^lam2 * L and the colength lam1 - lam2."""
+    if type(lam.a1) is not int or type(lam.a2) is not int:
+        raise ValueError(f"coweight entries must be integers, got {lam!r}")
     if not lam.is_dominant():
         raise ValueError(f"coweight {lam} is not dominant")
     a, b, c = triple
@@ -184,8 +192,8 @@ def _shifted(triple, lam):
 
 
 def _raw_members(q, triple, lam):
-    """Every member row, enumerated: read by _members and as the reference
-    that _member_histogram's counts are tested against.
+    """Every member row, enumerated: read by _members and _member_count, and as
+    the reference that _member_histogram's counts are tested against.
 
     Returns (a2, b2, c2_raw, s) tuples for all sublattices of t^lam2 * L of
     colength lam1 - lam2; s = 0 exactly for the members in position lam.
@@ -248,6 +256,13 @@ def _members(lat, lam, exact):
     rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
     out = [Lattice2.from_triple(lat.q, a2, b2, c2) for a2, b2, c2, s in rows if s == 0 or not exact]
     return sorted(out, key=lambda l: l.sort_key)
+
+
+def _member_count(lat, lam, exact):
+    """The number of rows of _raw_members, or of its s = 0 rows if exact: the
+    size of _members, counted on the enumerated rows without a lattice."""
+    rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
+    return [row[3] for row in rows].count(0) if exact else len(rows)
 
 
 def closure_members(lat: Lattice2, lam: Coweight) -> list[Lattice2]:

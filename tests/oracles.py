@@ -171,6 +171,59 @@ def stable_subspace_counts(q, d):
     return total, cyclic
 
 
+def _t_preimage(q, rows, pivots, d):
+    """A spanning set of t^-1(S) for the t-stable S with RREF data (rows, pivots).
+
+    If t v lies in S then v - u(t v) lies in ker t, where u shifts each block
+    up by one; so t^-1(S) lies in span(u(S) + ker t).  Its members are the
+    combinations whose t-image reduces to zero mod S: the left-null vectors of
+    the matrix [reduced t-images | identity].
+    """
+    n = 2 * d
+    gens = [tuple(r[i * d + j + 1] if j < d - 1 else 0 for i in range(2) for j in range(d))
+            for r in rows]
+    for i in range(2):
+        e = [0] * n
+        e[i * d + d - 1] = 1
+        gens.append(tuple(e))
+    m = len(gens)
+    aug = [
+        reduce_vector(q, _t_shift(g, d), rows, pivots) + tuple(int(k == j) for k in range(m))
+        for j, g in enumerate(gens)
+    ]
+    red, piv = rref(q, aug)
+    out = []
+    for r, p in zip(red, piv):
+        if p >= n:
+            out.append(tuple(sum(r[n + j] * g[k] for j, g in enumerate(gens)) % q for k in range(n)))
+    return out
+
+
+def stable_subspaces_by_extension(q, d):
+    """(total, cyclic) as stable_subspace_counts, by growing the t-stable
+    subspaces one dimension at a time instead of scanning every subspace.
+
+    t is nilpotent on a t-stable S of dimension k + 1, so S has a t-stable
+    hyperplane S'; S = S' + span(v) with t v in S'.  Each level is the set of
+    RREFs of those spans, which is what makes q = 7, d = 4 reachable.
+    """
+    level = {((), ())}
+    for _ in range(d):
+        nxt = set()
+        for rows, pivots in level:
+            # a basis of t^-1(S) / S, then every nonzero vector of it
+            rest = [reduce_vector(q, v, rows, pivots) for v in _t_preimage(q, rows, pivots, d)]
+            rest = rref(q, [v for v in rest if any(v)])[0]
+            for cs in itertools.product(range(q), repeat=len(rest)):
+                if any(cs):
+                    w = tuple(sum(c * v[k] for c, v in zip(cs, rest)) % q for k in range(2 * d))
+                    red, piv = rref(q, list(rows) + [w])
+                    nxt.add((tuple(red), tuple(piv)))
+        level = nxt
+    cyclic = sum(1 for rows, pivots in level if _quotient_t_kernel_dim(q, rows, pivots, d) <= 1)
+    return len(level), cyclic
+
+
 def quotient_type(q, d, rows, pivots):
     """Elementary-divisor exponents (a, b) of F_q^(2d)/S, a >= b, a + b = d."""
     n = 2 * d

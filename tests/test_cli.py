@@ -56,7 +56,7 @@ class TestWaldBasics:
             "cs-matrix": ["--D", "3"],
             "module-axiom": [],
             "eigen": ["--D", "3"],
-            "quadform-orbits": ["--dmax", "1"],
+            "quadform-orbits": ["--q", "5"],
             "isotropic": [],
         }
         for name, extra in small.items():

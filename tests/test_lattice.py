@@ -135,6 +135,29 @@ class TestCanonicalize:
             assert Lattice2.from_json(q, lat.to_json()) == lat
 
 
+class TestIntegerData:
+    @pytest.mark.parametrize("bad", [1.7, True, "2", 2.0])
+    def test_non_int_exponents_are_value_errors(self, bad):
+        q = 3
+        with pytest.raises(ValueError):
+            Lattice2(q, bad, 0)
+        with pytest.raises(ValueError):
+            Lattice2(q, 1, bad)
+        with pytest.raises(ValueError):
+            Lattice2.from_json(q, {"a": bad, "b": 0, "c": LaurentPoly.zero(q).to_json()})
+        with pytest.raises(ValueError):
+            Lattice2.from_json(q, {"a": 1, "b": bad, "c": LaurentPoly.zero(q).to_json()})
+
+    @pytest.mark.parametrize(
+        "bad", [Coweight(True, 0), Coweight(2.5, 0), Coweight(2, False), Coweight("2", 0)]
+    )
+    def test_non_int_coweights_are_value_errors(self, bad):
+        std = Lattice2.standard(3)
+        for members in (closure_members, enumerate_in_position):
+            with pytest.raises(ValueError):
+                members(std, bad)
+
+
 class TestRelativePosition:
     def test_self_is_zero(self):
         q = 3
