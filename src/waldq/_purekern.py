@@ -261,39 +261,24 @@ def sublattices(q, a, b, c, n):
     for alpha in range(n + 1):
         beta = n - alpha
         ca, cb, top = a + alpha, b + beta, min(alpha, beta)
-        # c2 = w t^a + cs mod t^ca with cs = c t^beta mod t^ca.  Product
-        # order with each tuple reversed is code order: w_0 = code mod q, then
-        # w_1, ...; s = min(top, val w), and v = alpha if w = 0
-        co, cc = ptrunc(pshift(c, beta), ca)
-        if not cc:
-            for t in product(digits, repeat=alpha):
-                w = t[::-1]
-                v = 0
-                while v < alpha and not w[v]:
-                    v += 1
-                if v == alpha:
-                    append((ca, cb, PZERO, top))
-                    continue
-                h = alpha
-                while not w[h - 1]:
-                    h -= 1
-                append((ca, cb, (a + v, w[v:h]), v if v < top else top))
-            continue
-        # split cs once into its coefficients from t^base up to t^a and its
-        # dense digit row d on [a, ca), to which the digits of w add
-        base, prefix = a, []
-        if co < a:
-            base, prefix = co, list(cc[: a - co]) + [0] * (a - co - len(cc))
-        d = [0] * alpha
-        for i, x in enumerate(cc, co - a):
-            if i >= 0:
-                d[i] = x
+        # c2 = w t^a + cs with cs = c t^beta mod t^ca; both lie below t^ca.
+        # Product order with each tuple reversed is code order: w_0 = code
+        # mod q, then w_1, ...; s = min(top, val w), and v = alpha if w = 0
+        cs = ptrunc(pshift(c, beta), ca)
         for t in product(digits, repeat=alpha):
             w = t[::-1]
             v = 0
             while v < alpha and not w[v]:
                 v += 1
-            c2 = pnorm(q, base, prefix + [x + y for x, y in zip(w, d)])
+            if v == alpha:
+                c2 = PZERO
+            else:
+                h = alpha
+                while not w[h - 1]:
+                    h -= 1
+                c2 = (a + v, w[v:h])
+            if cs[1]:
+                c2 = padd(q, c2, cs)
             append((ca, cb, c2, v if v < top else top))
     return out
 

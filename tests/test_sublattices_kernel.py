@@ -1,7 +1,8 @@
 """The pure ``sublattices`` kernel and the ``counts`` cells against their references.
 
 ``sublattices`` walks the digit tuples of ``w`` in ``itertools.product``
-order and splits ``c t^beta mod t^(a+alpha)`` once per ``alpha``.  The
+order, slices ``w t^a`` out of each tuple and adds ``c t^beta mod
+t^(a+alpha)``, computed once per ``alpha``, only when it is nonzero.  The
 reference below is the per-member route it replaced: one base-q digit loop,
 ``pnorm``, ``pshift``, ``padd`` and ``ptrunc`` per member.  It must give the
 same list, in the same order.
