@@ -265,19 +265,20 @@ def sublattices(q, a, b, c, n):
         # Product order with each tuple reversed is code order: w_0 = code
         # mod q, then w_1, ...; s = min(top, val w), and v = alpha if w = 0
         cs = ptrunc(pshift(c, beta), ca)
+        add = bool(cs[1])
         for t in product(digits, repeat=alpha):
             w = t[::-1]
             v = 0
             while v < alpha and not w[v]:
                 v += 1
-            if v == alpha:
-                c2 = PZERO
-            else:
+            if v < alpha:
                 h = alpha
                 while not w[h - 1]:
                     h -= 1
                 c2 = (a + v, w[v:h])
-            if cs[1]:
+            else:
+                c2 = PZERO
+            if add:
                 c2 = padd(q, c2, cs)
             append((ca, cb, c2, v if v < top else top))
     return out
