@@ -464,6 +464,10 @@ def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
     remaining entries range over all q**width codes each.  Forms whose
     determinant valuation exceeds vmax are undetermined at this truncation and
     are skipped (the certificate needs val(det) strictly inside the data).
+    That is tested first, so only the forms counted get a certificate (vmax <
+    prec, and then its va + vb is val(det)): val(det) > vmax exactly when
+    e11 e22 and e12^2 agree mod t^(vmax+1), and both truncated products are
+    tabulated once per shard.
     """
     ns = least_nonsquare(q)
     cert = backend.sym_normal_cert
@@ -471,17 +475,15 @@ def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
     # code c stands for the polynomial whose coefficients are c's base-q digits
     polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
     e11 = polys[shard]
+    heads = [pdot(q, vmax + 1, ((e11, e22),)) for e22 in polys]
     for e12 in polys:
-        for e22 in polys:
+        square = pdot(q, vmax + 1, ((e12, e12),))
+        for e22, head in zip(polys, heads):
             n_all += 1
-            out = cert(q, prec, check_prec, e11, e12, e22, ns)
-            if out is None:
+            if head == square:
                 n_skip += 1
                 continue
-            va, vb, _issq, ok = out
-            if va + vb > vmax:
-                n_skip += 1
-                continue
+            va, vb, _issq, ok = cert(q, prec, check_prec, e11, e12, e22, ns)
             if ok and va >= vb >= 0:
                 n_ok += 1
     checked = n_all - n_skip

@@ -253,6 +253,10 @@ def schur_gl2(lam, e1, e2) -> Fraction:
     Evaluated at diagonal (e1, e2): (e1*e2)^lam2 * h_{lam1-lam2}(e1, e2),
     using the complete homogeneous polynomial form (no division, so the
     degenerate case e1 = e2 is fine).
+
+    With e1 = n1/d1 and e2 = n2/d2, h_n is the integer sum of
+    (n1*d2)^i (n2*d1)^(n-i) over (d1*d2)^n, and (e1*e2)^lam2 is
+    (n1*n2)^lam2 over (d1*d2)^lam2, so one Fraction is built at the end.
     """
     lam = Coweight(*lam)
     if not lam.is_dominant():
@@ -261,9 +265,15 @@ def schur_gl2(lam, e1, e2) -> Fraction:
     e2 = Fraction(e2)
     if e1 == 0 or e2 == 0:
         raise ZeroEigenvalue("character values must be nonzero")
-    n = lam.a1 - lam.a2
-    h = sum((e1 ** i) * (e2 ** (n - i)) for i in range(n + 1))
-    return (e1 * e2) ** lam.a2 * h
+    n, k = lam.a1 - lam.a2, lam.a2
+    x = e1.numerator * e2.denominator
+    y = e2.numerator * e1.denominator
+    h = sum(x**i * y ** (n - i) for i in range(n + 1))
+    num = e1.numerator * e2.numerator
+    den = e1.denominator * e2.denominator
+    if k >= 0:
+        return Fraction(h * num**k, den ** (n + k))
+    return Fraction(h * den**-k, den**n * num**-k)
 
 
 def central_normalize(h: HeckeElement, kind) -> HeckeElement:

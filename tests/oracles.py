@@ -296,3 +296,112 @@ def isotropic_scan(q, f11, f12, f22):
         if (f11 * x * x + 2 * f12 * x * y + f22 * y * y) % q == 0:
             n += 1
     return n
+
+
+# -- symbolic eigen window check -----------------------------------------------
+
+
+def schur_gl2_naive(lam, e1, e2):
+    """(e1*e2)^lam2 * h_{lam1-lam2}(e1, e2) as one Fraction power per summand."""
+    from fractions import Fraction
+
+    e1, e2 = Fraction(e1), Fraction(e2)
+    n = lam[0] - lam[1]
+    return (e1 * e2) ** lam[1] * sum(e1**i * e2 ** (n - i) for i in range(n + 1))
+
+
+def eigen_check_symbolic(model, depth, e1, params, r_value=None):
+    """``WaldModel.eigen_check`` as it ran over LaurentScalars before it ran in Q.
+
+    K is built as a WaldFunction, the Hecke elements act symbolically through
+    ``model.act`` and the acted values are specialized afterwards; both sides
+    of the eigen identity are expanded over the basis and compared degree by
+    degree.  Only the argument checks are left out.
+    """
+    from fractions import Fraction
+
+    from waldq.hecke import HeckeElement, satake_basis
+    from waldq.lattice import Coweight
+    from waldq.scalars import specialize
+    from waldq.torus import chi_c
+    from waldq.waldspurger import WaldFunction, _basis_expand
+
+    assignment = params.values()
+    e1 = Fraction(e1)
+    central = specialize(chi_c(model.q, model.kind), assignment, r_value)
+    e2 = central / e1
+    wtab = [
+        {m: specialize(v, assignment, r_value) for m, v in model.ic_basis(d).values.items()}
+        for d in range(depth + 2)
+    ]
+    coeff = [schur_gl2_naive((d, 0), e1, e2) / central**d for d in range(depth + 2)]
+    kvals = {}
+    for d in range(depth + 1):
+        for m, v in wtab[d].items():
+            kvals[m] = kvals.get(m, Fraction(0)) + coeff[d] * v
+    kfun = WaldFunction(model.q, model.kind, kvals)
+
+    acted = model.act(satake_basis(model.q, Coweight(1, 0)), kfun)
+    lhs = {m: specialize(v, assignment, r_value) for m, v in acted.values.items()}
+    rhs = {m: (e1 + e2) * v for m, v in kvals.items() if v != 0}
+    defect_ok = True
+    for m in range(depth + 2):
+        want = coeff[depth] * wtab[depth + 1].get(m, Fraction(0)) - (
+            central * coeff[depth + 1] * wtab[depth].get(m, Fraction(0))
+        )
+        if lhs.get(m, Fraction(0)) - rhs.get(m, Fraction(0)) != want:
+            defect_ok = False
+            break
+    xl = _basis_expand(lhs, wtab, depth + 1)
+    xr = _basis_expand(rhs, wtab, depth + 1)
+    window = -1
+    for e in range(depth + 2):
+        if xl[e] != xr[e]:
+            break
+        window = e
+    eigen_ok = window >= depth - 1
+    acted_c = model.act(HeckeElement.basis(model.q, Coweight(1, 1)), kfun)
+    central_ok = all(
+        specialize(acted_c.value(m), assignment, r_value) == central * kvals.get(m, Fraction(0))
+        for m in range(depth + 1)
+    ) and all(m <= depth for m in acted_c.values)
+    return {
+        "kind": model.kind.value,
+        "q": model.q,
+        "depth": depth,
+        "e1": str(e1),
+        "e2": str(e2),
+        "window_required": depth - 1,
+        "window": window,
+        "eigen_pass": eigen_ok,
+        "defect_pass": defect_ok,
+        "central_pass": central_ok,
+        "pass": eigen_ok and defect_ok and central_ok,
+    }
+
+
+# -- exhaustive form sweep -----------------------------------------------------
+
+
+def quad_exhaustive_counts(q, shard, width, vmax, prec, check_prec):
+    """(n_ok, checked, n_skip) of one sweep shard, certifying every form first.
+
+    Every form gets ``sym_normal_cert``; those it refuses (val(det) >= prec)
+    and those whose va + vb exceeds vmax are then counted as undetermined.
+    """
+    from waldq._purekern import pnorm, sym_normal_cert
+    from waldq.quadform import least_nonsquare
+
+    ns = least_nonsquare(q)
+    n_all = n_skip = n_ok = 0
+    polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
+    e11 = polys[shard]
+    for e12 in polys:
+        for e22 in polys:
+            n_all += 1
+            out = sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)
+            if out is None or out[0] + out[1] > vmax:
+                n_skip += 1
+            elif out[3] and out[0] >= out[1] >= 0:
+                n_ok += 1
+    return n_ok, n_all - n_skip, n_skip

@@ -5,6 +5,8 @@ coefficient) pairs, and ``specialize`` sums over a common denominator in
 integers.  The references here are the object routes those replace: one
 character monomial times the scaled function value per transition row,
 summed as LaurentScalars, and one Fraction product per term and variable.
+The eigen check's ``_act_evaluated``, which acts on rational values at
+rational character values, is checked against ``specialize`` of ``act``.
 """
 
 from fractions import Fraction
@@ -123,6 +125,32 @@ def test_act_on_the_ic_basis_matches_per_row_products():
                 for d in range(4):
                     t = HeckeElement.basis(q, Coweight(d, 0))
                     assert model.act(t, f) == act_reference(model, t, f)
+
+
+@st.composite
+def evaluated_act_cases(draw):
+    q, kind = draw(QS), draw(KINDS)
+    model = WaldModel(q, kind, convention=draw(CONVENTIONS))
+    support = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+    values = {m: draw(RATIONALS) for m in support}
+    nonzero = RATIONALS.filter(bool)
+    assignment = {name: draw(nonzero) for name in VARS}
+    return model, draw(hecke_elements(q)), values, assignment, draw(RATIONALS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluated_act_cases())
+def test_evaluated_act_matches_specialized_act(case):
+    model, h, values, assignment, r_value = case
+    f = WaldFunction(model.q, model.kind, values)
+    acted = {m: specialize(v, assignment, r_value) for m, v in model.act(h, f).values.items()}
+    want = {m: v for m, v in acted.items() if v}
+    chi = {}
+    got = model._act_evaluated(h, values, assignment, r_value, chi)
+    assert got == want
+    assert all(type(v) is Fraction and v for v in got.values())
+    # a filled character cache gives the same values
+    assert model._act_evaluated(h, values, assignment, r_value, chi) == want
 
 
 def outcome(fn, *args):

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+import oracles
 import waldq
 from waldq import campaigns
 from waldq.campaigns import CAMPAIGN_TABLE, CAMPAIGNS, ConfigInvalid, SessionConfig, plan
@@ -57,3 +58,19 @@ def test_unknown_campaign_is_config_invalid():
 def test_boolean_fields_are_config_invalid(field, flag):
     with pytest.raises(ConfigInvalid, match=field):
         SessionConfig(**{field: flag}).validate()
+
+
+@pytest.mark.parametrize(
+    "width, shards",
+    # the whole width-3 cube, and the q=3 sweep's shards whose first entry
+    # is 0, the unit 2 + t and t^3
+    [(3, range(27)), (4, (0, 5, 27))],
+)
+def test_exhaustive_cell_matches_certify_first_loop(width, shards):
+    # val(det) <= vmax is tested before certifying; the counts, n_skip
+    # included, are those of certifying every form first
+    for shard in shards:
+        row = campaigns._cell_quad_exhaustive("x", 3, shard, width, 3, 8, 4)
+        n_ok, checked, n_skip = oracles.quad_exhaustive_counts(3, shard, width, 3, 8, 4)
+        assert row["computed"] == f"{n_ok}/{checked} certified, {n_skip} undetermined"
+        assert row["expected"] == f"{checked}/{checked} certified, {n_skip} undetermined"

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from waldq.hecke import (
     HeckeElement,
     ZeroEigenvalue,
@@ -180,6 +183,27 @@ class TestSchur:
             schur_gl2((0, 1), 2, 3)
         with pytest.raises(ZeroEigenvalue):
             schur_gl2((1, 0), 0, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 9),
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        st.one_of(
+            st.none(), st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+        ),
+    )
+    def test_integer_sum_matches_fraction_powers(self, n, a2, e1, e2):
+        # e2 = None stands for e2 == e1, the degenerate case
+        e2 = e1 if e2 is None else e2
+        got = schur_gl2((a2 + n, a2), e1, e2)
+        assert type(got) is Fraction
+        assert got == oracles.schur_gl2_naive((a2 + n, a2), e1, e2)
+        with pytest.raises(ValueError):
+            schur_gl2((a2, a2 + n + 1), e1, e2)
+        for zero in ((0, e2), (e1, 0)):
+            with pytest.raises(ZeroEigenvalue):
+                schur_gl2((a2 + n, a2), *zero)
 
 
 class TestCentralNormalize:

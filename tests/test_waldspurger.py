@@ -326,6 +326,38 @@ class TestEigenCheck:
         with pytest.raises(ValueError):
             model.eigen_check(3, 2, ram)
 
+    def test_matches_the_symbolic_route(self, rng):
+        # the whole result dict against the check run over LaurentScalars
+        def draw():
+            return Fraction(rng.choice((-9, -5, -4, -3, -2, -1, 1, 2, 3, 5, 7)), rng.randint(1, 9))
+
+        for kind, names in (
+            (EtaleKind.SPLIT, ("alpha", "beta")),
+            (EtaleKind.RAMIFIED, ("gamma",)),
+        ):
+            for q in (3, 5, 7):
+                model = WaldModel(q, kind)
+                for depth in range(2, 8):
+                    assignment = {n: draw() for n in names}
+                    params = CharacterParams(kind, symbolic=False, assignment=assignment)
+                    e1 = draw()
+                    want = oracles.eigen_check_symbolic(model, depth, e1, params)
+                    assert model.eigen_check(depth, e1, params) == want
+
+    def test_window_past_the_required_one(self):
+        # alpha*beta = -4 and e1 = 2 give e2 = -e1, so every odd h_n vanishes:
+        # at even depth both sides agree through degree depth, not depth-1
+        params = CharacterParams(
+            EtaleKind.SPLIT, symbolic=False, assignment={"alpha": -4, "beta": 1}
+        )
+        model = WaldModel(3, EtaleKind.SPLIT)
+        for depth in range(2, 8):
+            out = model.eigen_check(depth, 2, params)
+            assert out == oracles.eigen_check_symbolic(model, depth, 2, params)
+            assert out["e2"] == "-2"
+            assert out["window"] == (depth if depth % 2 == 0 else depth - 1)
+            assert out["pass"]
+
     def test_ramified_needs_r_or_even_powers(self):
         # gamma assignments keep everything rational: chi_c = gamma^2
         q = 3
