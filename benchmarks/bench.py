@@ -8,7 +8,8 @@ Run from the repository root:
     python3 benchmarks/bench.py --label counts --entry after --against ../old --only counts-q3 counts-q5
 
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
-(``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``), after compiling TREE's
+(``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``, which keeps an older tree
+with a built compiled extension on its pure kernels), after compiling TREE's
 bytecode, so that no run pays for compiling stale or missing ``.pyc`` files.
 Per config the entry records the median and every wall time, the median and
 every ``run_s`` (the time the child spends inside ``wald_main``, without
@@ -21,7 +22,9 @@ commit, Python and the machine, and is stored under its name in
 ``BENCH_<label>.json`` at the repository root; other entries in that file
 are kept.  ``--only NAME ...`` runs just the named configs (an unknown name
 exits 2), so a change that cannot touch the q=3 sweep need not wait for it.
-Nothing here asserts a timing.
+A tree that is not a git checkout (``--against`` always, ``--tree`` unless
+``--commit`` names its commit) exits 2 before anything runs, so every entry
+names its commit.  Nothing here asserts a timing.
 
 Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
@@ -192,9 +195,14 @@ def main():
         ap.error(f"unknown config {', '.join(unknown)}; known: {', '.join(CONFIGS)}")
     trees = [args.tree.resolve()]
     entries = [args.entry]
+    # every entry must name the commit it measured
+    if args.commit is None and commit_of(trees[0]) is None:
+        ap.error(f"--tree {args.tree} is not a git checkout; name its commit with --commit")
     if args.against:
         if args.entry == "before":
             ap.error("--against stores its tree as 'before'; name --entry otherwise")
+        if commit_of(args.against.resolve()) is None:
+            ap.error(f"--against {args.against} is not a git checkout")
         trees.insert(0, args.against.resolve())
         entries.insert(0, "before")
     for tree in trees:

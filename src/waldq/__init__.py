@@ -5,9 +5,9 @@ arithmetic end to end: canonical lattice triples and relative positions,
 torus-orbit invariants for the split and ramified quadratic algebras, the
 spherical convolution algebra and its triangular basis, the equivariant
 function module with symbolic character values, and the classification of
-symmetric forms over the ring.  A Cython kernel accelerates the inner
-enumeration loops; a pure-Python twin keeps every result reproducible without
-a compiler (select with WALDQ_BACKEND=pure|fast).
+symmetric forms over the ring.  The inner loops are pure-Python kernels
+(``waldq._purekern``), bound by name in ``waldq.backend``; nothing needs a
+compiler.
 """
 
 from ._version import __version__

@@ -1,13 +1,12 @@
-"""Raw exact-arithmetic kernels (pure Python reference implementation).
+"""Raw exact-arithmetic kernels (pure Python).
 
 A *raw* Laurent polynomial over F_q is a pair ``(offset, coeffs)``: ``coeffs``
 is a tuple of ints in ``[0, q)`` whose first and last entries are nonzero, and
 the pair denotes ``sum(coeffs[i] * t**(offset + i))``.  Zero is ``(0, ())``.
 
 The batch kernels at the bottom (``rel_pos``, ``canon``, ``sublattices``,
-``sym_diag``, ``sym_normal_cert``) have a compiled twin in
-``waldq._fastkern`` with identical contracts; ``waldq.backend`` selects
-between the two at import time.  Everything here is exact: no global
+``sym_diag``, ``sym_normal_cert``) are what ``waldq.backend`` binds by
+name, and callers reach them through it.  Everything here is exact: no global
 truncation, and unit inverses are produced to an explicit finite precision
 that each caller derives from valuations.
 
@@ -20,8 +19,6 @@ keeps everything) and normalized once.  The form layer (``sym_diag``,
 from __future__ import annotations
 
 from itertools import product
-
-NAME = "pure"
 
 INF = 1 << 60  # valuation of the zero polynomial
 PZERO = (0, ())
@@ -203,7 +200,7 @@ def issquare(q, r):
 
 
 # ---------------------------------------------------------------------------
-# batch kernels (compiled twin: waldq._fastkern)
+# batch kernels (bound by name in waldq.backend)
 # ---------------------------------------------------------------------------
 
 

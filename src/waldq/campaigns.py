@@ -20,7 +20,20 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import backend
-from ._purekern import pdot, pneg, pnorm
+from ._purekern import (
+    PZERO,
+    issquare,
+    padd,
+    pconstmul,
+    pdot,
+    pinv_unit,
+    pneg,
+    pnorm,
+    pshift,
+    psqrt_unit,
+    ptrunc,
+    pval,
+)
 from ._version import __version__
 from .hecke import HeckeElement, convolve, satake_basis, to_satake
 from .lattice import Coweight, Lattice2, _member_count, position_count_formula
@@ -457,34 +470,127 @@ def _cell_quad_grid(cell, q, a, bexp, delta_name):
     return _row(cell, claim, expected, computed, "formula", ok)
 
 
-def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
-    """Certify every truncated symmetric form in one shard of the full cube.
+def _pivot(q, prec, piv):
+    """What every form pivoted on the diagonal entry ``piv`` shares:
+    ``(piv, val piv, its unit part's inverse mod t^prec, a memo for
+    _pivot_certs)``."""
+    vb = pval(piv)
+    return piv, vb, pinv_unit(q, pshift(piv, -vb), prec), {}
 
-    The shard fixes the coefficient code of the first diagonal entry; the two
-    remaining entries range over all q**width codes each.  Forms whose
-    determinant valuation exceeds vmax are undetermined at this truncation and
-    are skipped (the certificate needs val(det) strictly inside the data).
-    That is tested first, so only the forms counted get a certificate (vmax <
-    prec, and then its va + vb is val(det)): val(det) > vmax exactly when
-    e11 e22 and e12^2 agree mod t^(vmax+1), and both truncated products are
-    tabulated once per shard.
+
+def _pivot_certs(q, prec, check_prec, pivot, e12, others, ns):
+    """``sym_normal_cert(q, prec, check_prec, piv, e12, o, ns)`` for each ``o``
+    in ``others``, with ``pivot = _pivot(q, prec, piv)``.
+
+    Every form [[piv, e12], [e12, o]] must take ``sym_diag``'s diagonal pivot
+    route: val piv <= val e12 and val piv <= val o, with every entry in O
+    and below t^prec.  Then ``mh = -e12/piv`` and the certificate's A =
+    (mh, 1, u, 0) are fixed by the row (piv, e12), and so are ``mh e12`` and
+    ``x1 = mh piv + e12``.  Per form only the Schur complement ``t22 = o + mh
+    e12``, its valuation va and the check remain: ``eps``, ``w``, ``issq``
+    and the rescale ``u`` depend only on the unit part of ``t22`` mod
+    t^k (k = min(prec, check_prec), at least the residue), so they are
+    memoised in the pivot's dict.  The check mod t^check_prec is the one
+    ``sym_normal_cert`` makes.
+    """
+    piv, vb, uinv, memo = pivot
+    cp = check_prec
+    k = max(1, min(prec, cp))
+    one = (0, (1,))
+    mh = pneg(q, pdot(q, prec, ((pshift(e12, -vb), uinv),)))
+    mhe12 = pdot(q, max(prec, cp), ((mh, e12),))
+    x1 = pdot(q, cp, ((mh, piv), (e12, one)))
+    mhx1 = pdot(q, cp, ((x1, mh),))
+    out = []
+    for o in others:
+        s = padd(q, o, mhe12)
+        t22 = ptrunc(s, prec)
+        va = pval(t22)
+        if va + vb >= prec:
+            out.append(None)  # val(det) >= prec
+            continue
+        key = ptrunc(pshift(t22, -va), k)
+        hit = memo.get(key)
+        if hit is None:
+            eps = pinv_unit(q, key, prec)
+            w = pshift(pdot(q, prec + vb, ((piv, eps),)), -vb)
+            issq = 1 if issquare(q, w[1][0]) else 0
+            w0 = 1 if issq else ns
+            u = psqrt_unit(q, pconstmul(q, pinv_unit(q, w, k), w0), k)
+            hit = memo[key] = (eps, issq, w0, u)
+        eps, issq, w0, u = hit
+        m11 = pdot(q, cp, ((pdot(q, cp, ((mhx1, one), (s, one))), eps),))
+        m12 = pdot(q, cp, ((pdot(q, cp, ((x1, u),)), eps),))
+        m22 = pdot(q, cp, ((pdot(q, cp, ((pdot(q, cp, ((u, piv),)), u),)), eps),))
+        ok = int(
+            m11 == ptrunc((va, (1,)), cp)
+            and m12 == PZERO
+            and m22 == ptrunc((vb, (w0,)), cp)
+        )
+        out.append((va, vb, issq, ok))
+    return out
+
+
+def _shard_certs(q, shard, width, vmax, prec, check_prec):
+    """Per e12 of one sweep shard, in code order: the results for each e22.
+
+    The shard fixes the coefficient code of e11; e12 and e22 range over all
+    q**width codes (code c stands for the polynomial whose coefficients are
+    c's base-q digits; width <= prec).  A form whose determinant valuation
+    exceeds vmax (< prec) gets None, and every other one what
+    ``sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)`` returns.
+    val(det) > vmax exactly when e11 e22 and e12^2 agree mod t^(vmax+1), and
+    both truncated products are tabulated once per shard, so that is tested
+    before any certificate.
+
+    A form pivoted on e11 (val e11 <= val e12, val e22) is certified by
+    ``_pivot_certs`` with its (e11, e12) row; one pivoted on e22 (val e22 <
+    val e11, val e22 <= val e12) by the same helper on the mirrored form
+    [[e22, e12], [e12, e11]], whose certificate multiplies out to the same
+    matrices.  The rest (val e12 below both) go through
+    ``backend.sym_normal_cert``.
     """
     ns = least_nonsquare(q)
     cert = backend.sym_normal_cert
-    n_all = n_skip = n_ok = 0
-    # code c stands for the polynomial whose coefficients are c's base-q digits
     polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
-    e11 = polys[shard]
+    vals = [pval(p) for p in polys]
+    pivots = [_pivot(q, prec, p) if p[1] else None for p in polys]
+    e11, v11 = polys[shard], vals[shard]
     heads = [pdot(q, vmax + 1, ((e11, e22),)) for e22 in polys]
-    for e12 in polys:
+    for e12, v12 in zip(polys, vals):
         square = pdot(q, vmax + 1, ((e12, e12),))
-        for e22, head in zip(polys, heads):
-            n_all += 1
+        out = [None] * len(polys)
+        row = []
+        for j, (e22, v22, head) in enumerate(zip(polys, vals, heads)):
             if head == square:
-                n_skip += 1
                 continue
-            va, vb, _issq, ok = cert(q, prec, check_prec, e11, e12, e22, ns)
-            if ok and va >= vb >= 0:
+            if v11 <= v12 and v11 <= v22:
+                row.append(j)
+            elif v22 < v11 and v22 <= v12:
+                (out[j],) = _pivot_certs(q, prec, check_prec, pivots[j], e12, (e11,), ns)
+            else:
+                out[j] = cert(q, prec, check_prec, e11, e12, e22, ns)
+        if row:
+            certs = _pivot_certs(q, prec, check_prec, pivots[shard], e12, [polys[j] for j in row], ns)
+            for j, r in zip(row, certs):
+                out[j] = r
+        yield out
+
+
+def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
+    """Certify every truncated symmetric form in one shard of the full cube.
+
+    Forms whose determinant valuation exceeds vmax are undetermined at this
+    truncation and are skipped (the certificate needs val(det) strictly
+    inside the data); ``_shard_certs`` certifies the others.
+    """
+    n_all = n_skip = n_ok = 0
+    for certs in _shard_certs(q, shard, width, vmax, prec, check_prec):
+        for r in certs:
+            n_all += 1
+            if r is None:
+                n_skip += 1
+            elif r[3] and r[0] >= r[1] >= 0:
                 n_ok += 1
     checked = n_all - n_skip
     claim = (

@@ -74,3 +74,41 @@ def test_exhaustive_cell_matches_certify_first_loop(width, shards):
         n_ok, checked, n_skip = oracles.quad_exhaustive_counts(3, shard, width, 3, 8, 4)
         assert row["computed"] == f"{n_ok}/{checked} certified, {n_skip} undetermined"
         assert row["expected"] == f"{checked}/{checked} certified, {n_skip} undetermined"
+
+
+def _shard_oracle(q, width, shard, vmax, prec, check_prec):
+    """Per (e12, e22) of the shard: sym_normal_cert's result, or None when
+    the form's val(det) exceeds vmax (or reaches prec)."""
+    from waldq._purekern import pnorm, sym_normal_cert
+    from waldq.quadform import least_nonsquare
+
+    ns = least_nonsquare(q)
+    polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
+    out = []
+    for e12 in polys:
+        for e22 in polys:
+            r = sym_normal_cert(q, prec, check_prec, polys[shard], e12, e22, ns)
+            out.append(None if r is None or r[0] + r[1] > vmax else r)
+    return out
+
+
+@pytest.mark.parametrize(
+    "q, width, shards, vmax, prec, check_prec",
+    [
+        # every form of the width-3 cube that has a certificate at all
+        (3, 3, range(27), 7, 8, 4),
+        # the sweep's shards whose first entry is 0, t, 2 + t, t^2, t^3 and
+        # 1 + t + t^2 + t^3: val e11 = 0..3 and both pivot routes
+        (3, 4, (0, 3, 5, 9, 27, 40), 3, 8, 4),
+        # check precisions below, at and above the precision: above it the
+        # certificate often fails, and ok must still agree
+        *((3, 2, range(9), prec - 1, prec, cp) for prec in (2, 4) for cp in (1, prec, prec + 2)),
+        (5, 2, (0, 1, 5, 7), 2, 3, 4),
+    ],
+)
+def test_shard_certs_match_sym_normal_cert(q, width, shards, vmax, prec, check_prec):
+    # the hoisted sweep loop against the per-form kernel, form by form: a
+    # count alone would not see a check that always passes
+    for shard in shards:
+        got = [r for row in campaigns._shard_certs(q, shard, width, vmax, prec, check_prec) for r in row]
+        assert got == _shard_oracle(q, width, shard, vmax, prec, check_prec), shard

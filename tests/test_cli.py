@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from waldq import backend
 from waldq.cli import hecke_main, quadform_main, wald_main
 from waldq.hecke import HeckeElement, convolve
 from waldq.lattice import Coweight
@@ -170,20 +169,6 @@ class TestDeterminism:
         claims1 = [l["claim"] for l in parse_ndjson(out1) if l["type"] == "cell"]
         claims2 = [l["claim"] for l in parse_ndjson(out2) if l["type"] == "cell"]
         assert claims1 != claims2
-
-    def test_backend_does_not_change_cells(self, capsys, fast_backend):
-        argv = ("counts", "--dmax", "3", "--seed", "3")
-        try:
-            backend.use("pure")
-            _, out_pure, _ = run_wald(capsys, *argv)
-            backend.use("fast")
-            _, out_fast, _ = run_wald(capsys, *argv)
-        finally:
-            backend.use(backend.available()[-1])
-        strip = lambda text: [
-            l for l in parse_ndjson(text) if l["type"] != "header"
-        ]
-        assert strip(out_pure) == strip(out_fast)
 
 
 class TestEnvOverrides:
