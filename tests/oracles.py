@@ -383,25 +383,29 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
 # -- exhaustive form sweep -----------------------------------------------------
 
 
-def quad_exhaustive_counts(q, shard, width, vmax, prec, check_prec):
-    """(n_ok, checked, n_skip) of one sweep shard, certifying every form first.
+def quad_shard_certs(q, shard, width, vmax, prec, check_prec):
+    """Per (e12, e22) of one sweep shard, certifying every form first.
 
-    Every form gets ``sym_normal_cert``; those it refuses (val(det) >= prec)
-    and those whose va + vb exceeds vmax are then counted as undetermined.
+    Every form gets ``sym_normal_cert``; the result stands, or None where the
+    kernel refuses the form (val(det) >= prec) or its va + vb exceeds vmax.
     """
     from waldq._purekern import pnorm, sym_normal_cert
     from waldq.quadform import least_nonsquare
 
     ns = least_nonsquare(q)
-    n_all = n_skip = n_ok = 0
     polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
     e11 = polys[shard]
+    out = []
     for e12 in polys:
         for e22 in polys:
-            n_all += 1
-            out = sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)
-            if out is None or out[0] + out[1] > vmax:
-                n_skip += 1
-            elif out[3] and out[0] >= out[1] >= 0:
-                n_ok += 1
-    return n_ok, n_all - n_skip, n_skip
+            r = sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)
+            out.append(None if r is None or r[0] + r[1] > vmax else r)
+    return out
+
+
+def quad_exhaustive_counts(q, shard, width, vmax, prec, check_prec):
+    """(n_ok, checked, n_skip) of one sweep shard, certifying every form first."""
+    certs = quad_shard_certs(q, shard, width, vmax, prec, check_prec)
+    n_skip = certs.count(None)
+    n_ok = sum(1 for r in certs if r is not None and r[3] and r[0] >= r[1] >= 0)
+    return n_ok, len(certs) - n_skip, n_skip

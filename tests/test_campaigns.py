@@ -76,22 +76,6 @@ def test_exhaustive_cell_matches_certify_first_loop(width, shards):
         assert row["expected"] == f"{checked}/{checked} certified, {n_skip} undetermined"
 
 
-def _shard_oracle(q, width, shard, vmax, prec, check_prec):
-    """Per (e12, e22) of the shard: sym_normal_cert's result, or None when
-    the form's val(det) exceeds vmax (or reaches prec)."""
-    from waldq._purekern import pnorm, sym_normal_cert
-    from waldq.quadform import least_nonsquare
-
-    ns = least_nonsquare(q)
-    polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
-    out = []
-    for e12 in polys:
-        for e22 in polys:
-            r = sym_normal_cert(q, prec, check_prec, polys[shard], e12, e22, ns)
-            out.append(None if r is None or r[0] + r[1] > vmax else r)
-    return out
-
-
 @pytest.mark.parametrize(
     "q, width, shards, vmax, prec, check_prec",
     [
@@ -111,4 +95,4 @@ def test_shard_certs_match_sym_normal_cert(q, width, shards, vmax, prec, check_p
     # count alone would not see a check that always passes
     for shard in shards:
         got = [r for row in campaigns._shard_certs(q, shard, width, vmax, prec, check_prec) for r in row]
-        assert got == _shard_oracle(q, width, shard, vmax, prec, check_prec), shard
+        assert got == oracles.quad_shard_certs(q, shard, width, vmax, prec, check_prec), shard
