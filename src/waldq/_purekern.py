@@ -13,7 +13,13 @@ that each caller derives from valuations.
 ``pmul`` is the exact product.  ``pdot(q, prec, pairs)`` is the fused one:
 the sum of the products of raw pairs, truncated below ``t^prec`` (``INF``
 keeps everything) and normalized once.  The form layer (``sym_diag``,
-``sym_normal_cert``, ``quadform.SymMatrixO``) builds every product with it.
+``pivot_certs``, ``quadform.SymMatrixO``) builds every product with it.
+
+``pivot_certs`` is the one form certificate.  It certifies every form of a
+row ``(piv, e12)`` that pivots on ``piv``, sharing the row's work, and reads
+what one pivot's forms share from ``pivot(q, prec, piv)``.
+``sym_normal_cert`` runs it on a single form, and the exhaustive form sweep
+(``campaigns._shard_certs``) on whole rows.
 """
 
 from __future__ import annotations
@@ -329,39 +335,87 @@ def sym_diag(q, prec, b11, b12, b22):
     return (va, vb, w, A, eps)
 
 
+def pivot(q, prec, piv):
+    """What every form pivoted on the diagonal entry ``piv`` shares:
+    ``(piv, piv mod t^prec, its valuation, the inverse of its unit part mod
+    t^prec, a memo for pivot_certs)``."""
+    tpiv = ptrunc(piv, prec)
+    vb = pval(tpiv)
+    return piv, tpiv, vb, pinv_unit(q, pshift(tpiv, -vb), prec), {}
+
+
+def pivot_certs(q, prec, check_prec, pv, e12, others, ns):
+    """``sym_normal_cert(q, prec, check_prec, piv, e12, o, ns)`` for each ``o``
+    in ``others``, with ``pv = pivot(q, prec, piv)``.
+
+    Every form [[piv, e12], [e12, o]] must take ``sym_diag``'s diagonal pivot
+    route: val piv <= val e12 and val piv <= val o mod t^prec, with every
+    entry in O.  As in ``sym_diag``, the pivot data are read mod t^prec:
+    ``mh = -e12/piv`` and the certificate's A = (mh, 1, u, 0) are fixed by
+    the row (piv, e12), and so are ``mh e12`` and ``x1 = mh piv + e12``.  Per
+    form only the Schur complement ``t22 = o + mh e12``, its valuation va and
+    the check remain: ``eps``, ``w``, ``issq`` and the rescale ``u`` depend
+    only on the unit part of ``t22`` mod t^k (k = min(prec, check_prec), at
+    least the residue), so they are memoised in the pivot's dict.  The check
+    multiplies the exact entries and compares A B A^t eps with
+    diag(t^va, t^vb * w0) mod t^check_prec.
+    """
+    piv, tpiv, vb, uinv, memo = pv
+    cp = check_prec
+    k = max(1, min(prec, cp))
+    one = (0, (1,))
+    mh = pneg(q, pdot(q, prec, ((pshift(ptrunc(e12, prec), -vb), uinv),)))
+    mhe12 = pdot(q, max(prec, cp), ((mh, e12),))
+    x1 = pdot(q, cp, ((mh, piv), (e12, one)))
+    mhx1 = pdot(q, cp, ((x1, mh),))
+    out = []
+    for o in others:
+        s = padd(q, o, mhe12)
+        t22 = ptrunc(s, prec)
+        va = pval(t22)
+        if va + vb >= prec:
+            out.append(None)  # val(det) >= prec
+            continue
+        key = ptrunc(pshift(t22, -va), k)
+        hit = memo.get(key)
+        if hit is None:
+            eps = pinv_unit(q, key, prec)
+            w = pshift(pdot(q, prec + vb, ((tpiv, eps),)), -vb)
+            issq = 1 if issquare(q, w[1][0]) else 0
+            w0 = 1 if issq else ns
+            u = psqrt_unit(q, pconstmul(q, pinv_unit(q, w, k), w0), k)
+            hit = memo[key] = (eps, issq, w0, u)
+        eps, issq, w0, u = hit
+        m11 = pdot(q, cp, ((pdot(q, cp, ((mhx1, one), (s, one))), eps),))
+        m12 = pdot(q, cp, ((pdot(q, cp, ((x1, u),)), eps),))
+        m22 = pdot(q, cp, ((pdot(q, cp, ((pdot(q, cp, ((u, piv),)), u),)), eps),))
+        ok = int(
+            m11 == ptrunc((va, (1,)), cp)
+            and m12 == PZERO
+            and m22 == ptrunc((vb, (w0,)), cp)
+        )
+        out.append((va, vb, issq, ok))
+    return out
+
+
 def sym_normal_cert(q, prec, check_prec, b11, b12, b22, ns):
     """Transport a symmetric matrix to its literal normal form and verify.
 
     Returns (va, vb, issq, ok) or None when val(det) >= prec.  The normal form
     is diag(t^va, t^vb * w0) with w0 = 1 for square class, w0 = ns otherwise;
     ok reports whether the certificate A, eps reproduces it mod t^check_prec
-    when multiplied out against the original matrix.
+    when multiplied out against the original matrix.  The matrix takes
+    ``sym_diag``'s route to a diagonal pivot on the exact entries, e1 += e2
+    or the swap, both unimodular, and ``pivot_certs`` certifies the result.
     """
-    r = sym_diag(q, prec, b11, b12, b22)
-    if r is None:
-        return None
-    va, vb, w, A, eps = r
-    res = w[1][0]
-    issq = 1 if issquare(q, res) else 0
-    w0 = 1 if issq else ns
-    # rescale the second row of A by u = sqrt(w0 / w).  Everything lies in O,
-    # so the check below needs every factor only mod t^check_prec
-    cp = check_prec
-    p = min(prec, cp)
-    u = psqrt_unit(q, pconstmul(q, pinv_unit(q, w, p), w0), p)
-    a11, a12, a21, a22 = A
-    a21, a22 = pdot(q, p, ((u, a21),)), pdot(q, p, ((u, a22),))
-    # verify A B A^t eps == diag(t^va, t^vb * w0) mod t^check_prec
-    x1 = pdot(q, cp, ((a11, b11), (a12, b12)))
-    x2 = pdot(q, cp, ((a11, b12), (a12, b22)))
-    y1 = pdot(q, cp, ((a21, b11), (a22, b12)))
-    y2 = pdot(q, cp, ((a21, b12), (a22, b22)))
-    m11 = pdot(q, cp, ((pdot(q, cp, ((x1, a11), (x2, a12))), eps),))
-    m12 = pdot(q, cp, ((pdot(q, cp, ((x1, a21), (x2, a22))), eps),))
-    m22 = pdot(q, cp, ((pdot(q, cp, ((y1, a21), (y2, a22))), eps),))
-    ok = int(
-        m11 == ptrunc((va, (1,)), cp)
-        and m12 == PZERO
-        and m22 == ptrunc((vb, (w0,)), cp)
-    )
-    return (va, vb, issq, ok)
+    if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
+        return None  # val(det) >= prec, or det == 0
+    v11, v12, v22 = (pval(ptrunc(b, prec)) for b in (b11, b12, b22))
+    if v12 < v11 and v12 < v22:
+        # val(b11 + 2 b12 + b22) = v12 < v22, so no swap follows
+        one, two = pconst(q, 1), pconst(q, 2)
+        b11 = pdot(q, INF, ((b11, one), (b12, two), (b22, one)))
+        b12 = padd(q, b12, b22)
+    elif v22 < v11:
+        b11, b22 = b22, b11
+    return pivot_certs(q, prec, check_prec, pivot(q, prec, b11), b12, (b22,), ns)[0]

@@ -20,20 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import backend
-from ._purekern import (
-    PZERO,
-    issquare,
-    padd,
-    pconstmul,
-    pdot,
-    pinv_unit,
-    pneg,
-    pnorm,
-    pshift,
-    psqrt_unit,
-    ptrunc,
-    pval,
-)
+from ._purekern import pdot, pivot, pivot_certs, pneg, pnorm, pval
 from ._version import __version__
 from .hecke import HeckeElement, convolve, satake_basis, to_satake
 from .lattice import Coweight, Lattice2, _member_count, position_count_formula
@@ -470,67 +457,6 @@ def _cell_quad_grid(cell, q, a, bexp, delta_name):
     return _row(cell, claim, expected, computed, "formula", ok)
 
 
-def _pivot(q, prec, piv):
-    """What every form pivoted on the diagonal entry ``piv`` shares:
-    ``(piv, val piv, its unit part's inverse mod t^prec, a memo for
-    _pivot_certs)``."""
-    vb = pval(piv)
-    return piv, vb, pinv_unit(q, pshift(piv, -vb), prec), {}
-
-
-def _pivot_certs(q, prec, check_prec, pivot, e12, others, ns):
-    """``sym_normal_cert(q, prec, check_prec, piv, e12, o, ns)`` for each ``o``
-    in ``others``, with ``pivot = _pivot(q, prec, piv)``.
-
-    Every form [[piv, e12], [e12, o]] must take ``sym_diag``'s diagonal pivot
-    route: val piv <= val e12 and val piv <= val o, with every entry in O
-    and below t^prec.  Then ``mh = -e12/piv`` and the certificate's A =
-    (mh, 1, u, 0) are fixed by the row (piv, e12), and so are ``mh e12`` and
-    ``x1 = mh piv + e12``.  Per form only the Schur complement ``t22 = o + mh
-    e12``, its valuation va and the check remain: ``eps``, ``w``, ``issq``
-    and the rescale ``u`` depend only on the unit part of ``t22`` mod
-    t^k (k = min(prec, check_prec), at least the residue), so they are
-    memoised in the pivot's dict.  The check mod t^check_prec is the one
-    ``sym_normal_cert`` makes.
-    """
-    piv, vb, uinv, memo = pivot
-    cp = check_prec
-    k = max(1, min(prec, cp))
-    one = (0, (1,))
-    mh = pneg(q, pdot(q, prec, ((pshift(e12, -vb), uinv),)))
-    mhe12 = pdot(q, max(prec, cp), ((mh, e12),))
-    x1 = pdot(q, cp, ((mh, piv), (e12, one)))
-    mhx1 = pdot(q, cp, ((x1, mh),))
-    out = []
-    for o in others:
-        s = padd(q, o, mhe12)
-        t22 = ptrunc(s, prec)
-        va = pval(t22)
-        if va + vb >= prec:
-            out.append(None)  # val(det) >= prec
-            continue
-        key = ptrunc(pshift(t22, -va), k)
-        hit = memo.get(key)
-        if hit is None:
-            eps = pinv_unit(q, key, prec)
-            w = pshift(pdot(q, prec + vb, ((piv, eps),)), -vb)
-            issq = 1 if issquare(q, w[1][0]) else 0
-            w0 = 1 if issq else ns
-            u = psqrt_unit(q, pconstmul(q, pinv_unit(q, w, k), w0), k)
-            hit = memo[key] = (eps, issq, w0, u)
-        eps, issq, w0, u = hit
-        m11 = pdot(q, cp, ((pdot(q, cp, ((mhx1, one), (s, one))), eps),))
-        m12 = pdot(q, cp, ((pdot(q, cp, ((x1, u),)), eps),))
-        m22 = pdot(q, cp, ((pdot(q, cp, ((pdot(q, cp, ((u, piv),)), u),)), eps),))
-        ok = int(
-            m11 == ptrunc((va, (1,)), cp)
-            and m12 == PZERO
-            and m22 == ptrunc((vb, (w0,)), cp)
-        )
-        out.append((va, vb, issq, ok))
-    return out
-
-
 def _shard_certs(q, shard, width, vmax, prec, check_prec):
     """Per e12 of one sweep shard, in code order: the results for each e22.
 
@@ -544,17 +470,18 @@ def _shard_certs(q, shard, width, vmax, prec, check_prec):
     before any certificate.
 
     A form pivoted on e11 (val e11 <= val e12, val e22) is certified by
-    ``_pivot_certs`` with its (e11, e12) row; one pivoted on e22 (val e22 <
-    val e11, val e22 <= val e12) by the same helper on the mirrored form
-    [[e22, e12], [e12, e11]], whose certificate multiplies out to the same
-    matrices.  The rest (val e12 below both) go through
-    ``backend.sym_normal_cert``.
+    ``_purekern.pivot_certs`` with its (e11, e12) row, so the row's work is
+    shared by all q**width forms in it; one pivoted on e22 (val e22 < val
+    e11, val e22 <= val e12) by the same routine on the mirrored form
+    [[e22, e12], [e12, e11]], which is what ``sym_normal_cert`` certifies
+    after its swap.  The rest (val e12 below both) go through
+    ``backend.sym_normal_cert``, which runs the same routine after e1 += e2.
     """
     ns = least_nonsquare(q)
     cert = backend.sym_normal_cert
     polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
     vals = [pval(p) for p in polys]
-    pivots = [_pivot(q, prec, p) if p[1] else None for p in polys]
+    pivots = [pivot(q, prec, p) if p[1] else None for p in polys]
     e11, v11 = polys[shard], vals[shard]
     heads = [pdot(q, vmax + 1, ((e11, e22),)) for e22 in polys]
     for e12, v12 in zip(polys, vals):
@@ -567,11 +494,11 @@ def _shard_certs(q, shard, width, vmax, prec, check_prec):
             if v11 <= v12 and v11 <= v22:
                 row.append(j)
             elif v22 < v11 and v22 <= v12:
-                (out[j],) = _pivot_certs(q, prec, check_prec, pivots[j], e12, (e11,), ns)
+                (out[j],) = pivot_certs(q, prec, check_prec, pivots[j], e12, (e11,), ns)
             else:
                 out[j] = cert(q, prec, check_prec, e11, e12, e22, ns)
         if row:
-            certs = _pivot_certs(q, prec, check_prec, pivots[shard], e12, [polys[j] for j in row], ns)
+            certs = pivot_certs(q, prec, check_prec, pivots[shard], e12, [polys[j] for j in row], ns)
             for j, r in zip(row, certs):
                 out[j] = r
         yield out

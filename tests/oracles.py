@@ -3,12 +3,32 @@
 Everything here is deliberately written from scratch against different
 representations than the package uses: dense dict polynomials, row-reduced
 subspace enumeration over F_q, and direct projective scans.  Slow and simple
-beats fast and shared when the point is to catch the library lying.
+beats fast and shared when the point is to catch the library lying.  The form
+references multiply the general certificate ``A B A^t eps`` out with the
+package's exact raw-poly primitives, and share no code with its form kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from waldq._purekern import (
+    PZERO,
+    issquare,
+    padd,
+    pconst,
+    pconstmul,
+    pinv_unit,
+    pmul,
+    pneg,
+    pnorm,
+    pshift,
+    psqrt_unit,
+    psub,
+    ptrunc,
+    pval,
+)
+from waldq.quadform import least_nonsquare
 
 
 # -- dict-based Laurent polynomial arithmetic ---------------------------------
@@ -380,25 +400,104 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
     }
 
 
+# -- symmetric forms: diagonalization and certificate ----------------------------
+
+
+def _sym_apply_reference(q, prec, e11, e12, e21, e22, t11, t12, t22, A):
+    # T <- E T E^t, A <- E A, everything truncated mod t^prec
+    x1 = padd(q, pmul(q, e11, t11), pmul(q, e12, t12))
+    x2 = padd(q, pmul(q, e11, t12), pmul(q, e12, t22))
+    y1 = padd(q, pmul(q, e21, t11), pmul(q, e22, t12))
+    y2 = padd(q, pmul(q, e21, t12), pmul(q, e22, t22))
+    n11 = ptrunc(padd(q, pmul(q, x1, e11), pmul(q, x2, e12)), prec)
+    n12 = ptrunc(padd(q, pmul(q, x1, e21), pmul(q, x2, e22)), prec)
+    n22 = ptrunc(padd(q, pmul(q, y1, e21), pmul(q, y2, e22)), prec)
+    a11, a12, a21, a22 = A
+    nA = (
+        ptrunc(padd(q, pmul(q, e11, a11), pmul(q, e12, a21)), prec),
+        ptrunc(padd(q, pmul(q, e11, a12), pmul(q, e12, a22)), prec),
+        ptrunc(padd(q, pmul(q, e21, a11), pmul(q, e22, a21)), prec),
+        ptrunc(padd(q, pmul(q, e21, a12), pmul(q, e22, a22)), prec),
+    )
+    return n11, n12, n22, nA
+
+
+def sym_diag_reference(q, prec, b11, b12, b22):
+    """Diagonalization by generic elementary-matrix updates and exact products."""
+    det = psub(q, pmul(q, b11, b22), pmul(q, b12, b12))
+    if not det[1] or pval(det) >= prec:
+        return None
+    one, zero = pconst(q, 1), PZERO
+    t11, t12, t22 = ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
+    A = (one, zero, zero, one)
+    v11, v12, v22 = pval(t11), pval(t12), pval(t22)
+    if v12 < v11 and v12 < v22:
+        t11, t12, t22, A = _sym_apply_reference(
+            q, prec, one, one, zero, one, t11, t12, t22, A
+        )
+    if pval(t22) < pval(t11):
+        t11, t22 = t22, t11
+        A = (A[2], A[3], A[0], A[1])
+    vb = pval(t11)
+    if t12[1]:
+        uinv = pinv_unit(q, pshift(t11, -vb), prec)
+        h = ptrunc(pmul(q, pshift(t12, -vb), uinv), prec)
+        t11, t12, t22, A = _sym_apply_reference(
+            q, prec, one, zero, pneg(q, h), one, t11, t12, t22, A
+        )
+    va = pval(t22)
+    t11, t22 = t22, t11
+    A = (A[2], A[3], A[0], A[1])
+    eps = pinv_unit(q, pshift(t11, -va), prec)
+    w = ptrunc(pshift(pmul(q, t22, eps), -vb), prec)
+    return (va, vb, w, A, eps)
+
+
+def sym_normal_cert_reference(q, prec, check_prec, b11, b12, b22, ns):
+    """The certificate multiplied out exactly, truncated only for the comparison."""
+    r = sym_diag_reference(q, prec, b11, b12, b22)
+    if r is None:
+        return None
+    va, vb, w, A, eps = r
+    issq = 1 if issquare(q, w[1][0]) else 0
+    w0 = 1 if issq else ns
+    target = ptrunc(pconstmul(q, pinv_unit(q, w, prec), w0), prec)
+    u = psqrt_unit(q, target, prec)
+    a11, a12, a21, a22 = A
+    a21, a22 = ptrunc(pmul(q, u, a21), prec), ptrunc(pmul(q, u, a22), prec)
+    x1 = padd(q, pmul(q, a11, b11), pmul(q, a12, b12))
+    x2 = padd(q, pmul(q, a11, b12), pmul(q, a12, b22))
+    y1 = padd(q, pmul(q, a21, b11), pmul(q, a22, b12))
+    y2 = padd(q, pmul(q, a21, b12), pmul(q, a22, b22))
+    m11 = padd(q, pmul(q, x1, a11), pmul(q, x2, a12))
+    m12 = padd(q, pmul(q, x1, a21), pmul(q, x2, a22))
+    m22 = padd(q, pmul(q, y1, a21), pmul(q, y2, a22))
+    ok = 1
+    if ptrunc(pmul(q, m11, eps), check_prec) != ptrunc((va, (1,)), check_prec):
+        ok = 0
+    if ptrunc(pmul(q, m12, eps), check_prec) != PZERO:
+        ok = 0
+    if ptrunc(pmul(q, m22, eps), check_prec) != ptrunc((vb, (w0,)), check_prec):
+        ok = 0
+    return (va, vb, issq, ok)
+
+
 # -- exhaustive form sweep -----------------------------------------------------
 
 
 def quad_shard_certs(q, shard, width, vmax, prec, check_prec):
     """Per (e12, e22) of one sweep shard, certifying every form first.
 
-    Every form gets ``sym_normal_cert``; the result stands, or None where the
-    kernel refuses the form (val(det) >= prec) or its va + vb exceeds vmax.
+    Every form gets ``sym_normal_cert_reference``; the result stands, or None
+    where it refuses the form (val(det) >= prec) or its va + vb exceeds vmax.
     """
-    from waldq._purekern import pnorm, sym_normal_cert
-    from waldq.quadform import least_nonsquare
-
     ns = least_nonsquare(q)
     polys = [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
     e11 = polys[shard]
     out = []
     for e12 in polys:
         for e22 in polys:
-            r = sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)
+            r = sym_normal_cert_reference(q, prec, check_prec, e11, e12, e22, ns)
             out.append(None if r is None or r[0] + r[1] > vmax else r)
     return out
 

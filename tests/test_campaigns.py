@@ -91,8 +91,8 @@ def test_exhaustive_cell_matches_certify_first_loop(width, shards):
     ],
 )
 def test_shard_certs_match_sym_normal_cert(q, width, shards, vmax, prec, check_prec):
-    # the hoisted sweep loop against the per-form kernel, form by form: a
-    # count alone would not see a check that always passes
+    # the hoisted sweep loop against the per-form reference certificate,
+    # form by form: a count alone would not see a check that always passes
     for shard in shards:
         got = [r for row in campaigns._shard_certs(q, shard, width, vmax, prec, check_prec) for r in row]
         assert got == oracles.quad_shard_certs(q, shard, width, vmax, prec, check_prec), shard

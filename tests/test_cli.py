@@ -1,10 +1,11 @@
 """Command-line front ends: exit codes, report formats, determinism."""
 
 import json
+import time
 
 import pytest
 
-from waldq.cli import hecke_main, quadform_main, wald_main
+from waldq.cli import MAX_DET_VALUATION, hecke_main, quadform_main, wald_main
 from waldq.hecke import HeckeElement, convolve
 from waldq.lattice import Coweight
 from waldq.quadform import SymMatrixO, diagonalize
@@ -354,6 +355,19 @@ class TestQuadformCli:
         rc = quadform_main(["classify", "--matrix", mat, "--precision", "1000000000"])
         assert rc == 0
         assert capsys.readouterr().out == default
+
+    def test_huge_det_valuation_exits_2_at_once(self, capsys):
+        # the default precision would be about 2 * 10^9, and the inverses of
+        # the diagonalization lists that long
+        big = {"offset": 1000000000, "coeffs": [1]}
+        one = LaurentPoly.const(3, 1).to_json()
+        mat = json.dumps([[big, LaurentPoly.zero(3).to_json()], [LaurentPoly.zero(3).to_json(), one]])
+        start = time.perf_counter()
+        rc = quadform_main(["classify", "--matrix", mat])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"exceeds the limit {MAX_DET_VALUATION}" in err
 
     def test_nonpositive_precision_exits_2(self, capsys):
         mat = self.mat_json(3, {0: 1}, {}, {0: 1})

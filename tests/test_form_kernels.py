@@ -4,9 +4,11 @@
 ``t^prec``.  ``sym_diag`` makes its two elementary moves with it directly,
 ``sym_normal_cert`` verifies its certificate mod ``t^check_prec`` with it, and
 ``SymMatrixO`` computes its determinant once and ``congruent_by`` on raw pairs.
-The references here are the routes these replaced: ``pmul``/``padd``/``ptrunc``
-chains, a generic ``E T E^t`` update with 24 products per elementary matrix,
-exact certificate products truncated at the end, and ``LaurentPoly`` arithmetic.
+The references are the routes these replaced: ``pmul``/``padd``/``ptrunc``
+chains here, and in ``tests/oracles.py`` a generic ``E T E^t`` update with 24
+products per elementary matrix and the general certificate ``A B A^t eps``
+multiplied out exactly and truncated at the end; ``LaurentPoly`` arithmetic
+checks ``SymMatrixO``.
 """
 
 import copy
@@ -14,26 +16,19 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import sym_diag_reference, sym_normal_cert_reference
 from waldq._purekern import (
     INF,
     PZERO,
-    issquare,
     padd,
-    pconst,
-    pconstmul,
     pdot,
-    pinv_unit,
     pmul,
     pneg,
     pnorm,
-    pshift,
-    psqrt_unit,
-    psub,
     ptrunc,
-    pval,
     sym_diag,
     sym_normal_cert,
 )
@@ -41,85 +36,6 @@ from waldq.quadform import SymMatrixO, least_nonsquare
 from waldq.series import LaurentPoly
 
 QS = st.sampled_from([3, 5, 7])
-
-
-def _sym_apply_reference(q, prec, e11, e12, e21, e22, t11, t12, t22, A):
-    # T <- E T E^t, A <- E A, everything truncated mod t^prec
-    x1 = padd(q, pmul(q, e11, t11), pmul(q, e12, t12))
-    x2 = padd(q, pmul(q, e11, t12), pmul(q, e12, t22))
-    y1 = padd(q, pmul(q, e21, t11), pmul(q, e22, t12))
-    y2 = padd(q, pmul(q, e21, t12), pmul(q, e22, t22))
-    n11 = ptrunc(padd(q, pmul(q, x1, e11), pmul(q, x2, e12)), prec)
-    n12 = ptrunc(padd(q, pmul(q, x1, e21), pmul(q, x2, e22)), prec)
-    n22 = ptrunc(padd(q, pmul(q, y1, e21), pmul(q, y2, e22)), prec)
-    a11, a12, a21, a22 = A
-    nA = (
-        ptrunc(padd(q, pmul(q, e11, a11), pmul(q, e12, a21)), prec),
-        ptrunc(padd(q, pmul(q, e11, a12), pmul(q, e12, a22)), prec),
-        ptrunc(padd(q, pmul(q, e21, a11), pmul(q, e22, a21)), prec),
-        ptrunc(padd(q, pmul(q, e21, a12), pmul(q, e22, a22)), prec),
-    )
-    return n11, n12, n22, nA
-
-
-def sym_diag_reference(q, prec, b11, b12, b22):
-    """Diagonalization by generic elementary-matrix updates and exact products."""
-    det = psub(q, pmul(q, b11, b22), pmul(q, b12, b12))
-    if not det[1] or pval(det) >= prec:
-        return None
-    one, zero = pconst(q, 1), PZERO
-    t11, t12, t22 = ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
-    A = (one, zero, zero, one)
-    v11, v12, v22 = pval(t11), pval(t12), pval(t22)
-    if v12 < v11 and v12 < v22:
-        t11, t12, t22, A = _sym_apply_reference(
-            q, prec, one, one, zero, one, t11, t12, t22, A
-        )
-    if pval(t22) < pval(t11):
-        t11, t22 = t22, t11
-        A = (A[2], A[3], A[0], A[1])
-    vb = pval(t11)
-    if t12[1]:
-        uinv = pinv_unit(q, pshift(t11, -vb), prec)
-        h = ptrunc(pmul(q, pshift(t12, -vb), uinv), prec)
-        t11, t12, t22, A = _sym_apply_reference(
-            q, prec, one, zero, pneg(q, h), one, t11, t12, t22, A
-        )
-    va = pval(t22)
-    t11, t22 = t22, t11
-    A = (A[2], A[3], A[0], A[1])
-    eps = pinv_unit(q, pshift(t11, -va), prec)
-    w = ptrunc(pshift(pmul(q, t22, eps), -vb), prec)
-    return (va, vb, w, A, eps)
-
-
-def sym_normal_cert_reference(q, prec, check_prec, b11, b12, b22, ns):
-    """The certificate multiplied out exactly, truncated only for the comparison."""
-    r = sym_diag_reference(q, prec, b11, b12, b22)
-    if r is None:
-        return None
-    va, vb, w, A, eps = r
-    issq = 1 if issquare(q, w[1][0]) else 0
-    w0 = 1 if issq else ns
-    target = ptrunc(pconstmul(q, pinv_unit(q, w, prec), w0), prec)
-    u = psqrt_unit(q, target, prec)
-    a11, a12, a21, a22 = A
-    a21, a22 = ptrunc(pmul(q, u, a21), prec), ptrunc(pmul(q, u, a22), prec)
-    x1 = padd(q, pmul(q, a11, b11), pmul(q, a12, b12))
-    x2 = padd(q, pmul(q, a11, b12), pmul(q, a12, b22))
-    y1 = padd(q, pmul(q, a21, b11), pmul(q, a22, b12))
-    y2 = padd(q, pmul(q, a21, b12), pmul(q, a22, b22))
-    m11 = padd(q, pmul(q, x1, a11), pmul(q, x2, a12))
-    m12 = padd(q, pmul(q, x1, a21), pmul(q, x2, a22))
-    m22 = padd(q, pmul(q, y1, a21), pmul(q, y2, a22))
-    ok = 1
-    if ptrunc(pmul(q, m11, eps), check_prec) != ptrunc((va, (1,)), check_prec):
-        ok = 0
-    if ptrunc(pmul(q, m12, eps), check_prec) != PZERO:
-        ok = 0
-    if ptrunc(pmul(q, m22, eps), check_prec) != ptrunc((vb, (w0,)), check_prec):
-        ok = 0
-    return (va, vb, issq, ok)
 
 
 @st.composite
@@ -193,6 +109,11 @@ class TestSymKernels:
 
     @settings(max_examples=800, deadline=None)
     @given(form_cases())
+    # entries past t^prec with check_prec > prec: the certificate reads mh
+    # (first case) and w (second) mod t^prec, as sym_diag does, and only then
+    # agrees with the reference
+    @example((3, 5, 6, ((1, (1,)), (2, (1, 1, 1, 2)), (1, (1, 2)))))
+    @example((3, 3, 4, ((1, (1, 2, 1)), (0, ()), (1, (1, 2)))))
     def test_sym_normal_cert_matches_reference(self, case):
         q, prec, cp, b = case
         ns = least_nonsquare(q)
