@@ -15,11 +15,8 @@ the sum of the products of raw pairs, truncated below ``t^prec`` (``INF``
 keeps everything) and normalized once.  The form layer (``sym_diag``,
 ``pivot_certs``, ``quadform.SymMatrixO``) builds every product with it.
 
-``pivot_certs`` is the one form certificate.  It certifies every form of a
-row ``(piv, e12)`` that pivots on ``piv``, sharing the row's work, and reads
-what one pivot's forms share from ``pivot(q, prec, piv)``.
-``sym_normal_cert`` runs it on a single form, and the exhaustive form sweep
-(``campaigns._shard_certs``) on whole rows.
+``pivot_certs`` is the one form certificate: ``sym_normal_cert`` runs it on
+one form, and the form sweep (``campaigns._shard_certs``) on whole rows.
 """
 
 from __future__ import annotations

@@ -34,10 +34,10 @@ from .quadform import (
 )
 from .series import _check_q
 
-# ``quadform classify`` refuses a matrix whose determinant valuation exceeds
-# this: the default precision is twice it, and the unit inverses and square
-# roots of the diagonalization allocate lists that long.
+# ``quadform classify`` refuses a larger val(det): the default precision is
+# twice it, and the diagonalization's unit inverses allocate lists that long.
 MAX_DET_VALUATION = 10**5
+
 
 def _env(name):
     return os.environ.get("WALDQ_" + name)
@@ -220,9 +220,7 @@ def quadform_main(argv=None) -> int:
         args = parser.parse_args(argv)
         mat = SymMatrixO.from_json(args.q, json.loads(args.matrix))
         if mat.det_valuation > MAX_DET_VALUATION:
-            raise ValueError(
-                f"val(det) = {mat.det_valuation} exceeds the limit {MAX_DET_VALUATION}"
-            )
+            raise ValueError(f"val(det) = {mat.det_valuation} exceeds the limit {MAX_DET_VALUATION}")
         # the invariants are fixed once the precision exceeds val(det), which
         # the default precision does: a larger one only costs time and memory
         prec = args.precision

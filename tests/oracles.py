@@ -400,7 +400,7 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
     }
 
 
-# -- symmetric forms: diagonalization and certificate ----------------------------
+# -- symmetric forms: diagonalization and certificate --------------------------
 
 
 def _sym_apply_reference(q, prec, e11, e12, e21, e22, t11, t12, t22, A):

@@ -360,8 +360,8 @@ class TestQuadformCli:
         # the default precision would be about 2 * 10^9, and the inverses of
         # the diagonalization lists that long
         big = {"offset": 1000000000, "coeffs": [1]}
-        one = LaurentPoly.const(3, 1).to_json()
-        mat = json.dumps([[big, LaurentPoly.zero(3).to_json()], [LaurentPoly.zero(3).to_json(), one]])
+        zero, one = LaurentPoly.zero(3).to_json(), LaurentPoly.const(3, 1).to_json()
+        mat = json.dumps([[big, zero], [zero, one]])
         start = time.perf_counter()
         rc = quadform_main(["classify", "--matrix", mat])
         assert time.perf_counter() - start < 1.0
