@@ -15,6 +15,9 @@ the sum of the products of raw pairs, truncated below ``t^prec`` (``INF``
 keeps everything) and normalized once.  The form layer (``sym_diag``,
 ``pivot_certs``, ``quadform.SymMatrixO``) builds every product with it.
 
+The form kernels share one route to a diagonal pivot (``route``: e1 += e2,
+the swap, or none) and one pivot step that clears slot 12 (``_mh``,
+``_t22``, ``_eps_w``); ``sym_diag`` returns its A and eps.
 ``pivot_certs`` is the one form certificate: ``sym_normal_cert`` runs it on
 one form, and the form sweep (``campaigns._shard_certs``) on whole rows.
 """
@@ -25,6 +28,7 @@ from itertools import product
 
 INF = 1 << 60  # valuation of the zero polynomial
 PZERO = (0, ())
+PONE = (0, (1,))
 
 
 def pnorm(q, off, co):
@@ -284,52 +288,27 @@ def sublattices(q, a, b, c, n):
     return out
 
 
-def sym_diag(q, prec, b11, b12, b22):
-    """Diagonalize a symmetric O-matrix under B -> E B E^t, mod t^prec.
+STAY, SWAP, ADD = range(3)
 
-    The entries must lie in O (valuation >= 0).  Requires val(det) < prec
-    (returns None otherwise).  Returns (va, vb, w, A, eps) with va >= vb, A
-    unimodular (a product of elementary matrices), eps a unit, and
-    A B A^t eps == diag(t^va, t^vb * w) mod t^prec, where w is a unit
-    polynomial.  q must be odd: the off-diagonal pivot step adds the two basis
-    vectors and relies on 2 != 0.
-    """
-    if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
-        return None  # val(det) >= prec, or det == 0
-    one, two, zero = pconst(q, 1), pconst(q, 2), PZERO
-    t11, t12, t22 = ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
-    A = (one, zero, zero, one)
-    v11, v12, v22 = pval(t11), pval(t12), pval(t22)
+
+def route(v11, v12, v22):
+    """The move to a diagonal pivot, from the entries' valuations mod t^prec:
+    ADD (e1 += e2) when v12 is below both diagonal ones, else SWAP when
+    v22 < v11, else STAY.  After ADD, val e11 = v12 < v22 (q is odd)."""
     if v12 < v11 and v12 < v22:
-        # min val sits strictly off-diagonal: e1 += e2 moves it to slot 11
-        t11 = pdot(q, prec, ((t11, one), (t12, two), (t22, one)))
-        t12 = padd(q, t12, t22)
-        A = (one, one, zero, one)
-    if pval(t22) < pval(t11):
-        t11, t22 = t22, t11
-        A = (A[2], A[3], A[0], A[1])
-    vb = pval(t11)
-    if t12[1]:
-        # e2 -= h e1 with h = t12 / t11 mod t^prec clears slot 12.  Since
-        # h t11 == t12 mod t^prec, the new slot 22 t22 - 2 h t12 + h^2 t11 is
-        # t22 - h t12; slot 12 is never read again.
-        uinv = pinv_unit(q, pshift(t11, -vb), prec)
-        mh = pneg(q, pdot(q, prec, ((pshift(t12, -vb), uinv),)))
-        t22 = pdot(q, prec, ((t22, one), (mh, t12)))
-        a11, a12, a21, a22 = A
-        A = (
-            a11,
-            a12,
-            pdot(q, prec, ((a21, one), (mh, a11))),
-            pdot(q, prec, ((a22, one), (mh, a12))),
-        )
-    va = pval(t22)
-    # larger exponent goes to the first slot
-    t11, t22 = t22, t11
-    A = (A[2], A[3], A[0], A[1])
-    eps = pinv_unit(q, pshift(t11, -va), prec)
-    w = pshift(pdot(q, prec + vb, ((t22, eps),)), -vb)
-    return (va, vb, w, A, eps)
+        return ADD
+    return SWAP if v22 < v11 else STAY
+
+
+def _to_pivot(q, prec, b11, b12, b22):
+    """The form moved exactly by its ``route``, and the move's rows R."""
+    r = route(pval(ptrunc(b11, prec)), pval(ptrunc(b12, prec)), pval(ptrunc(b22, prec)))
+    if r == ADD:
+        b11 = pdot(q, INF, ((b11, PONE), (b12, pconst(q, 2)), (b22, PONE)))
+        return b11, padd(q, b12, b22), b22, (PONE, PONE, PZERO, PONE)
+    if r == SWAP:
+        return b22, b12, b11, (PZERO, PONE, PONE, PZERO)
+    return b11, b12, b22, (PONE, PZERO, PZERO, PONE)
 
 
 def pivot(q, prec, piv):
@@ -341,49 +320,91 @@ def pivot(q, prec, piv):
     return piv, tpiv, vb, pinv_unit(q, pshift(tpiv, -vb), prec), {}
 
 
+def _mh(q, prec, pv, e12):
+    """mh = -e12 / piv mod t^prec: e2 += mh e1 clears slot 12."""
+    return pneg(q, pdot(q, prec, ((pshift(ptrunc(e12, prec), -pv[2]), pv[3]),)))
+
+
+def _t22(s, prec, k):
+    """(va, u22) for t22 = s mod t^prec: its valuation, and its unit part mod
+    t^k.  s = o + mh e12 is slot 22 after e2 += mh e1, since that slot is
+    o + 2 mh e12 + mh^2 piv and mh piv == -e12 mod t^prec.  Callers form s:
+    pivot_certs adds its row's mh e12, sym_diag fuses both terms in one pdot."""
+    t22 = ptrunc(s, prec)
+    va = pval(t22)
+    return va, ptrunc(pshift(t22, -va), k)
+
+
+def _eps_w(q, prec, pv, u22):
+    """eps = 1 / u22 mod t^prec, and w with piv eps == t^vb w mod t^(prec + vb)."""
+    eps = pinv_unit(q, u22, prec)
+    return eps, pshift(pdot(q, prec + pv[2], ((pv[1], eps),)), -pv[2])
+
+
+def rescale(q, w, w0, k):
+    """u = sqrt(w0 / w) mod t^k: scaling row 2 by u turns t^vb w into t^vb w0."""
+    return psqrt_unit(q, pconstmul(q, pinv_unit(q, w, k), w0), k)
+
+
+def sym_diag(q, prec, b11, b12, b22):
+    """Diagonalize a symmetric O-matrix under B -> E B E^t, mod t^prec.
+
+    The entries must lie in O (valuation >= 0).  Requires val(det) < prec
+    (returns None otherwise).  Returns (va, vb, w, A, eps) with va >= vb, A
+    unimodular (a product of elementary matrices), eps a unit, and
+    A B A^t eps == diag(t^va, t^vb * w) mod t^prec, where w is a unit
+    polynomial.  q must be odd: the route's e1 += e2 relies on 2 != 0.
+    On the entries mod t^prec, A is the route's move, then the pivot step
+    e2 += mh e1, then the swap that puts the larger exponent first.
+    """
+    if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
+        return None  # val(det) >= prec, or det == 0
+    p11, p12, p22, (r11, r12, r21, r22) = _to_pivot(
+        q, prec, ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
+    )
+    pv = pivot(q, prec, p11)
+    mh = _mh(q, prec, pv, p12)
+    va, u22 = _t22(pdot(q, prec, ((p22, PONE), (mh, p12))), prec, prec)
+    eps, w = _eps_w(q, prec, pv, u22)
+    a21 = pdot(q, prec, ((r21, PONE), (mh, r11)))
+    a22 = pdot(q, prec, ((r22, PONE), (mh, r12)))
+    return (va, pv[2], w, (a21, a22, r11, r12), eps)
+
+
 def pivot_certs(q, prec, check_prec, pv, e12, others, ns):
     """``sym_normal_cert(q, prec, check_prec, piv, e12, o, ns)`` for each ``o``
     in ``others``, with ``pv = pivot(q, prec, piv)``.
 
-    Every form [[piv, e12], [e12, o]] must take ``sym_diag``'s diagonal pivot
-    route: val piv <= val e12 and val piv <= val o mod t^prec, with every
-    entry in O.  As in ``sym_diag``, the pivot data are read mod t^prec:
-    ``mh = -e12/piv`` and the certificate's A = (mh, 1, u, 0) are fixed by
-    the row (piv, e12), and so are ``mh e12`` and ``x1 = mh piv + e12``.  Per
-    form only the Schur complement ``t22 = o + mh e12``, its valuation va and
-    the check remain: ``eps``, ``w``, ``issq`` and the rescale ``u`` depend
-    only on the unit part of ``t22`` mod t^k (k = min(prec, check_prec), at
-    least the residue), so they are memoised in the pivot's dict.  The check
-    multiplies the exact entries and compares A B A^t eps with
-    diag(t^va, t^vb * w0) mod t^check_prec.
+    Each form [[piv, e12], [e12, o]] has entries in O and ``route`` STAY.  It
+    takes ``sym_diag``'s pivot step: ``mh``, the certificate's A = (mh, 1, u,
+    0), ``mh e12`` and ``x1 = mh piv + e12`` are fixed by the row.  ``eps``,
+    ``w``, ``issq`` and the ``rescale`` u depend only on the unit part of t22
+    mod t^k (k = min(prec, check_prec), at least 1), so the pivot's dict
+    memoises them.  The check multiplies the exact entries and compares
+    A B A^t eps with diag(t^va, t^vb * w0) mod t^check_prec.
     """
-    piv, tpiv, vb, uinv, memo = pv
+    piv, _tpiv, vb, _uinv, memo = pv
     cp = check_prec
     k = max(1, min(prec, cp))
-    one = (0, (1,))
-    mh = pneg(q, pdot(q, prec, ((pshift(ptrunc(e12, prec), -vb), uinv),)))
+    mh = _mh(q, prec, pv, e12)
     mhe12 = pdot(q, max(prec, cp), ((mh, e12),))
-    x1 = pdot(q, cp, ((mh, piv), (e12, one)))
+    x1 = pdot(q, cp, ((mh, piv), (e12, PONE)))
     mhx1 = pdot(q, cp, ((x1, mh),))
     out = []
     for o in others:
         s = padd(q, o, mhe12)
-        t22 = ptrunc(s, prec)
-        va = pval(t22)
+        va, key = _t22(s, prec, k)
         if va + vb >= prec:
             out.append(None)  # val(det) >= prec
             continue
-        key = ptrunc(pshift(t22, -va), k)
         hit = memo.get(key)
         if hit is None:
-            eps = pinv_unit(q, key, prec)
-            w = pshift(pdot(q, prec + vb, ((tpiv, eps),)), -vb)
+            eps, w = _eps_w(q, prec, pv, key)
             issq = 1 if issquare(q, w[1][0]) else 0
             w0 = 1 if issq else ns
-            u = psqrt_unit(q, pconstmul(q, pinv_unit(q, w, k), w0), k)
-            hit = memo[key] = (eps, issq, w0, u)
+            hit = memo[key] = (eps, issq, w0, rescale(q, w, w0, k))
         eps, issq, w0, u = hit
-        m11 = pdot(q, cp, ((pdot(q, cp, ((mhx1, one), (s, one))), eps),))
+        m11 = pdot(q, cp, ((pdot(q, cp, ((mhx1, PONE), (s, PONE))), eps),))
         m12 = pdot(q, cp, ((pdot(q, cp, ((x1, u),)), eps),))
         m22 = pdot(q, cp, ((pdot(q, cp, ((pdot(q, cp, ((u, piv),)), u),)), eps),))
         ok = int(
@@ -401,18 +422,10 @@ def sym_normal_cert(q, prec, check_prec, b11, b12, b22, ns):
     Returns (va, vb, issq, ok) or None when val(det) >= prec.  The normal form
     is diag(t^va, t^vb * w0) with w0 = 1 for square class, w0 = ns otherwise;
     ok reports whether the certificate A, eps reproduces it mod t^check_prec
-    when multiplied out against the original matrix.  The matrix takes
-    ``sym_diag``'s route to a diagonal pivot on the exact entries, e1 += e2
-    or the swap, both unimodular, and ``pivot_certs`` certifies the result.
+    when multiplied out against the original matrix.  The exact entries take
+    the shared route, and ``pivot_certs`` runs the shared pivot step.
     """
     if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
         return None  # val(det) >= prec, or det == 0
-    v11, v12, v22 = (pval(ptrunc(b, prec)) for b in (b11, b12, b22))
-    if v12 < v11 and v12 < v22:
-        # val(b11 + 2 b12 + b22) = v12 < v22, so no swap follows
-        one, two = pconst(q, 1), pconst(q, 2)
-        b11 = pdot(q, INF, ((b11, one), (b12, two), (b22, one)))
-        b12 = padd(q, b12, b22)
-    elif v22 < v11:
-        b11, b22 = b22, b11
-    return pivot_certs(q, prec, check_prec, pivot(q, prec, b11), b12, (b22,), ns)[0]
+    p11, p12, p22, _r = _to_pivot(q, prec, b11, b12, b22)
+    return pivot_certs(q, prec, check_prec, pivot(q, prec, p11), p12, (p22,), ns)[0]

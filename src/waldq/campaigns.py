@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import backend
-from ._purekern import pdot, pivot, pivot_certs, pneg, pnorm, pval
+from ._purekern import STAY, SWAP, pdot, pivot, pivot_certs, pneg, pnorm, pval, route
 from ._version import __version__
 from .hecke import HeckeElement, convolve, satake_basis, to_satake
 from .lattice import Coweight, Lattice2, _member_count, position_count_formula
@@ -35,7 +35,7 @@ from .quadform import (
     least_nonsquare,
     normal_form,
 )
-from .scalars import LaurentScalar, monomial_count, specialize
+from .scalars import LaurentScalar, ResidualSqrtQ, monomial_count, specialize
 from .series import LaurentPoly, _check_q
 from .torus import EtaleKind, chi_c
 from .waldspurger import CharacterParams, WaldFunction, WaldModel
@@ -248,7 +248,7 @@ def _scalar_as_int(x):
     """The scalar as a plain integer, or None when it is not a constant."""
     try:
         v = specialize(x, {})
-    except Exception:
+    except (KeyError, ResidualSqrtQ):
         return None
     return int(v) if v.denominator == 1 else None
 
@@ -469,13 +469,10 @@ def _shard_certs(q, shard, width, vmax, prec, check_prec):
     both truncated products are tabulated once per shard, so that is tested
     before any certificate.
 
-    A form pivoted on e11 (val e11 <= val e12, val e22) is certified by
-    ``_purekern.pivot_certs`` with its (e11, e12) row, so the row's work is
-    shared by all q**width forms in it; one pivoted on e22 (val e22 < val
-    e11, val e22 <= val e12) by the same routine on the mirrored form
-    [[e22, e12], [e12, e11]], which is what ``sym_normal_cert`` certifies
-    after its swap.  The rest (val e12 below both) go through
-    ``backend.sym_normal_cert``, which runs the same routine after e1 += e2.
+    ``_purekern.route`` sorts the forms.  One it leaves on e11 is certified
+    by ``_purekern.pivot_certs`` with its whole (e11, e12) row; one it swaps
+    by the same routine on [[e22, e12], [e12, e11]], as ``sym_normal_cert``
+    does; the rest (e1 += e2) go through ``backend.sym_normal_cert``.
     """
     ns = least_nonsquare(q)
     cert = backend.sym_normal_cert
@@ -491,9 +488,10 @@ def _shard_certs(q, shard, width, vmax, prec, check_prec):
         for j, (e22, v22, head) in enumerate(zip(polys, vals, heads)):
             if head == square:
                 continue
-            if v11 <= v12 and v11 <= v22:
+            r = route(v11, v12, v22)
+            if r == STAY:
                 row.append(j)
-            elif v22 < v11 and v22 <= v12:
+            elif r == SWAP:
                 (out[j],) = pivot_certs(q, prec, check_prec, pivots[j], e12, (e11,), ns)
             else:
                 out[j] = cert(q, prec, check_prec, e11, e12, e22, ns)

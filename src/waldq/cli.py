@@ -218,7 +218,15 @@ def quadform_main(argv=None) -> int:
         )
         cls.add_argument("--precision", type=int, default=None)
         args = parser.parse_args(argv)
-        mat = SymMatrixO.from_json(args.q, json.loads(args.matrix))
+        entries = SymMatrixO._json_entries(args.q, json.loads(args.matrix))
+        # checked before the exact determinant, whose size grows with the top terms
+        top = 2 * MAX_DET_VALUATION + 2
+        if any(e.degree() >= top for e in entries):
+            raise ValueError(
+                f"an entry has a term at or above t^{top}, which classify reads only "
+                f"when val(det) exceeds the limit {MAX_DET_VALUATION}"
+            )
+        mat = SymMatrixO(*entries)
         if mat.det_valuation > MAX_DET_VALUATION:
             raise ValueError(f"val(det) = {mat.det_valuation} exceeds the limit {MAX_DET_VALUATION}")
         # the invariants are fixed once the precision exceeds val(det), which

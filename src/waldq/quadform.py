@@ -161,6 +161,10 @@ class SymMatrixO:
 
     @classmethod
     def from_json(cls, q, obj):
+        return cls(*cls._json_entries(q, obj))
+
+    @staticmethod
+    def _json_entries(q, obj):
         if not (
             isinstance(obj, list)
             and len(obj) == 2
@@ -173,7 +177,7 @@ class SymMatrixO:
         e22 = LaurentPoly.from_json(q, obj[1][1])
         if e12 != e21:
             raise ValueError("matrix is not symmetric")
-        return cls(e11, e12, e22)
+        return e11, e12, e22
 
 
 def default_precision(b: SymMatrixO) -> int:
@@ -232,14 +236,10 @@ def normal_transport(b: SymMatrixO, precision: int | None = None):
     prec = _precision(b, precision)
     inv, a_mat, eps = diagonalize(b, prec)
     q = b.q
-    # rescale the second row by u = sqrt(w0 / w) to land exactly on w0
     res = b.congruent_by(a_mat, eps)
     w = res.e22.shift(-inv.b)
     w0 = 1 if inv.delta is Delta.SQUARE else least_nonsquare(q)
-    target = _pk.ptrunc(
-        _pk.pconstmul(q, _pk.pinv_unit(q, w.truncate(prec).raw, prec), w0), prec
-    )
-    u = LaurentPoly.from_raw(q, _pk.psqrt_unit(q, target, prec))
+    u = LaurentPoly.from_raw(q, _pk.rescale(q, w.raw, w0, prec))
     (a11, a12), (a21, a22) = a_mat
     return inv, ((a11, a12), (u * a21, u * a22)), eps
 

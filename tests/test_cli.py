@@ -369,6 +369,19 @@ class TestQuadformCli:
         err = capsys.readouterr().err
         assert f"exceeds the limit {MAX_DET_VALUATION}" in err
 
+    def test_huge_entry_of_a_unit_det_exits_2_at_once(self, capsys):
+        # val(det) = 0, but the exact determinant would span 10^9 exponents;
+        # classify never reads a term at or above 2 * MAX_DET_VALUATION + 2
+        big = {"offset": 1000000000, "coeffs": [1]}
+        one = LaurentPoly.const(3, 1).to_json()
+        mat = json.dumps([[big, one], [one, one]])
+        start = time.perf_counter()
+        rc = quadform_main(["classify", "--matrix", mat])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"at or above t^{2 * MAX_DET_VALUATION + 2}" in err
+
     def test_nonpositive_precision_exits_2(self, capsys):
         mat = self.mat_json(3, {0: 1}, {}, {0: 1})
         rc = quadform_main(["classify", "--matrix", mat, "--precision", "-3"])

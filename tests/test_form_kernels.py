@@ -1,7 +1,8 @@
 """The form layer's fused truncated products against the routes they replaced.
 
 ``_purekern.pdot`` sums exact products and normalizes once, truncated below
-``t^prec``.  ``sym_diag`` makes its two elementary moves with it directly,
+``t^prec``.  ``sym_diag`` and ``sym_normal_cert`` take the kernel's shared
+route to a diagonal pivot and its shared pivot step, both built on it;
 ``sym_normal_cert`` verifies its certificate mod ``t^check_prec`` with it, and
 ``SymMatrixO`` computes its determinant once and ``congruent_by`` on raw pairs.
 The references are the routes these replaced: ``pmul``/``padd``/``ptrunc``
