@@ -382,6 +382,16 @@ class TestQuadformCli:
         err = capsys.readouterr().err
         assert f"at or above t^{2 * MAX_DET_VALUATION + 2}" in err
 
+    def test_det_valuation_past_the_limit_with_small_terms_exits_2(self, capsys):
+        # every term lies below t^(2 * MAX_DET_VALUATION + 2), so the val(det)
+        # check itself refuses this matrix
+        h = MAX_DET_VALUATION // 2 + 1
+        ent, zero = {"offset": h, "coeffs": [1]}, LaurentPoly.zero(3).to_json()
+        mat = json.dumps([[ent, zero], [zero, ent]])
+        assert quadform_main(["classify", "--matrix", mat]) == 2
+        err = capsys.readouterr().err
+        assert f"val(det) = {2 * h} exceeds the limit {MAX_DET_VALUATION}" in err
+
     def test_nonpositive_precision_exits_2(self, capsys):
         mat = self.mat_json(3, {0: 1}, {}, {0: 1})
         rc = quadform_main(["classify", "--matrix", mat, "--precision", "-3"])
