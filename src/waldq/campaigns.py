@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -44,6 +45,9 @@ from .waldspurger import CharacterParams, WaldFunction, WaldModel
 class ConfigInvalid(ValueError):
     """A session configuration field is out of range or malformed."""
 
+
+#: The largest accepted ``workers``; a pool also never outnumbers cores or cells.
+MAX_WORKERS = 64
 
 #: Odd primes used by the polynomial-fit campaign, smallest first.
 PROBE_PRIMES = (3, 5, 7, 11, 13, 17, 19)
@@ -80,8 +84,8 @@ class SessionConfig:
             raise ConfigInvalid("depth must be an integer >= 2")
         if type(self.seed) is not int:
             raise ConfigInvalid("seed must be an integer")
-        if type(self.workers) is not int or self.workers < 1:
-            raise ConfigInvalid("workers must be a positive integer")
+        if type(self.workers) is not int or not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigInvalid(f"workers must be an integer from 1 to {MAX_WORKERS}")
         if self.fmt == "json":
             self.fmt = "ndjson"
         if self.fmt not in ("ndjson", "csv"):
@@ -153,8 +157,7 @@ def _lagrange(points):
 
 def _cell_min_orbit(cell, q, kind, d, m):
     model = WaldModel(q, kind)
-    split = model.kind is EtaleKind.SPLIT
-    want = 0 if d < m else (d - m + 1 if split else 1)
+    want = model.kind.closed_orbit_count(d, m)
     got = model.minimal_orbit_counts(d, m)
     claim = (
         f"colength-{d} sublattices of orbit-{m} representative landing on the "
@@ -279,10 +282,8 @@ def _cell_ic_support(cell, q, kind, d):
 def _cell_ic_monomials(cell, q, kind, d):
     model = WaldModel(q, kind)
     fn = model.ic_basis(d)
-    split = model.kind is EtaleKind.SPLIT
-    names = ("alpha", "beta") if split else ("gamma",)
-    want = [(m, d - m + 1 if split else 1) for m in range(d + 1)]
-    got = [(m, monomial_count(fn.value(m), names)) for m in range(d + 1)]
+    want = [(m, model.kind.closed_orbit_count(d, m)) for m in range(d + 1)]
+    got = [(m, monomial_count(fn.value(m), model.kind.variables)) for m in range(d + 1)]
     claim = (
         f"per-orbit monomial counts of the degree-{d} basis function "
         f"({kind}, q={q})"
@@ -644,7 +645,7 @@ _MODULE_H_POOL = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))
 
 def _plan_module_axiom(cfg):
     rng = random.Random(cfg.seed)
-    split = EtaleKind.parse(cfg.kind) is EtaleKind.SPLIT
+    kind = EtaleKind.parse(cfg.kind)
     cells = []
     for i in range(50):
         hrows = []
@@ -657,10 +658,7 @@ def _plan_module_axiom(cfg):
             hrows.append(tuple(rows))
         frows = []
         for m in rng.sample(range(4), rng.randint(1, 3)):
-            if split:
-                exps = (rng.randint(-1, 2), rng.randint(-1, 2), 0)
-            else:
-                exps = (0, 0, rng.randint(-1, 2))
+            exps = kind.triple([rng.randint(-1, 2) for _ in kind.variables])
             num = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
             den = rng.randint(1, 3)
             frows.append((m, exps, num, den))
@@ -686,16 +684,10 @@ def _nonzero_fraction(rng):
 
 def _plan_eigen(cfg):
     rng = random.Random(cfg.seed)
-    split = EtaleKind.parse(cfg.kind) is EtaleKind.SPLIT
+    kind = EtaleKind.parse(cfg.kind)
     cells = []
     for i in range(20):
-        if split:
-            rows = (
-                ("alpha", str(_nonzero_fraction(rng))),
-                ("beta", str(_nonzero_fraction(rng))),
-            )
-        else:
-            rows = (("gamma", str(_nonzero_fraction(rng))),)
+        rows = tuple((name, str(_nonzero_fraction(rng))) for name in kind.variables)
         e1 = str(_nonzero_fraction(rng))
         cells.append((_cell_eigen, f"draw-{i:02d}", cfg.q, cfg.kind, cfg.depth, e1, rows))
     return cells
@@ -823,8 +815,9 @@ def run_campaign(name, cfg: SessionConfig) -> dict:
     """
     cfg = cfg.validate()
     cells = plan(name, cfg)
-    if cfg.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))
     else:
         rows = [_run_cell(c) for c in cells]

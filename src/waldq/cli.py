@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .campaigns import (
     CAMPAIGN_TABLE,
+    MAX_WORKERS,
     ConfigInvalid,
     SessionConfig,
     render_report,
@@ -32,7 +33,9 @@ from .quadform import (
     default_precision,
     diagonalize,
 )
+from .scalars import VARS
 from .series import _check_q
+from .waldspurger import CharacterParams
 
 # ``quadform classify`` refuses a larger val(det): the default precision is
 # twice it, and the diagonalization's unit inverses allocate lists that long.
@@ -77,7 +80,7 @@ def _add_common(sub):
     )
     sub.add_argument("--seed", type=int, default=_env_int("SEED", 0), help="RNG seed for planned draws")
     sub.add_argument(
-        "--workers", type=int, default=_env_int("WORKERS", 1), help="process-pool size"
+        "--workers", type=int, default=_env_int("WORKERS", 1), help=f"process-pool size, 1 to {MAX_WORKERS}"
     )
     sub.add_argument("--out", default=_env_str("OUT", None), help="write the report to this path")
     sub.add_argument(
@@ -106,34 +109,23 @@ def _build_wald_parser():
             )
         if name == "eigen":
             p.add_argument("--e1", default=None, help="first eigenvalue (a rational) for a single run")
-            p.add_argument("--alpha", default=None, help="split character value (single run)")
-            p.add_argument("--beta", default=None, help="split character value (single run)")
-            p.add_argument("--gamma", default=None, help="ramified character value (single run)")
+            for var in VARS:
+                p.add_argument(f"--{var}", default=None, help=f"{var} value for a single run")
     return parser
 
 
 def _single_eigen(cfg, args):
     if args.e1 is None:
         raise ConfigInvalid("--alpha/--beta/--gamma apply only to a single eigen run with --e1")
-    rows = []
-    if cfg.kind == "split":
-        if args.alpha is None or args.beta is None:
-            raise ConfigInvalid("a single split eigen run needs --alpha and --beta")
-        if args.gamma is not None:
-            raise ConfigInvalid("--gamma does not apply to the split kind")
-        rows = [("alpha", args.alpha), ("beta", args.beta)]
-    else:
-        if args.gamma is None:
-            raise ConfigInvalid("a single ramified eigen run needs --gamma")
-        if args.alpha is not None or args.beta is not None:
-            raise ConfigInvalid("--alpha/--beta do not apply to the ramified kind")
-        rows = [("gamma", args.gamma)]
+    given = {n: getattr(args, n) for n in VARS if getattr(args, n) is not None}
     try:
-        for _name, text in rows:
-            Fraction(text)
+        values = {name: Fraction(text) for name, text in given.items()}
         Fraction(args.e1)
     except (ValueError, ZeroDivisionError):
         raise ConfigInvalid("eigen parameters must be rationals like 5 or 7/2") from None
+    # rejects a missing, stray or zero value; rows keep the given text
+    params = CharacterParams(cfg.kind, symbolic=False, assignment=values)
+    rows = [(name, given[name]) for name, _v in params.assignment]
     return single_eigen_report(cfg, args.e1, rows)
 
 

@@ -17,7 +17,7 @@ from . import backend
 from ._purekern import INF, PZERO
 from .lattice import Coweight, _member_histogram
 from .scalars import LaurentScalar
-from .torus import EtaleKind, chi_c
+from .torus import chi_c
 
 __all__ = [
     "HeckeElement",
@@ -284,7 +284,6 @@ def central_normalize(h: HeckeElement, kind) -> HeckeElement:
     central element acts on equivariant functions, so the identification is
     harmless there and explicit here.
     """
-    kind = EtaleKind(kind)
     unit_char = chi_c(h.q, kind)
     terms = [((cw.a1 - cw.a2, 0), c * unit_char ** cw.a2) for cw, c in h.terms.items()]
     return HeckeElement(h.q, terms)

@@ -16,17 +16,19 @@ and the invariant m = valdet(L) - valdet(envelope) >= 0 measures how far L is
 from being free of rank one.  Orbits of the algebra's unit group on lattices
 are indexed by m; normalize(L) recovers (m, chi(u)) where chi(u) is the
 character monomial of the envelope class (alpha^k1 * beta^k2 split, gamma^k
-ramified).
+ramified).  Every per-kind datum read outside this module is a row of
+``_KIND_TABLE``, read through the ``EtaleKind`` methods; only the geometry
+(embed, coordinates, orbit representatives, envelopes) branches on the kind.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._purekern import INF, pval
-from .lattice import Lattice2, canonicalize
+from .lattice import Lattice2
 from .scalars import LaurentScalar
 from .series import LaurentPoly
 
@@ -46,6 +48,33 @@ class EtaleKind(enum.Enum):
         except ValueError:
             raise ValueError(f"kind must be 'split' or 'ramified', got {text!r}") from None
 
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """The character variables, in class-exponent order."""
+        return _KIND_TABLE[self].variables
+
+    def triple(self, exps) -> tuple[int, int, int]:
+        """Class exponents placed at their slots of the (alpha, beta, gamma) triple."""
+        at = dict(zip(_KIND_TABLE[self].slots, exps))
+        return tuple(at.get(i, 0) for i in range(3))
+
+    def closed_orbit_count(self, d, m) -> int:
+        """Colength-d sublattices of the orbit-m representative on the closed orbit."""
+        return 0 if d < m else _KIND_TABLE[self].closed(d - m)
+
+
+class _KindRow(NamedTuple):
+    variables: tuple[str, ...]
+    slots: tuple[int, ...]  # of the variables in the (alpha, beta, gamma) triple
+    uniformizer: tuple[int, ...]  # class exponents of t; chi_c is its character
+    closed: Callable[[int], int]  # closed-orbit count at d >= m, from d - m
+
+
+_KIND_TABLE = {
+    EtaleKind.SPLIT: _KindRow(("alpha", "beta"), (0, 1), (1, 1), lambda n: n + 1),
+    EtaleKind.RAMIFIED: _KindRow(("gamma",), (2,), (2,), lambda n: 1),
+}
+
 
 @dataclass(frozen=True)
 class TorusClass:
@@ -55,13 +84,13 @@ class TorusClass:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        want = 2 if self.kind is EtaleKind.SPLIT else 1
+        want = len(self.kind.variables)
         if len(self.exps) != want:
             raise ValueError(f"{self.kind.value} class needs {want} exponent(s)")
 
     @classmethod
     def identity(cls, kind):
-        return cls(kind, (0, 0) if kind is EtaleKind.SPLIT else (0,))
+        return cls(kind, (0,) * len(kind.variables))
 
     def is_identity(self):
         return all(e == 0 for e in self.exps)
@@ -76,10 +105,7 @@ class TorusClass:
 
     def chi(self, q) -> LaurentScalar:
         """The character monomial of this class."""
-        if self.kind is EtaleKind.SPLIT:
-            k1, k2 = self.exps
-            return LaurentScalar.monomial(q, (k1, k2, 0))
-        return LaurentScalar.monomial(q, (0, 0, self.exps[0]))
+        return LaurentScalar.monomial(q, self.kind.triple(self.exps))
 
     def coordinates(self, q):
         """A representative of the class as coordinates (x, y) in the frame.
@@ -156,14 +182,11 @@ def envelope(lat: Lattice2, kind) -> tuple[TorusClass, int]:
 
 
 def envelope_lattice(cls: TorusClass, q) -> Lattice2:
-    """The envelope itself as a lattice (u * integers in the fixed frame)."""
-    if cls.kind is EtaleKind.SPLIT:
-        k1, k2 = cls.exps
-        return Lattice2.diagonal(q, k1, k2)
-    k = cls.exps[0]
-    if k % 2 == 0:
-        return Lattice2.diagonal(q, k // 2, k // 2)
-    return Lattice2.diagonal(q, (k + 1) // 2, (k - 1) // 2)
+    """The envelope itself as a lattice (u * integers in the fixed frame).
+
+    Both kinds' integers are the standard lattice in their frames.
+    """
+    return act_by_class(cls, Lattice2.standard(q))
 
 
 def orbit_representative(q, kind, m) -> Lattice2:
@@ -190,9 +213,8 @@ def normalize(lat: Lattice2, kind) -> OrbitPoint:
 
 def chi_c(q, kind) -> LaurentScalar:
     """Character value of the central uniformizer t: alpha*beta or gamma^2."""
-    if EtaleKind(kind) is EtaleKind.SPLIT:
-        return LaurentScalar.monomial(q, (1, 1, 0))
-    return LaurentScalar.monomial(q, (0, 0, 2))
+    kind = EtaleKind(kind)
+    return TorusClass(kind, _KIND_TABLE[kind].uniformizer).chi(q)
 
 
 def act_by_class(cls: TorusClass, lat: Lattice2) -> Lattice2:

@@ -42,7 +42,7 @@ class CharacterParams:
     """A nonramified character of the torus: symbolic, or pinned to rationals.
 
     Numeric parameters assign nonzero rationals to the character variables of
-    the kind (alpha/beta for the split algebra, gamma for the ramified one).
+    the kind (``EtaleKind.variables``, read from the torus per-kind table).
     """
 
     kind: EtaleKind
@@ -58,10 +58,9 @@ class CharacterParams:
                 raise ValueError("symbolic parameters take no assignment")
             object.__setattr__(self, "assignment", ())
             return
-        wanted = ("alpha", "beta") if kind is EtaleKind.SPLIT else ("gamma",)
         given = dict(assignment or {})
         rows = []
-        for name in wanted:
+        for name in kind.variables:
             if name not in given:
                 raise ValueError(f"numeric parameters need a value for {name}")
             v = Fraction(given.pop(name))
@@ -176,13 +175,6 @@ class WaldFunction:
         )
 
 
-def _exps3(kind, exps):
-    if kind is EtaleKind.SPLIT:
-        v1, v2 = exps
-        return (v1, v2, 0)
-    return (0, 0, exps[0])
-
-
 @functools.lru_cache(maxsize=None)
 def _transitions(q, kind_value, m0, lam):
     """Exact-position moves out of orbit m0, aggregated by (target, character).
@@ -212,7 +204,7 @@ def _stratum_table(q, lam):
     counts = Counter()
     hist = _member_histogram(q, Lattice2.standard(q).triple, Coweight(*lam))
     for (a2, b2, vc, _s), n in hist.items():
-        for kind in (EtaleKind.SPLIT, EtaleKind.RAMIFIED):
+        for kind in EtaleKind:
             counts[kind.value, _envelope_raw(kind, a2, b2, vc)[1]] += n
     return tuple(sorted(counts.items()))
 
@@ -284,6 +276,7 @@ class WaldModel:
         mlo = min(f.values)
         mhi = max(f.values)
         pairs = {}
+        shifts = {}  # class exponents -> their (alpha, beta, gamma) exponents
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
@@ -294,7 +287,7 @@ class WaldModel:
                     terms = scaled.get(m1)
                     if terms is None:
                         continue
-                    e1, e2, e3 = _exps3(self.kind, exps)
+                    e1, e2, e3 = shifts.get(exps) or shifts.setdefault(exps, self.kind.triple(exps))
                     out.extend(
                         ((k[0] + e1, k[1] + e2, k[2] + e3), SqrtQ(q, v.a * count, v.b * count))
                         for k, v in terms
@@ -306,8 +299,8 @@ class WaldModel:
     def ic_basis(self, d) -> WaldFunction:
         """Action of the degree-d self-dual basis element on the delta at 0.
 
-        Supported on {0..d}; the value at m is a single character monomial in
-        the ramified case and a (d-m+1)-monomial sum in the split case.
+        Supported on {0..d}; the value at m sums ``kind.closed_orbit_count(d,
+        m)`` character monomials, a count from the torus per-kind table.
         """
         if type(d) is not int or d < 0:
             raise ValueError("degree must be a nonnegative integer")
@@ -317,7 +310,7 @@ class WaldModel:
         """Number of colength-d sublattices of representative m on the closed orbit.
 
         Counts closure members (all sublattices of colength d) whose invariant
-        is 0.  Expected: 0 when d < m, else 1 (ramified) or d-m+1 (split).
+        is 0.  Expected: ``kind.closed_orbit_count(d, m)``, from the torus kind table.
         """
         if d < 0 or m < 0:
             raise ValueError("arguments must be nonnegative")
@@ -345,8 +338,8 @@ class WaldModel:
         """Matrix of the degree-d basis functions in the delta basis.
 
         Entry [m][d] = ic_basis(d) value at m; triangular, with the
-        monomial-count pattern 1 (ramified) / d-m+1 (split) below the
-        diagonal.  Its inverse is where nontrivial denominators appear.
+        monomial counts of ``ic_basis`` below the diagonal.  Its inverse is
+        where nontrivial denominators appear.
         """
         return self._delta_matrix(depth, self.ic_basis)
 
@@ -372,12 +365,11 @@ class WaldModel:
         Equals specializing ``act(h, WaldFunction(values))`` (evaluation is a
         ring homomorphism) without building a LaurentScalar: each transition
         row adds count * chi(exps) * values[m1] at its m0.  ``chi`` caches
-        the character values alpha^e1 beta^e2 (gamma^k when ramified) by
-        class exponents across calls.  Zero values are dropped, as in
-        WaldFunction.
+        the character values, the product of the kind's variables (the torus
+        per-kind table) to the class exponents, by class exponents across
+        calls.  Zero values are dropped, as in WaldFunction.
         """
-        names = ("alpha", "beta") if self.kind is EtaleKind.SPLIT else ("gamma",)
-        xs = [Fraction(assignment[name]) for name in names]
+        xs = [Fraction(assignment[name]) for name in self.kind.variables]
         vals = {m: v for m, v in values.items() if v}
         out = {}
         if not vals:

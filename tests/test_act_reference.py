@@ -18,7 +18,7 @@ from waldq.hecke import HeckeElement
 from waldq.lattice import Coweight
 from waldq.scalars import VARS, LaurentScalar, SqrtQ, ZeroAssignment, specialize
 from waldq.torus import EtaleKind
-from waldq.waldspurger import WaldFunction, WaldModel, _exps3, _transitions
+from waldq.waldspurger import WaldFunction, WaldModel, _transitions
 
 QS = st.sampled_from([3, 5])
 KINDS = st.sampled_from([EtaleKind.SPLIT, EtaleKind.RAMIFIED])
@@ -26,6 +26,13 @@ CONVENTIONS = st.sampled_from(["standard", "mirror"])
 # small numerators over denominators 1..3: integral values and proper fractions
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 EXPS = st.tuples(*(st.integers(-3, 3) for _ in range(3)))
+
+# (alpha, beta, gamma) exponents of a class, written out per kind: split
+# classes (k1, k2) give alpha^k1 beta^k2, ramified classes (k,) give gamma^k
+EXPS3 = {
+    EtaleKind.SPLIT: lambda exps: (exps[0], exps[1], 0),
+    EtaleKind.RAMIFIED: lambda exps: (0, 0, exps[0]),
+}
 
 
 def act_reference(model, h, f):
@@ -42,7 +49,7 @@ def act_reference(model, h, f):
             for m1, exps, count in _transitions(q, kind.value, m0, (eff.a1, eff.a2)):
                 fv = f.values.get(m1)
                 if fv is not None:
-                    chi = LaurentScalar.monomial(q, _exps3(kind, exps), count)
+                    chi = LaurentScalar.monomial(q, EXPS3[kind](exps), count)
                     values.append((m0, chi * fv * coeff))
     return WaldFunction(q, kind, values)
 

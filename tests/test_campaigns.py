@@ -32,10 +32,20 @@ def test_campaign_names_and_order():
     assert aliases == ["verify-min-orbit"]
 
 
+# the first cell's draws of the planners that read the per-kind table: one
+# draw per character variable, in the table's order
+FIRST_DRAWS = {
+    "module-axiom": ((1, (1, 0, 0), -3, 3), (2, (1, 0, 0), 1, 1), (0, (-1, 1, 0), 5, 3)),
+    "eigen": (("alpha", "9/7"), ("beta", "1")),
+}
+
+
 @pytest.mark.parametrize("name", CAMPAIGNS)
 def test_plan_payloads_pickle_and_name_their_handler(name):
     cells = plan(name, small_config())
     assert cells
+    if name in FIRST_DRAWS:
+        assert cells[0][-1] == FIRST_DRAWS[name]
     assert pickle.loads(pickle.dumps(cells)) == cells
     for payload in cells:
         handler = payload[0]

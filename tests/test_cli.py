@@ -1,10 +1,13 @@
 """Command-line front ends: exit codes, report formats, determinism."""
 
 import json
+import os
 import time
 
 import pytest
 
+from waldq import campaigns
+from waldq.campaigns import MAX_WORKERS
 from waldq.cli import MAX_DET_VALUATION, hecke_main, quadform_main, wald_main
 from waldq.hecke import HeckeElement, convolve
 from waldq.lattice import Coweight
@@ -164,6 +167,45 @@ class TestDeterminism:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_workers_above_the_limit_exit_2_before_any_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", no_pool)
+        for workers in (MAX_WORKERS + 1, 100000):
+            rc, out, err = run_wald(capsys, "min-orbit", "--workers", str(workers))
+            assert rc == 2 and out == ""
+            assert f"workers must be an integer from 1 to {MAX_WORKERS}" in err
+        monkeypatch.setenv("WALDQ_WORKERS", str(MAX_WORKERS + 1))
+        rc, _, err = run_wald(capsys, "min-orbit")
+        assert rc == 2 and "workers" in err
+
+    def test_pool_never_exceeds_the_cores_or_cells(self, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool)
+        rc, out, _ = run_wald(capsys, "ic-basis", "--dmax", "3", "--workers", str(MAX_WORKERS))
+        assert rc == 0
+        _, want, _ = run_wald(capsys, "ic-basis", "--dmax", "3", "--workers", "1")
+        assert out == want
+        cells = len(campaigns.plan("ic-basis", campaigns.SessionConfig(dmax=3)))
+        cores = os.cpu_count() or 1
+        # one pool of at most as many processes as cores, or none on one core
+        assert sizes == ([min(cores, cells)] if cores > 1 else [])
+
     def test_seed_changes_random_cells(self, capsys):
         _, out1, _ = run_wald(capsys, "module-axiom", "--seed", "1")
         _, out2, _ = run_wald(capsys, "module-axiom", "--seed", "2")
@@ -205,6 +247,9 @@ class TestSingleEigen:
         cells = [l for l in lines if l["type"] == "cell"]
         assert len(cells) == 1 and cells[0]["cell"] == "single"
         assert cells[0]["pass"] is True
+        assert cells[0]["claim"] == (
+            "truncated eigen-sum at depth 3 with e1=2, {'alpha': '5', 'beta': '7/2'} (split, q=3)"
+        )
 
     def test_ramified_single_run(self, capsys):
         rc, out, _ = run_wald(
@@ -220,10 +265,12 @@ class TestSingleEigen:
         assert rc == 2 and "gamma" in err
         rc, _, err = run_wald(capsys, "eigen", "--D", "2", "--alpha", "5")
         assert rc == 2 and "--e1" in err
-        rc, _, err = run_wald(
-            capsys, "eigen", "--e1", "2", "--alpha", "x", "--beta", "1"
-        )
-        assert rc == 2
+        for bad in ("x", "1/0"):
+            rc, _, err = run_wald(
+                capsys, "eigen", "--e1", "2", "--alpha", bad, "--beta", "1"
+            )
+            assert rc == 2
+            assert "eigen parameters must be rationals like 5 or 7/2" in err
 
     def test_wrong_kind_params_exit_2(self, capsys):
         rc, _, err = run_wald(
@@ -231,6 +278,11 @@ class TestSingleEigen:
             "eigen", "--kind", "ramified", "--e1", "2", "--gamma", "2", "--alpha", "1",
         )
         assert rc == 2
+        rc, out, err = run_wald(
+            capsys,
+            "eigen", "--e1", "2", "--alpha", "5", "--beta", "7/2", "--gamma", "2",
+        )
+        assert rc == 2 and out == "" and "gamma" in err
 
 
 class TestHeckeCli:

@@ -49,6 +49,10 @@ class TestCharacterParams:
             EtaleKind.SPLIT, symbolic=False, assignment={"alpha": 2, "beta": "1/2"}
         )
         assert p.values() == {"alpha": Fraction(2), "beta": Fraction(1, 2)}
+        # class-exponent order, whatever the order given
+        assert p.assignment == (("alpha", Fraction(2)), ("beta", Fraction(1, 2)))
+        swapped = CharacterParams(EtaleKind.SPLIT, symbolic=False, assignment={"beta": 3, "alpha": 1})
+        assert [name for name, _v in swapped.assignment] == ["alpha", "beta"]
 
     def test_numeric_validation(self):
         with pytest.raises(ValueError):
