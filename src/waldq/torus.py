@@ -53,10 +53,15 @@ class EtaleKind(enum.Enum):
         """The character variables, in class-exponent order."""
         return _KIND_TABLE[self].variables
 
+    @property
+    def pads(self) -> tuple[tuple, tuple]:
+        """The zero exponents before and after the class exponents in a triple."""
+        return _KIND_TABLE[self].pads
+
     def triple(self, exps) -> tuple[int, int, int]:
         """Class exponents placed at their slots of the (alpha, beta, gamma) triple."""
-        at = dict(zip(_KIND_TABLE[self].slots, exps))
-        return tuple(at.get(i, 0) for i in range(3))
+        lo, hi = _KIND_TABLE[self].pads
+        return lo + tuple(exps) + hi
 
     def closed_orbit_count(self, d, m) -> int:
         """Colength-d sublattices of the orbit-m representative on the closed orbit."""
@@ -65,14 +70,14 @@ class EtaleKind(enum.Enum):
 
 class _KindRow(NamedTuple):
     variables: tuple[str, ...]
-    slots: tuple[int, ...]  # of the variables in the (alpha, beta, gamma) triple
+    pads: tuple[tuple, tuple]  # zeros around the variables in (alpha, beta, gamma)
     uniformizer: tuple[int, ...]  # class exponents of t; chi_c is its character
     closed: Callable[[int], int]  # closed-orbit count at d >= m, from d - m
 
 
 _KIND_TABLE = {
-    EtaleKind.SPLIT: _KindRow(("alpha", "beta"), (0, 1), (1, 1), lambda n: n + 1),
-    EtaleKind.RAMIFIED: _KindRow(("gamma",), (2,), (2,), lambda n: 1),
+    EtaleKind.SPLIT: _KindRow(("alpha", "beta"), ((), (0,)), (1, 1), lambda n: n + 1),
+    EtaleKind.RAMIFIED: _KindRow(("gamma",), ((0, 0), ()), (2,), lambda n: 1),
 }
 
 

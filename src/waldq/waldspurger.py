@@ -276,7 +276,7 @@ class WaldModel:
         mlo = min(f.values)
         mhi = max(f.values)
         pairs = {}
-        shifts = {}  # class exponents -> their (alpha, beta, gamma) exponents
+        lo, hi = self.kind.pads  # around the class exponents in an exponent triple
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
@@ -287,7 +287,7 @@ class WaldModel:
                     terms = scaled.get(m1)
                     if terms is None:
                         continue
-                    e1, e2, e3 = shifts.get(exps) or shifts.setdefault(exps, self.kind.triple(exps))
+                    e1, e2, e3 = lo + exps + hi
                     out.extend(
                         ((k[0] + e1, k[1] + e2, k[2] + e3), SqrtQ(q, v.a * count, v.b * count))
                         for k, v in terms
