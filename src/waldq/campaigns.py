@@ -646,6 +646,7 @@ _MODULE_H_POOL = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))
 def _plan_module_axiom(cfg):
     rng = random.Random(cfg.seed)
     kind = EtaleKind.parse(cfg.kind)
+    lo, hi = kind.pads
     cells = []
     for i in range(50):
         hrows = []
@@ -658,7 +659,7 @@ def _plan_module_axiom(cfg):
             hrows.append(tuple(rows))
         frows = []
         for m in rng.sample(range(4), rng.randint(1, 3)):
-            exps = kind.triple([rng.randint(-1, 2) for _ in kind.variables])
+            exps = lo + tuple(rng.randint(-1, 2) for _ in kind.variables) + hi
             num = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
             den = rng.randint(1, 3)
             frows.append((m, exps, num, den))

@@ -17,7 +17,7 @@ from being free of rank one.  Orbits of the algebra's unit group on lattices
 are indexed by m; normalize(L) recovers (m, chi(u)) where chi(u) is the
 character monomial of the envelope class (alpha^k1 * beta^k2 split, gamma^k
 ramified).  Every per-kind datum read outside this module is a row of
-``_KIND_TABLE``, read through the ``EtaleKind`` methods; only the geometry
+``_KIND_TABLE``, read through ``EtaleKind``'s members; only the geometry
 (embed, coordinates, orbit representatives, envelopes) branches on the kind.
 """
 
@@ -55,13 +55,8 @@ class EtaleKind(enum.Enum):
 
     @property
     def pads(self) -> tuple[tuple, tuple]:
-        """The zero exponents before and after the class exponents in a triple."""
+        """Zeros (lo, hi): lo + exps + hi is the (alpha, beta, gamma) triple of exps."""
         return _KIND_TABLE[self].pads
-
-    def triple(self, exps) -> tuple[int, int, int]:
-        """Class exponents placed at their slots of the (alpha, beta, gamma) triple."""
-        lo, hi = _KIND_TABLE[self].pads
-        return lo + tuple(exps) + hi
 
     def closed_orbit_count(self, d, m) -> int:
         """Colength-d sublattices of the orbit-m representative on the closed orbit."""
@@ -110,7 +105,8 @@ class TorusClass:
 
     def chi(self, q) -> LaurentScalar:
         """The character monomial of this class."""
-        return LaurentScalar.monomial(q, self.kind.triple(self.exps))
+        lo, hi = self.kind.pads
+        return LaurentScalar.monomial(q, lo + tuple(self.exps) + hi)
 
     def coordinates(self, q):
         """A representative of the class as coordinates (x, y) in the frame.
@@ -187,10 +183,7 @@ def envelope(lat: Lattice2, kind) -> tuple[TorusClass, int]:
 
 
 def envelope_lattice(cls: TorusClass, q) -> Lattice2:
-    """The envelope itself as a lattice (u * integers in the fixed frame).
-
-    Both kinds' integers are the standard lattice in their frames.
-    """
+    """The envelope u * integers as a lattice: u moves the standard lattice."""
     return act_by_class(cls, Lattice2.standard(q))
 
 
