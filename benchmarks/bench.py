@@ -18,10 +18,12 @@ peak RSS
 (the child's ``ru_maxrss``, as ``RUSAGE_CHILDREN`` counts it, read with
 ``os.wait4`` so that each child is measured on its own), the SHA-256 of the
 report and the backend named in its header.  The entry also names the
-commit, Python and the machine, and is stored under its name in
-``BENCH_<label>.json`` at the repository root; other entries in that file
-are kept.  ``--only NAME ...`` runs just the named configs (an unknown name
-exits 2), so a change that cannot touch the q=3 sweep need not wait for it.
+commit, Python, the machine and ``WALDQ_WORKERS`` (which the children
+inherit; null when unset), so an entry measured with a pool says so.  It is
+stored under its name in ``BENCH_<label>.json`` at the repository root;
+other entries in that file are kept.  ``--only NAME ...`` runs just the
+named configs (an unknown name exits 2), so a change that cannot touch the
+q=3 sweep need not wait for it.
 A tree that is not a git checkout (``--against`` always, ``--tree`` unless
 ``--commit`` names its commit) exits 2 before anything runs, so every entry
 names its commit.  Nothing here asserts a timing.
@@ -175,6 +177,7 @@ def entry_of(tree, commit, repeat, configs):
         "commit": commit or commit_of(tree),
         "python": platform.python_version(),
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(), "platform": platform.platform()},
+        "WALDQ_WORKERS": os.environ.get("WALDQ_WORKERS"),
         "repeat": repeat,
         "configs": configs,
     }

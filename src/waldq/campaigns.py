@@ -16,6 +16,7 @@ import io
 import json
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -48,6 +49,10 @@ class ConfigInvalid(ValueError):
 
 #: The largest accepted ``workers``; a pool also never outnumbers cores or cells.
 MAX_WORKERS = 64
+
+#: Seconds of cells run in the calling process before the cells left go to a
+#: pool: about what starting and joining a two-process pool costs.
+POOL_AFTER_S = 0.02
 
 #: Odd primes used by the polynomial-fit campaign, smallest first.
 PROBE_PRIMES = (3, 5, 7, 11, 13, 17, 19)
@@ -813,15 +818,28 @@ def run_campaign(name, cfg: SessionConfig) -> dict:
     The report is deterministic for fixed (name, cfg.q, kind, bounds, seed):
     cells are planned up front, random draws happen only during planning, and
     rows keep plan order no matter how many workers execute them.
+
+    Cells run in plan order in this process.  When more than one worker may
+    run, the cells left once ``POOL_AFTER_S`` seconds have passed go to one
+    pool of at most that many workers, cores and cells left; a campaign that
+    ends sooner starts no pool at all.
     """
     cfg = cfg.validate()
     cells = plan(name, cfg)
-    workers = min(cfg.workers, len(cells), os.cpu_count() or 1)
+    cap = min(cfg.workers, os.cpu_count() or 1)
+    rows = []
+    start = time.perf_counter()
+    for cell in cells:
+        rows.append(_run_cell(cell))
+        if cap > 1 and time.perf_counter() - start >= POOL_AFTER_S:
+            break
+    left = cells[len(rows):]
+    workers = min(cap, len(left))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, cells, chunksize=1))
+            rows += pool.map(_run_cell, left, chunksize=1)
     else:
-        rows = [_run_cell(c) for c in cells]
+        rows += map(_run_cell, left)
     return _report(name, cfg, rows)
 
 

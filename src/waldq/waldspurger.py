@@ -277,13 +277,14 @@ class WaldModel:
         mhi = max(f.values)
         pairs = {}
         lo, hi = self.kind.pads  # around the class exponents in an exponent triple
+        kind_value = self.kind.value
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
             scaled = {m1: tuple((coeff * fv).terms.items()) for m1, fv in f.values.items()}
             for m0 in range(max(0, mlo - width), mhi + width + 1):
                 out = pairs.setdefault(m0, [])
-                for m1, exps, count in _transitions(q, self.kind.value, m0, (eff.a1, eff.a2)):
+                for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
                     terms = scaled.get(m1)
                     if terms is None:
                         continue
@@ -375,13 +376,14 @@ class WaldModel:
         if not vals:
             return out
         mlo, mhi = min(vals), max(vals)
+        q, kind_value = self.q, self.kind.value
         for lam, coeff in h.terms.items():
             c = specialize(coeff, assignment, r_value)
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
             for m0 in range(max(0, mlo - width), mhi + width + 1):
                 s = 0
-                for m1, exps, count in _transitions(self.q, self.kind.value, m0, (eff.a1, eff.a2)):
+                for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
                     v = vals.get(m1)
                     if v is None:
                         continue

@@ -161,7 +161,9 @@ class TestDeterminism:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_workers_do_not_change_bytes(self, capsys):
+    def test_workers_do_not_change_bytes(self, capsys, monkeypatch):
+        # these cells end well inside POOL_AFTER_S; at 0 the cells after the first go to a pool
+        monkeypatch.setattr(campaigns, "POOL_AFTER_S", 0)
         rc1, out1, _ = run_wald(capsys, "ic-basis", "--dmax", "3", "--workers", "1")
         rc2, out2, _ = run_wald(capsys, "ic-basis", "--dmax", "3", "--workers", "2")
         assert rc1 == rc2 == 0
@@ -197,14 +199,50 @@ class TestDeterminism:
                 return map(fn, cells)
 
         monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(campaigns, "POOL_AFTER_S", 0)
         rc, out, _ = run_wald(capsys, "ic-basis", "--dmax", "3", "--workers", str(MAX_WORKERS))
         assert rc == 0
         _, want, _ = run_wald(capsys, "ic-basis", "--dmax", "3", "--workers", "1")
         assert out == want
         cells = len(campaigns.plan("ic-basis", campaigns.SessionConfig(dmax=3)))
         cores = os.cpu_count() or 1
-        # one pool of at most as many processes as cores, or none on one core
-        assert sizes == ([min(cores, cells)] if cores > 1 else [])
+        # the first cell runs here; one pool of at most as many processes as
+        # cores runs the rest, or none on one core
+        assert sizes == ([min(cores, cells - 1)] if cores > 1 else [])
+
+    def test_cells_that_end_in_time_start_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(campaigns, "POOL_AFTER_S", float("inf"))
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", no_pool)
+        rc, out, _ = run_wald(capsys, "min-orbit", "--workers", "2")
+        assert rc == 0
+        _, want, _ = run_wald(capsys, "min-orbit", "--workers", "1")
+        assert out == want
+
+    def test_pool_runs_the_cells_left(self, capsys, monkeypatch):
+        pools = []  # [processes, cells mapped] per pool built
+
+        class RecordingPool(campaigns.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                pools.append([max_workers, 0])
+
+            def map(self, fn, cells, chunksize=1):
+                cells = list(cells)
+                pools[-1][1] = len(cells)
+                return super().map(fn, cells, chunksize=chunksize)
+
+        monkeypatch.setattr(campaigns, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool)
+        rc, out, _ = run_wald(capsys, "min-orbit", "--workers", "2")
+        assert rc == 0
+        _, want, _ = run_wald(capsys, "min-orbit", "--workers", "1")
+        assert out == want
+        cells = len(campaigns.plan("min-orbit", campaigns.SessionConfig()))
+        cores = os.cpu_count() or 1
+        assert pools == ([[min(2, cores), cells - 1]] if cores > 1 else [])
 
     def test_seed_changes_random_cells(self, capsys):
         _, out1, _ = run_wald(capsys, "module-axiom", "--seed", "1")
