@@ -6,6 +6,7 @@ Run from the repository root:
     python3 benchmarks/bench.py --label scalars --entry before --tree ../old --commit SHA
     python3 benchmarks/bench.py --label act --entry after --against ../old --repeat 5
     python3 benchmarks/bench.py --label counts --entry after --against ../old --only counts-q3 counts-q5
+    python3 benchmarks/bench.py --label tier1 --entry after --against ../old --only tier1
 
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
 (``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``, which keeps an older tree
@@ -24,6 +25,14 @@ stored under its name in ``BENCH_<label>.json`` at the repository root;
 other entries in that file are kept.  ``--only NAME ...`` runs just the
 named configs (an unknown name exits 2), so a change that cannot touch the
 q=3 sweep need not wait for it.
+
+The entry ``tier1`` (last in a full run, or ``--only tier1``) times TREE's
+tier-1 suite (``python -m pytest -q`` in TREE, on the same ``PYTHONPATH``)
+in two parts, run one after the other: the form-sweep tests of
+``SWEEP_TESTS`` and the rest.  Per part it records the median and every wall
+time and the number of tests passed, and the median total wall time; a
+failing test stops the run.  The two trees' suites may differ, so no bytes
+are compared there.
 A tree that is not a git checkout (``--against`` always, ``--tree`` unless
 ``--commit`` names its commit) exits 2 before anything runs, so every entry
 names its commit.  Nothing here asserts a timing.
@@ -41,6 +50,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -82,6 +92,26 @@ for _q in ("5", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]
 
+#: The form-sweep tests of the tier-1 suite, as pytest node ids (an id without
+#: parameters selects all its cases): criterion 09's full q=3 sweep and the
+#: diffs of the sweep's certificates against the reference.  They take most of
+#: the suite's time, so the ``tier1`` entry times them apart from the rest.
+SWEEP_TESTS = (
+    "tests/test_acceptance.py::test_criterion_09_quadform_invariants",
+    "tests/test_campaigns.py::test_exhaustive_cell_matches_certify_first_loop",
+    "tests/test_campaigns.py::test_shard_certs_match_sym_normal_cert",
+    "tests/test_form_kernels.py::TestSymKernels::test_whole_q3_width3_cube",
+)
+
+#: The name of the entry that times the tier-1 suite.
+TIER1 = "tier1"
+
+#: The pytest arguments of the two parts of the ``tier1`` entry.
+TIER1_PARTS = {
+    "sweep": list(SWEEP_TESTS),
+    "rest": [arg for test in SWEEP_TESTS for arg in ("--deselect", test)],
+}
+
 #: Runs wald_main and writes the seconds spent inside it as the last line of
 #: standard error.
 RUN_WALD = (
@@ -106,6 +136,20 @@ def run_once(tree, argv):
         err.seek(0)
         run_s = float(err.read().split()[-1]) if code == 0 else None
         return wall, run_s, usage.ru_maxrss / 1024.0, out.read(), code
+
+
+def run_tier1(tree):
+    """Per part of the tier-1 suite: (wall s, tests passed, exit code) of one run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), WALDQ_BACKEND="pure")
+    out = {}
+    for part, args in TIER1_PARTS.items():
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+        start = time.perf_counter()
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        passed = re.findall(r"(\d+) passed", done.stdout)  # the summary line is last
+        out[part] = (wall, int(passed[-1]) if passed else 0, done.returncode)
+    return out
 
 
 def commit_of(tree):
@@ -150,18 +194,46 @@ def summarize(name, argv, runs):
     }
 
 
+def summarize_tier1(runs):
+    """The tier1 entry's figures from its runs of ``run_tier1``."""
+    out = {}
+    for part, args in TIER1_PARTS.items():
+        if {run[part][2] for run in runs} != {0}:
+            raise SystemExit(f"tier1: a test of the {part} part failed")
+        walls = [round(run[part][0], 2) for run in runs]
+        out[part] = {
+            "argv": args,
+            "wall_s": statistics.median(walls),
+            "wall_s_runs": walls,
+            "passed": runs[0][part][1],
+        }
+    out["wall_s"] = statistics.median(
+        round(sum(run[part][0] for part in TIER1_PARTS), 2) for run in runs
+    )
+    return out
+
+
 def measure(trees, repeat, names):
     """Per tree, the figures of the named configs; the trees' runs alternate."""
     results = [{} for _ in trees]
     for name in names:
-        argv = CONFIGS[name]
         runs = [[] for _ in trees]
         for r in range(repeat):
             order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
             for i in order:
-                runs[i].append(run_once(trees[i], argv))
+                tree = trees[i]
+                runs[i].append(run_tier1(tree) if name == TIER1 else run_once(tree, CONFIGS[name]))
+        if name == TIER1:
+            for i in range(len(trees)):
+                results[i][name] = summarize_tier1(runs[i])
+            line = " vs ".join(
+                f"{res[name]['sweep']['wall_s']} s sweep + {res[name]['rest']['wall_s']} s rest"
+                for res in results
+            )
+            print(f"{name}: {line}", flush=True)
+            continue
         for i in range(len(trees)):
-            results[i][name] = summarize(name, argv, runs[i])
+            results[i][name] = summarize(name, CONFIGS[name], runs[i])
         if len({res[name]["report_sha256"] for res in results}) != 1:
             raise SystemExit(f"{name}: the trees' reports differ")
         line = " vs ".join(
@@ -193,9 +265,10 @@ def main():
     ap.add_argument("--repeat", type=int, default=1, help="fresh runs per config")
     ap.add_argument("--only", nargs="+", metavar="NAME", help="run only these configs")
     args = ap.parse_args()
-    unknown = [name for name in args.only or () if name not in CONFIGS]
+    known = [*CONFIGS, TIER1]
+    unknown = [name for name in args.only or () if name not in known]
     if unknown:
-        ap.error(f"unknown config {', '.join(unknown)}; known: {', '.join(CONFIGS)}")
+        ap.error(f"unknown config {', '.join(unknown)}; known: {', '.join(known)}")
     trees = [args.tree.resolve()]
     entries = [args.entry]
     # every entry must name the commit it measured
@@ -210,7 +283,7 @@ def main():
         entries.insert(0, "before")
     for tree in trees:
         compileall.compile_dir(tree / "src" / "waldq", quiet=1)
-    results = measure(trees, args.repeat, args.only or list(CONFIGS))
+    results = measure(trees, args.repeat, args.only or known)
     path = REPO / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data[entries[0]] = entry_of(trees[0], None, args.repeat, results[0])

@@ -749,38 +749,49 @@ def _plan_isotropic(cfg):
 
 
 class Campaign(NamedTuple):
-    """One ``wald`` campaign: its name, planner, CLI help and CLI aliases."""
+    """One ``wald`` campaign: its name, planner, knobs, CLI help and CLI aliases.
+
+    ``knobs`` names the fields of ``KNOBS`` that the planner reads; ``wald``
+    refuses an explicit flag for any other one.
+    """
 
     name: str
     planner: Callable
+    knobs: tuple
     help: str
     aliases: tuple = ()
 
 
+#: The SessionConfig bounds that a campaign declares when its planner reads
+#: them.  ``kind`` and ``seed`` are not among them: every campaign accepts
+#: both, and one with no kind or no random draws plans the same cells for
+#: every value.
+KNOBS = ("q", "dmax", "mmax", "depth")
+
 #: Every campaign, in ``wald --help`` and ``CAMPAIGNS`` order.
 CAMPAIGN_TABLE = (
-    Campaign("min-orbit", _plan_min_orbit,
+    Campaign("min-orbit", _plan_min_orbit, ("q", "dmax", "mmax"),
              "count closed-orbit sublattices from each orbit representative",
              aliases=("verify-min-orbit",)),
-    Campaign("stratum-dim", _plan_stratum_dim,
+    Campaign("stratum-dim", _plan_stratum_dim, ("dmax", "mmax"),
              "fit orbit-stratum counts to polynomials in q and cross-check"),
-    Campaign("counts", _plan_counts,
+    Campaign("counts", _plan_counts, ("q", "dmax"),
              "check sublattice counts against the closed-form formula"),
-    Campaign("hecke-tables", _plan_hecke_tables,
+    Campaign("hecke-tables", _plan_hecke_tables, ("q",),
              "convolution identities, ring axioms, structure constants"),
-    Campaign("ic-basis", _plan_ic_basis,
+    Campaign("ic-basis", _plan_ic_basis, ("q", "dmax"),
              "support, monomial counts and central twist of the basis functions"),
-    Campaign("multone", _plan_multone,
+    Campaign("multone", _plan_multone, ("q", "depth"),
              "triangularity of the algebra action on the unit delta"),
-    Campaign("cs-matrix", _plan_cs_matrix,
+    Campaign("cs-matrix", _plan_cs_matrix, ("q", "depth"),
              "shape of the basis-function matrix in the delta basis"),
-    Campaign("module-axiom", _plan_module_axiom,
+    Campaign("module-axiom", _plan_module_axiom, ("q",),
              "compatibility of the action with convolution on random data"),
-    Campaign("eigen", _plan_eigen,
+    Campaign("eigen", _plan_eigen, ("q", "depth"),
              "truncated eigenfunction window checks (batch or single run)"),
-    Campaign("quadform-orbits", _plan_quadform_orbits,
+    Campaign("quadform-orbits", _plan_quadform_orbits, ("q",),
              "symmetric-form invariants: constancy, parity, completeness"),
-    Campaign("isotropic", _plan_isotropic,
+    Campaign("isotropic", _plan_isotropic, ("q",),
              "isotropic line counts against a direct projective scan"),
 )
 

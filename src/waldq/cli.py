@@ -4,7 +4,9 @@
 ``hecke`` convolves basis elements of the spherical algebra; ``quadform``
 classifies a symmetric matrix over the power-series ring.  Every flag of
 ``wald`` can also be set through a ``WALDQ_``-prefixed environment variable
-(the flag wins when both are given).
+(the flag wins when both are given).  An explicit ``--q``, ``--dmax``,
+``--mmax`` or ``--D`` that the campaign does not read exits 2; the same
+setting from the environment is a default, and is not refused.
 """
 
 from __future__ import annotations
@@ -61,21 +63,33 @@ def _env_str(name, fallback):
     return fallback if raw is None else raw
 
 
+#: Per campaign knob (``campaigns.KNOBS``): its flag, environment variable
+#: and fallback.  The flags have no parser default, so a flag that was given
+#: shows in the parsed arguments and one that was not does not.
+_KNOB_FLAGS = {
+    "q": ("--q", "Q", 3),
+    "dmax": ("--dmax", "DMAX", 5),
+    "mmax": ("--mmax", "MMAX", 5),
+    "depth": ("--D", "D", 6),
+}
+
+
 def _add_common(sub):
-    sub.add_argument("--q", type=int, default=_env_int("Q", 3), help="odd prime residue size")
+    unset = argparse.SUPPRESS
+    sub.add_argument("--q", type=int, default=unset, help="odd prime residue size")
     sub.add_argument(
         "--kind",
         default=_env_str("KIND", "split"),
         help="algebra kind: split or ramified",
     )
-    sub.add_argument("--dmax", type=int, default=_env_int("DMAX", 5), help="degree bound")
-    sub.add_argument("--mmax", type=int, default=_env_int("MMAX", 5), help="orbit-index bound")
+    sub.add_argument("--dmax", type=int, default=unset, help="degree bound")
+    sub.add_argument("--mmax", type=int, default=unset, help="orbit-index bound")
     sub.add_argument(
         "--D",
         "--depth",
         dest="depth",
         type=int,
-        default=_env_int("D", 6),
+        default=unset,
         help="truncation depth for matrix/eigen campaigns",
     )
     sub.add_argument("--seed", type=int, default=_env_int("SEED", 0), help="RNG seed for planned draws")
@@ -114,6 +128,21 @@ def _build_wald_parser():
     return parser
 
 
+def _fill_knobs(name, args):
+    """Refuse an explicit knob flag the campaign does not read; default the rest.
+
+    A ``WALDQ_`` variable only sets a default, so it is never refused.
+    """
+    uses = next(c.knobs for c in CAMPAIGN_TABLE if c.name == name)
+    given = vars(args)
+    for knob, (flag, env, fallback) in _KNOB_FLAGS.items():
+        if knob not in given:
+            setattr(args, knob, _env_int(env, fallback))
+        elif knob not in uses:
+            flags = " ".join(_KNOB_FLAGS[k][0] for k in uses)
+            raise ConfigInvalid(f"{name} does not use {flag} (it uses {flags})")
+
+
 def _single_eigen(cfg, args):
     if args.e1 is None:
         raise ConfigInvalid("--alpha/--beta/--gamma apply only to a single eigen run with --e1")
@@ -147,6 +176,7 @@ def wald_main(argv=None) -> int:
         parser = _build_wald_parser()
         args = parser.parse_args(argv)
         name = args.campaign
+        _fill_knobs(name, args)
         cfg = SessionConfig(
             q=args.q,
             kind=args.kind,

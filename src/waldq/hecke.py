@@ -4,7 +4,9 @@ Elements are finite sums of double-coset indicator functions T_lam indexed by
 dominant coweights, with coefficients in the symbolic character ring.
 Multiplication is convolution, computed exactly by lattice counting: the
 structure constant of T_nu in T_lam * T_mu is the number of chains
-L0 -> L'' -> L_nu with the prescribed relative positions.
+L0 -> L'' -> L_nu with the prescribed relative positions (``_pair_product``).
+``convolve`` sums each output coefficient as plain (a, b) parts per
+exponent triple (``scalars._add_terms``) and builds it once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from . import backend
 from ._purekern import INF, PZERO
 from .lattice import Coweight, _member_histogram
-from .scalars import LaurentScalar
+from .scalars import LaurentScalar, _add_terms, _product_sums
 from .torus import chi_c
 
 __all__ = [
@@ -181,17 +183,24 @@ def _pair_product(q, lam, mu):
 
 
 def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """Convolution product, bilinear over the structure constants."""
+    """Convolution product, bilinear over the structure constants.
+
+    Each output coefficient is built once: the product of each pair of
+    coefficients is taken as raw (exponents, a, b) triples and added, scaled
+    by the structure constants, into plain (a, b) sums per output coweight.
+    """
     if not isinstance(x, HeckeElement) or not isinstance(y, HeckeElement):
         raise TypeError("convolve expects two HeckeElements")
     if x.q != y.q:
         raise ValueError("mixed residue characteristics")
-    terms = []
+    q = x.q
+    sums = {}  # nu -> exps -> [a, b]
     for lam, cx in x.terms.items():
         for mu, cy in y.terms.items():
-            c = cx * cy
-            terms += ((nu, c * count) for nu, count in _pair_product(x.q, tuple(lam), tuple(mu)))
-    return HeckeElement(x.q, terms)
+            c = [(k, a, b) for k, (a, b) in _product_sums(cx, cy).items() if a or b]
+            for nu, count in _pair_product(q, tuple(lam), tuple(mu)):
+                _add_terms(sums.setdefault(nu, {}), q, count, 0, (0, 0, 0), c)
+    return HeckeElement(q, {nu: LaurentScalar._from_sums(q, s) for nu, s in sums.items()})
 
 
 @functools.lru_cache(maxsize=None)

@@ -235,9 +235,13 @@ def normal_transport(b: SymMatrixO, precision: int | None = None):
     A B A^t eps == normal_form(inv) mod t^precision."""
     prec = _precision(b, precision)
     inv, a_mat, eps = diagonalize(b, prec)
-    q = b.q
-    res = b.congruent_by(a_mat, eps)
-    w = res.e22.shift(-inv.b)
+    q, inf = b.q, _pk.INF
+    # slot 22 of A B A^t eps, the only one w is read from
+    r21, r22 = a_mat[1][0].raw, a_mat[1][1].raw
+    y1 = _pk.pdot(q, inf, ((r21, b.e11.raw), (r22, b.e12.raw)))
+    y2 = _pk.pdot(q, inf, ((r21, b.e12.raw), (r22, b.e22.raw)))
+    m22 = _pk.pdot(q, inf, ((y1, r21), (y2, r22)))
+    w = LaurentPoly.from_raw(q, _pk.pdot(q, inf, ((m22, eps.raw),))).shift(-inv.b)
     w0 = 1 if inv.delta is Delta.SQUARE else least_nonsquare(q)
     u = LaurentPoly.from_raw(q, _pk.rescale(q, w.raw, w0, prec))
     (a11, a12), (a21, a22) = a_mat

@@ -13,6 +13,14 @@ coefficient part stays a plain ``int`` while it is integral and becomes a
 Fraction only when it is not, so the integer values that almost every
 computation produces cost integer arithmetic; an int and the equal Fraction
 compare and hash alike, and both carry ``numerator``/``denominator``.
+
+Products are summed before anything is built: ``_add_terms`` adds
+(a + b*r) * x^shift * terms into a dict exps -> [a, b] of plain parts, and
+``LaurentScalar._from_sums`` makes one SqrtQ per nonzero sum.  Laurent
+products, the module action (``WaldModel.act``) and Hecke convolution build
+each coefficient this way, once.  ``_specialize_many`` specializes a whole
+table of values in one pass over shared power tables and one common
+denominator; ``specialize`` is its one-value case.
 """
 
 from __future__ import annotations
@@ -150,7 +158,8 @@ class LaurentScalar:
 
     Stored as a map from exponent triples (ea, eb, eg) in Z^3 to nonzero
     SqrtQ coefficients.  Given as a dict or as (exps, coeff) pairs, terms are
-    merged and zeros dropped here in the constructor, and nowhere else.
+    merged and zeros dropped here in the constructor; ``_from_sums`` takes
+    terms already merged as plain sums and only drops the zeros.
     """
 
     __slots__ = ("q", "terms")
@@ -190,6 +199,19 @@ class LaurentScalar:
         return cls(q, {(0, 0, 0): SqrtQ(q, x)})
 
     from_int = from_fraction
+
+    @classmethod
+    def _from_sums(cls, q, sums):
+        """The scalar whose terms are the dict exps -> [a, b] of plain parts.
+
+        The keys are valid exponent triples and the parts ints or Fractions,
+        as ``_add_terms`` leaves them, so only the zero sums are dropped here:
+        one SqrtQ is built per surviving key, and nothing is merged again.
+        """
+        x = object.__new__(cls)
+        object.__setattr__(x, "q", q)
+        object.__setattr__(x, "terms", {k: SqrtQ(q, a, b) for k, (a, b) in sums.items() if a or b})
+        return x
 
     @classmethod
     def monomial(cls, q, exps, coeff=1):
@@ -253,15 +275,7 @@ class LaurentScalar:
             return LaurentScalar(
                 q, {k: SqrtQ(q, v.a * other, v.b * other) for k, v in self.terms.items()}
             )
-        o = self._same(other)
-        return LaurentScalar(
-            self.q,
-            [
-                ((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2]), v1 * v2)
-                for k1, v1 in self.terms.items()
-                for k2, v2 in o.terms.items()
-            ],
-        )
+        return LaurentScalar._from_sums(self.q, _product_sums(self, self._same(other)))
 
     __rmul__ = __mul__
 
@@ -345,6 +359,50 @@ class LaurentScalar:
         return cls(q, terms)
 
 
+def _add_terms(sums, q, a, b, shift, triples):
+    """Add (a + b*r) * x^shift * triples into ``sums``, a dict exps -> [a, b].
+
+    ``triples`` holds raw terms (exps, ta, tb), each (ta + tb*r) * x^exps.
+    The parts are summed as plain ints and Fractions in lists that this
+    function creates itself; ``LaurentScalar._from_sums`` builds the result.
+    """
+    s0, s1, s2 = shift
+    get = sums.get
+    if b:
+        qb = q * b
+        for (e0, e1, e2), ta, tb in triples:
+            key = (e0 + s0, e1 + s1, e2 + s2)
+            na, nb = a * ta + qb * tb, a * tb + b * ta
+            cur = get(key)
+            if cur is None:
+                sums[key] = [na, nb]
+            else:
+                cur[0] += na
+                cur[1] += nb
+    else:
+        for (e0, e1, e2), ta, tb in triples:
+            key = (e0 + s0, e1 + s1, e2 + s2)
+            cur = get(key)
+            if cur is None:
+                sums[key] = [a * ta, a * tb]
+            else:
+                cur[0] += a * ta
+                cur[1] += a * tb
+
+
+def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
+    """x * y as a dict exps -> [a, b], in the order x * y meets its terms.
+
+    Sums that cancel to zero are kept; ``_from_sums`` drops them.
+    """
+    q = x.q
+    ys = [(k, c.a, c.b) for k, c in y.terms.items()]
+    sums = {}
+    for k, c in x.terms.items():
+        _add_terms(sums, q, c.a, c.b, k, ys)
+    return sums
+
+
 def monomial_invert(x: LaurentScalar) -> LaurentScalar:
     """Invert a single Laurent monomial (negate exponents, invert coefficient)."""
     if len(x.terms) != 1:
@@ -361,12 +419,21 @@ def specialize(x: LaurentScalar, assignment, r_value=None) -> Fraction:
     ``r_value`` substitutes sqrt(q) when coefficients involve it; if omitted
     and some coefficient has a sqrt(q) part, ResidualSqrtQ is raised.
 
-    The sum is taken over a common denominator: with v = n/d and the
-    exponents e of v running over lo..lo+K, each v^e is n^(e-lo) d^(K-e+lo)
-    over the shared d^K (n/d)^(-lo), so the terms add as integers (as
-    Fractions only where a coefficient is not integral) and one Fraction
-    is built at the end.  Errors are raised as a term-by-term evaluation in
-    ``terms`` order would meet them.
+    This is the one-value case of ``_specialize_many``.
+    """
+    return _specialize_many((x,), assignment, r_value)[0]
+
+
+def _specialize_many(xs, assignment, r_value=None) -> list:
+    """``specialize`` of each scalar in ``xs``, in one pass.
+
+    The sums share their power tables and their common denominator: with
+    v = n/d and the exponents e of v in all of xs running over lo..lo+K,
+    each v^e is n^(e-lo) d^(K-e+lo) over the shared d^K (n/d)^(-lo), so the
+    terms add as integers (as Fractions only where a coefficient is not
+    integral) and one Fraction is built per value at the end.  Errors are
+    raised as evaluating the values in order, each term by term in
+    ``terms`` order, would meet them.
     """
     vals = {}
     for name, v in (assignment or {}).items():
@@ -376,33 +443,41 @@ def specialize(x: LaurentScalar, assignment, r_value=None) -> Fraction:
         if v == 0:
             raise ZeroAssignment(f"{name} = 0")
         vals[name] = v
-    terms = x.terms
-    if not terms:
-        return Fraction(0)
-    cols = tuple(zip(*terms))
-    used = [i for i in range(3) if any(cols[i])]
-    missing = [i for i in used if VARS[i] not in vals]
+    missing = [i for i in range(3) if VARS[i] not in vals]
     products = []
-    for exps, coeff in terms.items():
-        products.append(coeff.specialize_r(r_value) if coeff.b else coeff.a)
-        for i in missing:
-            if exps[i]:
-                raise KeyError(f"no value for {VARS[i]}")
+    ends = []
+    for x in xs:
+        for exps, coeff in x.terms.items():
+            products.append(coeff.specialize_r(r_value) if coeff.b else coeff.a)
+            for i in missing:
+                if exps[i]:
+                    raise KeyError(f"no value for {VARS[i]}")
+        ends.append(len(products))
     num = den = 1
-    for i in used:
-        v = vals[VARS[i]]
-        n, d = v.numerator, v.denominator
-        lo = min(cols[i])
-        span = max(cols[i]) - lo
-        table = [n**k * d ** (span - k) for k in range(span + 1)]
-        products = list(map(mul, products, [table[e - lo] for e in cols[i]]))
-        if lo >= 0:
-            num *= n**lo
-            den *= d ** (lo + span)
-        else:
-            num *= d**-lo
-            den *= n**-lo * d**span
-    return Fraction(sum(products) * num, den)
+    if products:
+        cols = tuple(zip(*(exps for x in xs for exps in x.terms)))
+        for i in range(3):
+            col = cols[i]
+            lo = min(col)
+            span = max(col) - lo
+            if not (lo or span):
+                continue
+            v = vals[VARS[i]]
+            n, d = v.numerator, v.denominator
+            table = [n**k * d ** (span - k) for k in range(span + 1)]
+            products = list(map(mul, products, [table[e - lo] for e in col]))
+            if lo >= 0:
+                num *= n**lo
+                den *= d ** (lo + span)
+            else:
+                num *= d**-lo
+                den *= n**-lo * d**span
+    out = []
+    start = 0
+    for end in ends:
+        out.append(Fraction(sum(products[start:end]) * num, den))
+        start = end
+    return out
 
 
 def monomial_count(x: LaurentScalar, variables) -> int:

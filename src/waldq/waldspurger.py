@@ -7,9 +7,12 @@ sublattice transitions (lattice._member_histogram); everything stays symbolic
 in the character variables unless explicitly specialized.
 
 ``WaldModel.act`` reads the cached transition rows (``_transitions``) and
-makes one LaurentScalar per orbit index of its result: each row contributes
-shifted, rescaled copies of the function's terms as raw pairs, and the
-constructor merges them, so no intermediate sum or product is built.
+makes one LaurentScalar per orbit index of its result: each row adds
+shifted, rescaled copies of the function's terms, as raw (exponents, a, b)
+triples, into plain (a, b) sums (``scalars._add_terms``), and each value is
+built once from its sums, so no intermediate SqrtQ, sum or product is built.
+The eigen window check specializes its whole table of basis-function values
+in one pass (``scalars._specialize_many``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .hecke import HeckeElement, ZeroEigenvalue, _as_scalar, satake_basis, schur_gl2
 from .lattice import Coweight, Lattice2, _member_histogram
-from .scalars import LaurentScalar, SqrtQ, specialize
+from .scalars import LaurentScalar, _add_terms, _product_sums, _specialize_many, specialize
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
 
 __all__ = [
@@ -258,11 +261,11 @@ class WaldModel:
         lam of chi(class of L') * f[invariant of L'], summed over the terms
         of h with their coefficients.
 
-        Each output value is one LaurentScalar construction: the Hecke
-        coefficient is multiplied into the function values once per term,
-        and every transition row only shifts their exponents by its
-        character class and scales their coefficients by its multiplicity,
-        as raw (exponents, coefficient) pairs that the constructor merges.
+        Each output value is built once, from plain (a, b) sums: the Hecke
+        coefficient is multiplied into the function values once per term, as
+        raw (exponents, a, b) triples, and every transition row adds copies
+        of them shifted by its character class and scaled by its
+        multiplicity (``scalars._add_terms``).
         """
         if not isinstance(h, HeckeElement) or not isinstance(f, WaldFunction):
             raise TypeError("act expects (HeckeElement, WaldFunction)")
@@ -275,26 +278,24 @@ class WaldModel:
             return WaldFunction(q, self.kind, {})
         mlo = min(f.values)
         mhi = max(f.values)
-        pairs = {}
+        sums = {}  # m0 -> exps -> [a, b]
         lo, hi = self.kind.pads  # around the class exponents in an exponent triple
         kind_value = self.kind.value
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
-            scaled = {m1: tuple((coeff * fv).terms.items()) for m1, fv in f.values.items()}
+            scaled = {
+                m1: [(k, a, b) for k, (a, b) in _product_sums(coeff, fv).items() if a or b]
+                for m1, fv in f.values.items()
+            }
             for m0 in range(max(0, mlo - width), mhi + width + 1):
-                out = pairs.setdefault(m0, [])
+                out = sums.setdefault(m0, {})
                 for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
                     terms = scaled.get(m1)
-                    if terms is None:
-                        continue
-                    e1, e2, e3 = lo + exps + hi
-                    out.extend(
-                        ((k[0] + e1, k[1] + e2, k[2] + e3), SqrtQ(q, v.a * count, v.b * count))
-                        for k, v in terms
-                    )
+                    if terms is not None:
+                        _add_terms(out, q, count, 0, lo + exps + hi, terms)
         return WaldFunction(
-            q, self.kind, {m0: LaurentScalar(q, rows) for m0, rows in pairs.items() if rows}
+            q, self.kind, {m0: LaurentScalar._from_sums(q, s) for m0, s in sums.items() if s}
         )
 
     def ic_basis(self, d) -> WaldFunction:
@@ -353,12 +354,6 @@ class WaldModel:
         return [[col.values.get(m, zero) for col in cols] for m in range(depth + 1)]
 
     # -- truncated eigenfunction window check ---------------------------------
-
-    def _specialized_ic(self, d, assignment, r_value):
-        return {
-            m: specialize(v, assignment, r_value)
-            for m, v in self.ic_basis(d).values.items()
-        }
 
     def _act_evaluated(self, h, values, assignment, r_value, chi):
         """``act(h, f)`` at rational character values, for f with rational values.
@@ -430,9 +425,10 @@ class WaldModel:
         central = specialize(chi_c(self.q, self.kind), assignment, r_value)
         e2 = central / e1
 
-        wtab = [
-            self._specialized_ic(d, assignment, r_value) for d in range(depth + 2)
-        ]
+        # the W_d tables, specialized in one pass
+        ics = [self.ic_basis(d).values for d in range(depth + 2)]
+        flat = iter(_specialize_many([v for w in ics for v in w.values()], assignment, r_value))
+        wtab = [{m: next(flat) for m in w} for w in ics]
         coeff = [
             schur_gl2(Coweight(d, 0), e1, e2) / central ** d for d in range(depth + 2)
         ]

@@ -1,12 +1,16 @@
-"""WaldModel.act and scalars.specialize against their term-by-term routes.
+"""WaldModel.act, hecke.convolve and scalars.specialize against term-by-term routes.
 
-``act`` builds each output value as one LaurentScalar from raw (exponents,
-coefficient) pairs, and ``specialize`` sums over a common denominator in
-integers.  The references here are the object routes those replace: one
-character monomial times the scaled function value per transition row,
-summed as LaurentScalars, and one Fraction product per term and variable.
-The eigen check's ``_act_evaluated``, which acts on rational values at
-rational character values, is checked against ``specialize`` of ``act``.
+``act`` and ``convolve`` sum each output coefficient as plain (a, b) parts
+and build it once, and ``specialize`` sums over a common denominator in
+integers, for one value or, in the eigen check, a whole table of values at
+once.  The references here are the object routes those replace: per
+transition row, one character monomial times the scaled function value; per
+pair of Hecke terms, their product times each structure constant; products
+taken term by term as SqrtQ products and merged by the LaurentScalar
+constructor, so no reference goes through the raw sums; and one Fraction
+product per term and variable, value by value.  The eigen check's
+``_act_evaluated``, which acts on rational values at rational character
+values, is checked against ``specialize`` of ``act``.
 """
 
 from fractions import Fraction
@@ -14,9 +18,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waldq.hecke import HeckeElement
+from waldq.hecke import HeckeElement, _pair_product, convolve
 from waldq.lattice import Coweight
-from waldq.scalars import VARS, LaurentScalar, SqrtQ, ZeroAssignment, specialize
+from waldq.scalars import (
+    VARS,
+    LaurentScalar,
+    ResidualSqrtQ,
+    SqrtQ,
+    ZeroAssignment,
+    _specialize_many,
+    specialize,
+)
 from waldq.torus import EtaleKind
 from waldq.waldspurger import WaldFunction, WaldModel, _transitions
 
@@ -35,6 +47,18 @@ EXPS3 = {
 }
 
 
+def times(x, y):
+    """x * y as one SqrtQ product per pair of terms, merged by the constructor."""
+    return LaurentScalar(
+        x.q,
+        [
+            (tuple(e1 + e2 for e1, e2 in zip(k1, k2)), c1 * c2)
+            for k1, c1 in x.terms.items()
+            for k2, c2 in y.terms.items()
+        ],
+    )
+
+
 def act_reference(model, h, f):
     """Sum over terms, target orbits and transition rows of chi * coeff * f[m1]."""
     q, kind = model.q, model.kind
@@ -50,8 +74,19 @@ def act_reference(model, h, f):
                 fv = f.values.get(m1)
                 if fv is not None:
                     chi = LaurentScalar.monomial(q, EXPS3[kind](exps), count)
-                    values.append((m0, chi * fv * coeff))
+                    values.append((m0, times(times(chi, fv), coeff)))
     return WaldFunction(q, kind, values)
+
+
+def convolve_reference(x, y):
+    """Per pair of terms, their product times each structure constant."""
+    q = x.q
+    terms = []
+    for lam, cx in x.terms.items():
+        for mu, cy in y.terms.items():
+            for nu, count in _pair_product(q, tuple(lam), tuple(mu)):
+                terms.append((nu, times(times(cx, cy), LaurentScalar.from_int(q, count))))
+    return HeckeElement(q, terms)
 
 
 def specialize_reference(x, assignment, r_value=None):
@@ -135,6 +170,41 @@ def test_act_on_the_ic_basis_matches_per_row_products():
 
 
 @st.composite
+def convolve_cases(draw):
+    q = draw(QS)
+    return draw(hecke_elements(q)), draw(hecke_elements(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(convolve_cases())
+def test_convolve_matches_per_pair_products(case):
+    x, y = case
+    got = convolve(x, y)
+    assert got == convolve_reference(x, y)
+    assert all(c.terms and not c.is_zero() for c in got.terms.values())
+
+
+def test_convolve_merges_sqrt_q_parts():
+    # (1 + r) T(1,0) * (1 - r) T(1,0) = (1 - q) (T(2,0) + (q + 1) T(1,1)); the
+    # r parts cancel only once the products of both pairs are summed
+    q = 5
+    r = LaurentScalar.r(q)
+    one = LaurentScalar.one(q)
+    a = LaurentScalar.alpha(q)
+    x = HeckeElement(q, [((1, 0), one + r), ((0, 0), a * r)])
+    y = HeckeElement(q, [((1, 0), one - r), ((0, 0), a**-1 * r)])
+    got = convolve(x, y)
+    assert got == convolve_reference(x, y)
+    assert got.coefficient((2, 0)) == LaurentScalar.from_int(q, 1 - q)
+    assert got.coefficient((1, 1)) == LaurentScalar.from_int(q, (1 - q) * (q + 1))
+    # T(1,0) from both cross terms: (1 + r) r alpha^-1 + alpha r (1 - r)
+    want = (one + r) * r * a**-1 + a * r * (one - r)
+    assert got.coefficient((1, 0)) == want
+    assert all(c.b for c in got.coefficient((1, 0)).terms.values())
+    assert got.coefficient((0, 0)) == LaurentScalar.from_int(q, q)
+
+
+@st.composite
 def evaluated_act_cases(draw):
     q, kind = draw(QS), draw(KINDS)
     model = WaldModel(q, kind, convention=draw(CONVENTIONS))
@@ -213,3 +283,59 @@ def test_specialize_wide_negative_exponents():
         got = specialize(x, {"alpha": a, "beta": b})
         assert type(got) is Fraction
         assert got == 3 * a**-7 * b**4 + Fraction(-2, 3) * a**5 * b**-6 + 1
+
+
+@st.composite
+def specialize_many_cases(draw):
+    q = draw(QS)
+    xs = []
+    for _ in range(draw(st.integers(1, 4))):
+        # each value's exponents sit in their own window, so the ranges differ
+        shift = draw(st.tuples(*(st.integers(-4, 4) for _ in range(3))))
+        x = draw(scalars(q, max_terms=4, sqrt_parts=draw(st.booleans())))
+        xs.append(
+            LaurentScalar(
+                q, [(tuple(e + s for e, s in zip(k, shift)), c) for k, c in x.terms.items()]
+            )
+        )
+    values = st.one_of(RATIONALS.filter(bool), st.integers(-3, 3).filter(bool))
+    names = draw(st.lists(st.sampled_from(VARS), unique=True, min_size=2))
+    assignment = {name: draw(values) for name in names}
+    r_value = draw(st.one_of(st.none(), RATIONALS))
+    return xs, assignment, r_value
+
+
+def specialize_each(xs, assignment, r_value=None):
+    return [specialize_reference(x, assignment, r_value) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(specialize_many_cases())
+def test_specialize_many_matches_each_value(case):
+    xs, assignment, r_value = case
+    got = outcome(_specialize_many, xs, assignment, r_value)
+    assert got == outcome(specialize_each, xs, assignment, r_value)
+    if got[0] == "value":
+        assert all(type(v) is Fraction for v in got[2])
+
+
+def test_specialize_many_errors_come_in_value_order():
+    q = 3
+    needs_beta = LaurentScalar(q, [((1, 0, 0), 2), ((0, -2, 0), 1)])
+    needs_r = LaurentScalar(q, [((-3, 0, 0), SqrtQ(q, 1, 1))])
+    zero = LaurentScalar.zero(q)
+    plain = LaurentScalar(q, [((4, 0, 0), Fraction(1, 2))])
+    for xs in (
+        [plain, needs_beta, needs_r],
+        [zero, needs_r, needs_beta],
+        [needs_r, plain, needs_beta],
+    ):
+        got = outcome(_specialize_many, xs, {"alpha": 2})
+        assert got == outcome(specialize_each, xs, {"alpha": 2})
+        first = next(x for x in xs if x in (needs_beta, needs_r))
+        assert got[1] is (KeyError if first is needs_beta else ResidualSqrtQ)
+    # with r given, beta is the only fault left, wherever its value stands
+    assert outcome(_specialize_many, [needs_r, zero, needs_beta], {"alpha": 2}, 1)[1] is KeyError
+    got = _specialize_many([plain, zero, needs_r], {"alpha": 2}, Fraction(1, 3))
+    assert got == [8, 0, Fraction(4, 3) / 8]
+    assert [specialize(x, {"alpha": 2}, Fraction(1, 3)) for x in (plain, zero, needs_r)] == got

@@ -1,10 +1,33 @@
-"""benchmarks/bench.py refuses a config name it does not know, before running anything."""
+"""benchmarks/bench.py: refused arguments, and the two parts of its tier1 entry."""
 
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", REPO / "benchmarks" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def collected(*args):
+    """The node ids that pytest collects in this checkout with these arguments."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only", *args],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    return [line for line in out.stdout.splitlines() if "::" in line]
 
 
 def test_only_unknown_name_exits_2(tmp_path):
@@ -38,3 +61,16 @@ def test_tree_without_commit_exits_2(tmp_path):
         assert out.stdout == ""
         assert not (REPO / "BENCH_unused.json").exists()
         assert sorted(bare.rglob("*")) == [bare / "src", bare / "src" / "waldq"]
+
+
+def test_tier1_parts_split_the_suite():
+    # every sweep id selects tests, and the parts collect each test exactly once
+    bench = load_bench()
+    assert bench.TIER1 not in bench.CONFIGS
+    whole = collected()
+    sweep = collected(*bench.TIER1_PARTS["sweep"])
+    rest = collected(*bench.TIER1_PARTS["rest"])
+    for test in bench.SWEEP_TESTS:
+        assert any(node == test or node.startswith(test + "[") for node in sweep), test
+    assert sorted(sweep + rest) == sorted(whole)
+    assert not set(sweep) & set(rest)

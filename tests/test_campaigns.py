@@ -1,5 +1,6 @@
 """The campaign table: names, planners and picklable cell payloads."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -30,6 +31,16 @@ def test_campaign_names_and_order():
     )
     aliases = [a for c in CAMPAIGN_TABLE for a in c.aliases]
     assert aliases == ["verify-min-orbit"]
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGN_TABLE, ids=CAMPAIGNS)
+def test_declared_knobs_are_the_ones_the_planner_reads(campaign):
+    # a knob the campaign declares changes its cells; any other one does not
+    base = SessionConfig(q=5, dmax=2, mmax=2, depth=3).validate()
+    cells = campaign.planner(base)
+    for knob in campaigns.KNOBS:
+        moved = campaign.planner(dataclasses.replace(base, **{knob: getattr(base, knob) + 2}))
+        assert (moved != cells) == (knob in campaign.knobs), knob
 
 
 # the first cell's draws of the planners that read the per-kind table: one

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from waldq import campaigns
+from waldq import campaigns, cli
 from waldq.campaigns import MAX_WORKERS
 from waldq.cli import MAX_DET_VALUATION, hecke_main, quadform_main, wald_main
 from waldq.hecke import HeckeElement, convolve
@@ -53,7 +53,7 @@ class TestWaldBasics:
             "min-orbit": ["--dmax", "2", "--mmax", "2"],
             "stratum-dim": ["--dmax", "2", "--mmax", "2"],
             "counts": ["--dmax", "2"],
-            "hecke-tables": ["--dmax", "2"],
+            "hecke-tables": [],
             "ic-basis": ["--dmax", "2"],
             "multone": ["--D", "3"],
             "cs-matrix": ["--D", "3"],
@@ -97,6 +97,40 @@ class TestWaldBasics:
         assert rc == 2
         assert out == ""
         assert "wald: error:" in err
+
+    def test_each_campaign_refuses_exactly_the_knobs_it_does_not_read(self, capsys, monkeypatch):
+        refused = {(c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in campaigns.KNOBS} - {
+            (c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in c.knobs
+        }
+        forms = {(n, k) for n in ("quadform-orbits", "hecke-tables", "isotropic") for k in ("dmax", "mmax", "depth")}
+        assert forms | {("stratum-dim", "q")} <= refused
+        ran = []
+        monkeypatch.setattr(cli, "run_campaign", lambda name, cfg: ran.append(name) or {})
+        monkeypatch.setattr(cli, "_emit", lambda report, cfg: 0)
+        flags = (("q", "--q"), ("dmax", "--dmax"), ("mmax", "--mmax"), ("depth", "--D"), ("depth", "--depth"))
+        for campaign in campaigns.CAMPAIGN_TABLE:
+            for knob, flag in flags:
+                rc, out, err = run_wald(capsys, campaign.name, flag, "5")
+                if (campaign.name, knob) in refused:
+                    assert rc == 2 and out == ""
+                    shown = "--D" if knob == "depth" else flag
+                    assert f"wald: error: {campaign.name} does not use {shown}" in err
+                else:
+                    assert rc == 0, (campaign.name, flag, err)
+        # no refused flag reached a campaign
+        assert len(ran) == sum(len(c.knobs) + c.knobs.count("depth") for c in campaigns.CAMPAIGN_TABLE)
+
+    def test_env_knobs_a_campaign_ignores_stay_silent(self, capsys, monkeypatch):
+        monkeypatch.setenv("WALDQ_DMAX", "2")
+        monkeypatch.setenv("WALDQ_MMAX", "2")
+        monkeypatch.setenv("WALDQ_D", "3")
+        rc, out, err = run_wald(capsys, "isotropic")
+        assert rc == 0, err
+        assert parse_ndjson(out)[0]["dmax"] == 2
+        monkeypatch.setenv("WALDQ_Q", "5")
+        rc, out, err = run_wald(capsys, "stratum-dim")
+        assert rc == 0, err
+        assert parse_ndjson(out)[0]["q"] == 5
 
     def test_bad_format_exits_2(self, capsys):
         # rejected by the argument parser before campaign dispatch

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from waldq import _purekern as _pk
 from waldq.quadform import (
     CoveringType,
     Delta,
@@ -143,6 +144,26 @@ class TestDiagonalize:
             inv, a_mat, eps = normal_transport(b)
             res = b.congruent_by(a_mat, eps).truncate(prec)
             assert res == normal_form(inv, q).truncate(prec)
+
+    def test_normal_transport_matches_the_whole_certificate_route(self, rng):
+        # w is read from slot 22 alone; the reference multiplies out all of
+        # A B A^t eps through congruent_by and reads the same slot
+        def reference(b, precision):
+            prec = default_precision(b) if precision is None else precision
+            inv, a_mat, eps = diagonalize(b, prec)
+            w = b.congruent_by(a_mat, eps).e22.shift(-inv.b)
+            w0 = 1 if inv.delta is Delta.SQUARE else least_nonsquare(b.q)
+            u = LaurentPoly.from_raw(b.q, _pk.rescale(b.q, w.raw, w0, prec))
+            (a11, a12), (a21, a22) = a_mat
+            return inv, ((a11, a12), (u * a21, u * a22)), eps
+
+        for q in (3, 5, 7, 11):
+            for _ in range(12):
+                b = rand_form(rng, q, vmax=rng.randint(0, 2), width=rng.randint(1, 4))
+                low = b.det_valuation + 1
+                for precision in (None, low, low + rng.randint(1, 6)):
+                    got = normal_transport(b, precision)
+                    assert got == reference(b, precision), (q, b, precision)
 
     def test_precision_exhausted(self):
         q = 3
