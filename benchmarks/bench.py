@@ -207,9 +207,7 @@ def summarize_tier1(runs):
             "wall_s_runs": walls,
             "passed": runs[0][part][1],
         }
-    out["wall_s"] = statistics.median(
-        round(sum(run[part][0] for part in TIER1_PARTS), 2) for run in runs
-    )
+    out["wall_s"] = round(statistics.median(sum(run[p][0] for p in TIER1_PARTS) for run in runs), 2)
     return out
 
 

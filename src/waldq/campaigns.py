@@ -751,8 +751,11 @@ def _plan_isotropic(cfg):
 class Campaign(NamedTuple):
     """One ``wald`` campaign: its name, planner, knobs, CLI help and CLI aliases.
 
-    ``knobs`` names the fields of ``KNOBS`` that the planner reads; ``wald``
-    refuses an explicit flag for any other one.
+    ``knobs`` names the SessionConfig bounds among q, dmax, mmax and depth
+    that the planner reads; ``wald`` refuses an explicit flag for any other
+    one.  ``kind`` and ``seed`` are no knobs: every campaign accepts both,
+    and one with no kind or no random draws plans the same cells for every
+    value.
     """
 
     name: str
@@ -760,13 +763,6 @@ class Campaign(NamedTuple):
     knobs: tuple
     help: str
     aliases: tuple = ()
-
-
-#: The SessionConfig bounds that a campaign declares when its planner reads
-#: them.  ``kind`` and ``seed`` are not among them: every campaign accepts
-#: both, and one with no kind or no random draws plans the same cells for
-#: every value.
-KNOBS = ("q", "dmax", "mmax", "depth")
 
 #: Every campaign, in ``wald --help`` and ``CAMPAIGNS`` order.
 CAMPAIGN_TABLE = (

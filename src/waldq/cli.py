@@ -63,7 +63,7 @@ def _env_str(name, fallback):
     return fallback if raw is None else raw
 
 
-#: Per campaign knob (``campaigns.KNOBS``): its flag, environment variable
+#: Per campaign knob (``Campaign.knobs``): its flag, environment variable
 #: and fallback.  The flags have no parser default, so a flag that was given
 #: shows in the parsed arguments and one that was not does not.
 _KNOB_FLAGS = {

@@ -38,7 +38,7 @@ def test_declared_knobs_are_the_ones_the_planner_reads(campaign):
     # a knob the campaign declares changes its cells; any other one does not
     base = SessionConfig(q=5, dmax=2, mmax=2, depth=3).validate()
     cells = campaign.planner(base)
-    for knob in campaigns.KNOBS:
+    for knob in ("q", "dmax", "mmax", "depth"):
         moved = campaign.planner(dataclasses.replace(base, **{knob: getattr(base, knob) + 2}))
         assert (moved != cells) == (knob in campaign.knobs), knob
 

@@ -99,7 +99,7 @@ class TestWaldBasics:
         assert "wald: error:" in err
 
     def test_each_campaign_refuses_exactly_the_knobs_it_does_not_read(self, capsys, monkeypatch):
-        refused = {(c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in campaigns.KNOBS} - {
+        refused = {(c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in cli._KNOB_FLAGS} - {
             (c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in c.knobs
         }
         forms = {(n, k) for n in ("quadform-orbits", "hecke-tables", "isotropic") for k in ("dmax", "mmax", "depth")}
