@@ -764,6 +764,7 @@ class Campaign(NamedTuple):
     help: str
     aliases: tuple = ()
 
+
 #: Every campaign, in ``wald --help`` and ``CAMPAIGNS`` order.
 CAMPAIGN_TABLE = (
     Campaign("min-orbit", _plan_min_orbit, ("q", "dmax", "mmax"),

@@ -309,7 +309,7 @@ def specialize_each(xs, assignment, r_value=None):
     return [specialize_reference(x, assignment, r_value) for x in xs]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(specialize_many_cases())
 def test_specialize_many_matches_each_value(case):
     xs, assignment, r_value = case
