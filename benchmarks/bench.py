@@ -25,6 +25,9 @@ stored under its name in ``BENCH_<label>.json`` at the repository root;
 other entries in that file are kept.  ``--only NAME ...`` runs just the
 named configs (an unknown name exits 2), so a change that cannot touch the
 q=3 sweep need not wait for it.
+A tree that is not a git checkout (``--against`` always, ``--tree`` unless
+``--commit`` names its commit) exits 2 before anything runs, so every entry
+names its commit.  Nothing here asserts a timing.
 
 The entry ``tier1`` (last in a full run, or ``--only tier1``) times TREE's
 tier-1 suite (``python -m pytest -q`` in TREE, on the same ``PYTHONPATH``)
@@ -33,9 +36,6 @@ in two parts, run one after the other: the form-sweep tests of
 time and the number of tests passed, and the median total wall time; a
 failing test stops the run.  The two trees' suites may differ, so no bytes
 are compared there.
-A tree that is not a git checkout (``--against`` always, ``--tree`` unless
-``--commit`` names its commit) exits 2 before anything runs, so every entry
-names its commit.  Nothing here asserts a timing.
 
 Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
