@@ -29,13 +29,14 @@ A tree that is not a git checkout (``--against`` always, ``--tree`` unless
 ``--commit`` names its commit) exits 2 before anything runs, so every entry
 names its commit.  Nothing here asserts a timing.
 
-The entry ``tier1`` (last in a full run, or ``--only tier1``) times TREE's
-tier-1 suite (``python -m pytest -q`` in TREE, on the same ``PYTHONPATH``)
-in two parts, run one after the other: the form-sweep tests of
-``SWEEP_TESTS`` and the rest.  Per part it records the median and every wall
-time and the number of tests passed, and the median total wall time; a
-failing test stops the run.  The two trees' suites may differ, so no bytes
-are compared there.
+The entry ``tier1`` runs only when named (``--only tier1``): it times
+TREE's tier-1 suite (``python -m pytest -q`` in TREE, on the same
+``PYTHONPATH``) in two parts, run one after the other: the form-sweep tests
+of ``SWEEP_TESTS`` and the rest.  Per part it records the median and every
+wall time, the number of tests passed and pytest's exit code of every run
+(0 when all passed; a failing test is recorded, not fatal), and the median
+total wall time.  The two trees' suites may differ, so no bytes are
+compared there.
 
 Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
@@ -194,44 +195,18 @@ def summarize(name, argv, runs):
     }
 
 
-def summarize_tier1(runs):
-    """The tier1 entry's figures from its runs of ``run_tier1``."""
-    out = {}
-    for part, args in TIER1_PARTS.items():
-        if {run[part][2] for run in runs} != {0}:
-            raise SystemExit(f"tier1: a test of the {part} part failed")
-        walls = [round(run[part][0], 2) for run in runs]
-        out[part] = {
-            "argv": args,
-            "wall_s": statistics.median(walls),
-            "wall_s_runs": walls,
-            "passed": runs[0][part][1],
-        }
-    out["wall_s"] = round(statistics.median(sum(run[p][0] for p in TIER1_PARTS) for run in runs), 2)
-    return out
-
-
 def measure(trees, repeat, names):
     """Per tree, the figures of the named configs; the trees' runs alternate."""
     results = [{} for _ in trees]
     for name in names:
+        argv = CONFIGS[name]
         runs = [[] for _ in trees]
         for r in range(repeat):
             order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
             for i in order:
-                tree = trees[i]
-                runs[i].append(run_tier1(tree) if name == TIER1 else run_once(tree, CONFIGS[name]))
-        if name == TIER1:
-            for i in range(len(trees)):
-                results[i][name] = summarize_tier1(runs[i])
-            line = " vs ".join(
-                f"{res[name]['sweep']['wall_s']} s sweep + {res[name]['rest']['wall_s']} s rest"
-                for res in results
-            )
-            print(f"{name}: {line}", flush=True)
-            continue
+                runs[i].append(run_once(trees[i], argv))
         for i in range(len(trees)):
-            results[i][name] = summarize(name, CONFIGS[name], runs[i])
+            results[i][name] = summarize(name, argv, runs[i])
         if len({res[name]["report_sha256"] for res in results}) != 1:
             raise SystemExit(f"{name}: the trees' reports differ")
         line = " vs ".join(
@@ -239,6 +214,35 @@ def measure(trees, repeat, names):
             for res in results
         )
         print(f"{name}: {line}", flush=True)
+    return results
+
+
+def measure_tier1(trees, repeat):
+    """Per tree, the figures of the tier1 entry; the trees' runs alternate."""
+    runs = [[] for _ in trees]
+    for r in range(repeat):
+        order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
+        for i in order:
+            runs[i].append(run_tier1(trees[i]))
+    results = []
+    for tree_runs in runs:
+        out = {}
+        for part, args in TIER1_PARTS.items():
+            walls = [round(run[part][0], 2) for run in tree_runs]
+            out[part] = {
+                "argv": args,
+                "wall_s": statistics.median(walls),
+                "wall_s_runs": walls,
+                "passed": tree_runs[0][part][1],
+                "exit_codes": [run[part][2] for run in tree_runs],
+            }
+        total = statistics.median(sum(run[p][0] for p in TIER1_PARTS) for run in tree_runs)
+        out["wall_s"] = round(total, 2)
+        results.append(out)
+    line = " vs ".join(
+        f"{res['sweep']['wall_s']} s sweep + {res['rest']['wall_s']} s rest" for res in results
+    )
+    print(f"{TIER1}: {line}", flush=True)
     return results
 
 
@@ -263,10 +267,9 @@ def main():
     ap.add_argument("--repeat", type=int, default=1, help="fresh runs per config")
     ap.add_argument("--only", nargs="+", metavar="NAME", help="run only these configs")
     args = ap.parse_args()
-    known = [*CONFIGS, TIER1]
-    unknown = [name for name in args.only or () if name not in known]
+    unknown = [name for name in args.only or () if name not in CONFIGS and name != TIER1]
     if unknown:
-        ap.error(f"unknown config {', '.join(unknown)}; known: {', '.join(known)}")
+        ap.error(f"unknown config {', '.join(unknown)}; known: {', '.join([*CONFIGS, TIER1])}")
     trees = [args.tree.resolve()]
     entries = [args.entry]
     # every entry must name the commit it measured
@@ -281,7 +284,11 @@ def main():
         entries.insert(0, "before")
     for tree in trees:
         compileall.compile_dir(tree / "src" / "waldq", quiet=1)
-    results = measure(trees, args.repeat, args.only or known)
+    names = args.only or list(CONFIGS)
+    results = measure(trees, args.repeat, [name for name in names if name != TIER1])
+    if TIER1 in names:
+        for res, tier1 in zip(results, measure_tier1(trees, args.repeat)):
+            res[TIER1] = tier1
     path = REPO / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data[entries[0]] = entry_of(trees[0], None, args.repeat, results[0])

@@ -6,7 +6,7 @@ Multiplication is convolution, computed exactly by lattice counting: the
 structure constant of T_nu in T_lam * T_mu is the number of chains
 L0 -> L'' -> L_nu with the prescribed relative positions (``_pair_product``).
 ``convolve`` sums each output coefficient as plain (a, b) parts per
-exponent triple (``scalars._add_terms``) and builds it once.
+exponent triple (``scalars._add_scaled``) and builds it once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import backend
 from ._purekern import INF, PZERO
 from .lattice import Coweight, _member_histogram
-from .scalars import LaurentScalar, _add_terms, _product_sums
+from .scalars import LaurentScalar, _add_scaled, _product_triples
 from .torus import chi_c
 
 __all__ = [
@@ -197,9 +197,9 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     sums = {}  # nu -> exps -> [a, b]
     for lam, cx in x.terms.items():
         for mu, cy in y.terms.items():
-            c = [(k, a, b) for k, (a, b) in _product_sums(cx, cy).items() if a or b]
+            c = _product_triples(cx, cy)
             for nu, count in _pair_product(q, tuple(lam), tuple(mu)):
-                _add_terms(sums.setdefault(nu, {}), q, count, 0, (0, 0, 0), c)
+                _add_scaled(sums.setdefault(nu, {}), count, (0, 0, 0), c)
     return HeckeElement(q, {nu: LaurentScalar._from_sums(q, s) for nu, s in sums.items()})
 
 

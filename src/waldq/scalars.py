@@ -17,10 +17,13 @@ compare and hash alike, and both carry ``numerator``/``denominator``.
 Products are summed before anything is built: ``_add_terms`` adds
 (a + b*r) * x^shift * terms into a dict exps -> [a, b] of plain parts, and
 ``LaurentScalar._from_sums`` makes one SqrtQ per nonzero sum.  Laurent
-products, the module action (``WaldModel.act``) and Hecke convolution build
-each coefficient this way, once.  ``_specialize_many`` specializes a whole
-table of values in one pass over shared power tables and one common
-denominator; ``specialize`` is its one-value case.
+products are built this way.  The module action (``WaldModel.act``) and
+Hecke convolution take each coefficient product once as raw terms
+(``_product_triples``) and add integer-scaled, shifted copies of them
+(``_add_scaled``), so each of their coefficients is built once too.
+``_specialize_many`` specializes a whole table of values in one pass over
+shared power tables and one common denominator; ``specialize`` is its
+one-value case.
 """
 
 from __future__ import annotations
@@ -368,26 +371,35 @@ def _add_terms(sums, q, a, b, shift, triples):
     """
     s0, s1, s2 = shift
     get = sums.get
-    if b:
-        qb = q * b
-        for (e0, e1, e2), ta, tb in triples:
-            key = (e0 + s0, e1 + s1, e2 + s2)
-            na, nb = a * ta + qb * tb, a * tb + b * ta
-            cur = get(key)
-            if cur is None:
-                sums[key] = [na, nb]
-            else:
-                cur[0] += na
-                cur[1] += nb
-    else:
-        for (e0, e1, e2), ta, tb in triples:
-            key = (e0 + s0, e1 + s1, e2 + s2)
-            cur = get(key)
-            if cur is None:
-                sums[key] = [a * ta, a * tb]
-            else:
-                cur[0] += a * ta
-                cur[1] += a * tb
+    qb = q * b
+    for (e0, e1, e2), ta, tb in triples:
+        key = (e0 + s0, e1 + s1, e2 + s2)
+        na, nb = a * ta + qb * tb, a * tb + b * ta
+        cur = get(key)
+        if cur is None:
+            sums[key] = [na, nb]
+        else:
+            cur[0] += na
+            cur[1] += nb
+
+
+def _add_scaled(sums, count, shift, triples):
+    """Add count * x^shift * triples into ``sums``, for an integer ``count``.
+
+    The sums of ``_add_terms(sums, q, count, 0, shift, triples)``, without
+    multiplying the zero r part into every term: on Fraction parts each such
+    product and sum is a Fraction operation.
+    """
+    s0, s1, s2 = shift
+    get = sums.get
+    for (e0, e1, e2), ta, tb in triples:
+        key = (e0 + s0, e1 + s1, e2 + s2)
+        cur = get(key)
+        if cur is None:
+            sums[key] = [count * ta, count * tb]
+        else:
+            cur[0] += count * ta
+            cur[1] += count * tb
 
 
 def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
@@ -401,6 +413,11 @@ def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
     for k, c in x.terms.items():
         _add_terms(sums, q, c.a, c.b, k, ys)
     return sums
+
+
+def _product_triples(x: LaurentScalar, y: LaurentScalar) -> list:
+    """x * y as raw terms (exps, a, b) for ``_add_terms``, zero sums dropped."""
+    return [(k, a, b) for k, (a, b) in _product_sums(x, y).items() if a or b]
 
 
 def monomial_invert(x: LaurentScalar) -> LaurentScalar:

@@ -9,7 +9,7 @@ in the character variables unless explicitly specialized.
 ``WaldModel.act`` reads the cached transition rows (``_transitions``) and
 makes one LaurentScalar per orbit index of its result: each row adds
 shifted, rescaled copies of the function's terms, as raw (exponents, a, b)
-triples, into plain (a, b) sums (``scalars._add_terms``), and each value is
+triples, into plain (a, b) sums (``scalars._add_scaled``), and each value is
 built once from its sums, so no intermediate SqrtQ, sum or product is built.
 The eigen window check specializes its whole table of basis-function values
 in one pass (``scalars._specialize_many``).
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .hecke import HeckeElement, ZeroEigenvalue, _as_scalar, satake_basis, schur_gl2
 from .lattice import Coweight, Lattice2, _member_histogram
-from .scalars import LaurentScalar, _add_terms, _product_sums, _specialize_many, specialize
+from .scalars import LaurentScalar, _add_scaled, _product_triples, _specialize_many, specialize
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
 
 __all__ = [
@@ -265,7 +265,7 @@ class WaldModel:
         coefficient is multiplied into the function values once per term, as
         raw (exponents, a, b) triples, and every transition row adds copies
         of them shifted by its character class and scaled by its
-        multiplicity (``scalars._add_terms``).
+        multiplicity (``scalars._add_scaled``).
         """
         if not isinstance(h, HeckeElement) or not isinstance(f, WaldFunction):
             raise TypeError("act expects (HeckeElement, WaldFunction)")
@@ -284,16 +284,13 @@ class WaldModel:
         for lam, coeff in h.terms.items():
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
-            scaled = {
-                m1: [(k, a, b) for k, (a, b) in _product_sums(coeff, fv).items() if a or b]
-                for m1, fv in f.values.items()
-            }
+            scaled = {m1: _product_triples(coeff, fv) for m1, fv in f.values.items()}
             for m0 in range(max(0, mlo - width), mhi + width + 1):
                 out = sums.setdefault(m0, {})
                 for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
                     terms = scaled.get(m1)
                     if terms is not None:
-                        _add_terms(out, q, count, 0, lo + exps + hi, terms)
+                        _add_scaled(out, count, lo + exps + hi, terms)
         return WaldFunction(
             q, self.kind, {m0: LaurentScalar._from_sums(q, s) for m0, s in sums.items() if s}
         )

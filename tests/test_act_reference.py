@@ -1,6 +1,7 @@
 """WaldModel.act, hecke.convolve and scalars.specialize against term-by-term routes.
 
 ``act`` and ``convolve`` sum each output coefficient as plain (a, b) parts
+(``scalars._add_scaled``, checked here against the general ``_add_terms``)
 and build it once, and ``specialize`` sums over a common denominator in
 integers, for one value or, in the eigen check, a whole table of values at
 once.  The references here are the object routes those replace: per
@@ -26,6 +27,8 @@ from waldq.scalars import (
     ResidualSqrtQ,
     SqrtQ,
     ZeroAssignment,
+    _add_scaled,
+    _add_terms,
     _specialize_many,
     specialize,
 )
@@ -202,6 +205,19 @@ def test_convolve_merges_sqrt_q_parts():
     assert got.coefficient((1, 0)) == want
     assert all(c.b for c in got.coefficient((1, 0)).terms.values())
     assert got.coefficient((0, 0)) == LaurentScalar.from_int(q, q)
+
+
+@given(
+    st.integers(-5, 5),
+    EXPS,
+    st.lists(st.tuples(st.sampled_from([(0, 0, 0), (1, 0, 0)]), RATIONALS, RATIONALS), max_size=4),
+)
+def test_add_scaled_is_add_terms_with_no_r_part(count, shift, triples):
+    # repeated exponents make the later terms add into sums already there
+    scaled, general = {}, {}
+    _add_scaled(scaled, count, shift, triples)
+    _add_terms(general, 5, count, 0, shift, triples)
+    assert scaled == general
 
 
 @st.composite

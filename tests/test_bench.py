@@ -1,6 +1,7 @@
-"""benchmarks/bench.py: refused arguments, and the two parts of its tier1 entry."""
+"""benchmarks/bench.py: refused arguments, and its tier1 entry (parts, run only when named)."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -74,3 +75,30 @@ def test_tier1_parts_split_the_suite():
         assert any(node == test or node.startswith(test + "[") for node in sweep), test
     assert sorted(sweep + rest) == sorted(whole)
     assert not set(sweep) & set(rest)
+
+
+def test_tier1_runs_only_when_named(tmp_path, monkeypatch):
+    # a run without --only leaves the suite out; a failing part is recorded, not fatal
+    bench = load_bench()
+    asked = []
+
+    def measure(trees, repeat, names):
+        asked.append(names)
+        return [{} for _ in trees]
+
+    monkeypatch.setattr(bench, "REPO", tmp_path)
+    monkeypatch.setattr(bench, "measure", measure)
+    monkeypatch.setattr(bench, "run_tier1", lambda tree: {p: (1.0, 3, 1) for p in bench.TIER1_PARTS})
+    monkeypatch.setattr(bench.compileall, "compile_dir", lambda *args, **kwargs: True)
+    argv = ["bench.py", "--label", "t", "--tree", str(tmp_path), "--commit", "abc"]
+    monkeypatch.setattr(sys, "argv", [*argv, "--entry", "full"])
+    bench.main()
+    monkeypatch.setattr(sys, "argv", [*argv, "--entry", "suite", "--only", "tier1"])
+    bench.main()
+    assert asked == [list(bench.CONFIGS), []]
+    data = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert data["full"]["configs"] == {}
+    tier1 = data["suite"]["configs"]["tier1"]
+    for part in bench.TIER1_PARTS:
+        assert tier1[part]["exit_codes"] == [1]
+        assert tier1[part]["passed"] == 3
