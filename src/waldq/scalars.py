@@ -19,8 +19,9 @@ Products are summed before anything is built: ``_add_terms`` adds
 ``LaurentScalar._from_sums`` makes one SqrtQ per nonzero sum.  Laurent
 products are built this way.  The module action (``WaldModel.act``) and
 Hecke convolution take each coefficient product once as raw terms
-(``_product_triples``) and add integer-scaled, shifted copies of them
-(``_add_scaled``), so each of their coefficients is built once too.
+(``_product_triples``) and add count-scaled, shifted copies of them
+(``_add_scaled``, the r-free case of ``_add_terms``), so each of their
+coefficients is built once too.
 ``_specialize_many`` specializes a whole table of values in one pass over
 shared power tables and one common denominator; ``specialize`` is its
 one-value case.
@@ -383,12 +384,14 @@ def _add_terms(sums, q, a, b, shift, triples):
             cur[1] += nb
 
 
-def _add_scaled(sums, count, shift, triples):
-    """Add count * x^shift * triples into ``sums``, for an integer ``count``.
+def _add_scaled(sums, a, shift, triples):
+    """Add a * x^shift * triples into ``sums``, for a rational ``a`` (no r part).
 
-    The sums of ``_add_terms(sums, q, count, 0, shift, triples)``, without
+    The sums of ``_add_terms(sums, q, a, 0, shift, triples)``, without
     multiplying the zero r part into every term: on Fraction parts each such
-    product and sum is a Fraction operation.
+    product and sum is a Fraction operation.  Row counts in ``act`` and
+    ``convolve`` take this loop, and so do the r-free terms of a product:
+    in the campaigns, which make no r, all of them.
     """
     s0, s1, s2 = shift
     get = sums.get
@@ -396,10 +399,10 @@ def _add_scaled(sums, count, shift, triples):
         key = (e0 + s0, e1 + s1, e2 + s2)
         cur = get(key)
         if cur is None:
-            sums[key] = [count * ta, count * tb]
+            sums[key] = [a * ta, a * tb]
         else:
-            cur[0] += count * ta
-            cur[1] += count * tb
+            cur[0] += a * ta
+            cur[1] += a * tb
 
 
 def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
@@ -411,7 +414,10 @@ def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
     ys = [(k, c.a, c.b) for k, c in y.terms.items()]
     sums = {}
     for k, c in x.terms.items():
-        _add_terms(sums, q, c.a, c.b, k, ys)
+        if c.b:
+            _add_terms(sums, q, c.a, c.b, k, ys)
+        else:
+            _add_scaled(sums, c.a, k, ys)
     return sums
 
 

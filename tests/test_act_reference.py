@@ -208,15 +208,15 @@ def test_convolve_merges_sqrt_q_parts():
 
 
 @given(
-    st.integers(-5, 5),
+    st.one_of(st.integers(-5, 5), RATIONALS),
     EXPS,
     st.lists(st.tuples(st.sampled_from([(0, 0, 0), (1, 0, 0)]), RATIONALS, RATIONALS), max_size=4),
 )
-def test_add_scaled_is_add_terms_with_no_r_part(count, shift, triples):
+def test_add_scaled_is_add_terms_with_no_r_part(a, shift, triples):
     # repeated exponents make the later terms add into sums already there
     scaled, general = {}, {}
-    _add_scaled(scaled, count, shift, triples)
-    _add_terms(general, 5, count, 0, shift, triples)
+    _add_scaled(scaled, a, shift, triples)
+    _add_terms(general, 5, a, 0, shift, triples)
     assert scaled == general
 
 
