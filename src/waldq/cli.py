@@ -43,6 +43,11 @@ from .waldspurger import CharacterParams
 # twice it, and the diagonalization's unit inverses allocate lists that long.
 MAX_DET_VALUATION = 10**5
 
+# ``hecke convolve`` refuses a wider coweight (lam1 - lam2): the structure
+# constants take time and memory quadratic in the width: 1.0-1.4 s and 42 MB
+# for (500,0) * (500,0), and 20 s and 657 MB at width 2000.
+MAX_COWEIGHT_WIDTH = 500
+
 
 def _env(name):
     return os.environ.get("WALDQ_" + name)
@@ -63,14 +68,14 @@ def _env_str(name, fallback):
     return fallback if raw is None else raw
 
 
-#: Per campaign knob (``Campaign.knobs``): its flag, environment variable
-#: and fallback.  The flags have no parser default, so a flag that was given
-#: shows in the parsed arguments and one that was not does not.
+#: Per campaign knob (``Campaign.knobs``): its flag and environment variable;
+#: it falls back to its SessionConfig default.  The flags have no parser
+#: default, so a flag that was given shows in the parsed arguments.
 _KNOB_FLAGS = {
-    "q": ("--q", "Q", 3),
-    "dmax": ("--dmax", "DMAX", 5),
-    "mmax": ("--mmax", "MMAX", 5),
-    "depth": ("--D", "D", 6),
+    "q": ("--q", "Q"),
+    "dmax": ("--dmax", "DMAX"),
+    "mmax": ("--mmax", "MMAX"),
+    "depth": ("--D", "D"),
 }
 
 
@@ -79,7 +84,7 @@ def _add_common(sub):
     sub.add_argument("--q", type=int, default=unset, help="odd prime residue size")
     sub.add_argument(
         "--kind",
-        default=_env_str("KIND", "split"),
+        default=_env_str("KIND", SessionConfig.kind),
         help="algebra kind: split or ramified",
     )
     sub.add_argument("--dmax", type=int, default=unset, help="degree bound")
@@ -92,16 +97,26 @@ def _add_common(sub):
         default=unset,
         help="truncation depth for matrix/eigen campaigns",
     )
-    sub.add_argument("--seed", type=int, default=_env_int("SEED", 0), help="RNG seed for planned draws")
     sub.add_argument(
-        "--workers", type=int, default=_env_int("WORKERS", 1), help=f"process-pool size, 1 to {MAX_WORKERS}"
+        "--seed",
+        type=int,
+        default=_env_int("SEED", SessionConfig.seed),
+        help="RNG seed for planned draws",
     )
-    sub.add_argument("--out", default=_env_str("OUT", None), help="write the report to this path")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        default=_env_int("WORKERS", SessionConfig.workers),
+        help=f"process-pool size, 1 to {MAX_WORKERS}",
+    )
+    sub.add_argument(
+        "--out", default=_env_str("OUT", SessionConfig.out), help="write the report to this path"
+    )
     sub.add_argument(
         "--format",
         dest="fmt",
         choices=("ndjson", "json", "csv"),
-        default=_env_str("FORMAT", "ndjson"),
+        default=_env_str("FORMAT", SessionConfig.fmt),
         help="report serialization (json is an alias for ndjson)",
     )
 
@@ -135,9 +150,9 @@ def _fill_knobs(name, args):
     """
     uses = next(c.knobs for c in CAMPAIGN_TABLE if c.name == name)
     given = vars(args)
-    for knob, (flag, env, fallback) in _KNOB_FLAGS.items():
+    for knob, (flag, env) in _KNOB_FLAGS.items():
         if knob not in given:
-            setattr(args, knob, _env_int(env, fallback))
+            setattr(args, knob, _env_int(env, getattr(SessionConfig, knob)))
         elif knob not in uses:
             flags = " ".join(_KNOB_FLAGS[k][0] for k in uses)
             raise ConfigInvalid(f"{name} does not use {flag} (it uses {flags})")
@@ -214,6 +229,9 @@ def hecke_main(argv=None) -> int:
         _check_q(args.q)
         lhs = Coweight.parse(args.lhs)
         rhs = Coweight.parse(args.rhs)
+        for name, cw in (("--lhs", lhs), ("--rhs", rhs)):
+            if cw.a1 - cw.a2 > MAX_COWEIGHT_WIDTH:
+                raise ValueError(f"{name} {cw} exceeds the width limit {MAX_COWEIGHT_WIDTH}")
         out = convolve(
             HeckeElement.basis(args.q, lhs), HeckeElement.basis(args.q, rhs)
         )

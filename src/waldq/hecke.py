@@ -1,7 +1,10 @@
 """Spherical Hecke algebra of GL2 over F_q((t)).
 
 Elements are finite sums of double-coset indicator functions T_lam indexed by
-dominant coweights, with coefficients in the symbolic character ring.
+dominant coweights, with coefficients in the symbolic character ring.  Their
+sum arithmetic (merging, +, -, scaling, equality, hashing) is ``_FiniteSum``,
+which ``waldspurger.WaldFunction`` shares: the two types differ only in
+their keys and in what two sums must share before they combine.
 Multiplication is convolution, computed exactly by lattice counting: the
 structure constant of T_nu in T_lam * T_mu is the number of chains
 L0 -> L'' -> L_nu with the prescribed relative positions (``_pair_product``).
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 from . import backend
 from ._purekern import INF, PZERO
@@ -46,35 +50,110 @@ def _as_scalar(q, value):
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-class HeckeElement:
-    """A finite linear combination of basis elements T_lam.
+class _FiniteSum:
+    """Immutable finite sum: ``terms`` maps keys to nonzero LaurentScalars.
 
-    Immutable; ``terms`` maps dominant Coweights to nonzero LaurentScalar
-    coefficients, merged and cleared of zeros in the constructor and nowhere
-    else.  Addition and scalar multiplication are componentwise; ``*`` between
-    two elements is convolution.
+    The arithmetic HeckeElement and WaldFunction share.  Keys are merged in
+    the constructor and nowhere else.  A subclass supplies ``_key``, which
+    checks (and may convert) one key, and ``_space``, its leading constructor
+    arguments: what two sums must share to be combined or equal.
     """
 
     __slots__ = ("q", "terms")
 
     def __init__(self, q, terms=()):
+        key = self._key
         cleaned = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for cw, coeff in items:
-            cw = Coweight(*cw)
-            if not cw.is_dominant():
-                raise ValueError(f"basis index {cw} is not dominant")
-            coeff = _as_scalar(q, coeff)
-            prev = cleaned.get(cw)
-            cleaned[cw] = coeff if prev is None else prev + coeff
+        for k, c in items:
+            k = key(k)
+            if type(c) is not LaurentScalar or c.q != q:
+                c = _as_scalar(q, c)
+            prev = cleaned.get(k)
+            cleaned[k] = c if prev is None else prev + c
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", {k: c for k, c in cleaned.items() if not c.is_zero()})
+        object.__setattr__(self, "terms", {k: c for k, c in cleaned.items() if c.terms})
 
     def __setattr__(self, name, value):
-        raise AttributeError("HeckeElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (HeckeElement, (self.q, self.terms))
+        return (type(self), (*self._space(), self.terms))
+
+    def _like(self, terms):
+        """A sum of this type and space with the given terms."""
+        return type(self)(*self._space(), terms)
+
+    def _from_merged(self, terms):
+        """``_like`` for a dict of checked keys and coefficients of q; only
+        zeros are dropped (for -, scaling, ``convolve`` and ``WaldModel.act``)."""
+        x = self._like(())
+        object.__setattr__(x, "terms", {k: c for k, c in terms.items() if c.terms})
+        return x
+
+    def is_zero(self):
+        return not self.terms
+
+    def support(self):
+        """Sorted tuple of the keys with nonzero coefficient."""
+        return tuple(sorted(self.terms))
+
+    def coefficient(self, key) -> LaurentScalar:
+        """The coefficient at key; zero where the sum has none."""
+        return self.terms.get(key, LaurentScalar.zero(self.q))
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.q != self.q:
+            raise ValueError("mixed residue characteristics")
+        if other._space() != self._space():
+            raise ValueError("mixed function spaces")
+        return self._like([*self.terms.items(), *((k, c * sign) for k, c in other.terms.items())])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._from_merged({k: -c for k, c in self.terms.items()})
+
+    def scaled(self, value):
+        s = _as_scalar(self.q, value)
+        return self._from_merged({k: c * s for k, c in self.terms.items()})
+
+    __mul__ = __rmul__ = scaled
+
+    def __eq__(self, other):
+        same = type(other) is type(self) and self.terms == other.terms
+        return same and self._space() == other._space()
+
+    def __hash__(self):
+        return hash((self._space(), tuple(sorted(self.terms.items(), key=itemgetter(0)))))
+
+
+class HeckeElement(_FiniteSum):
+    """A finite linear combination of basis elements T_lam.
+
+    ``terms`` maps dominant Coweights to nonzero LaurentScalar coefficients.
+    Addition and scalar multiplication are componentwise (``_FiniteSum``);
+    ``*`` between two elements is convolution.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(cw):
+        if type(cw) is not Coweight:
+            cw = Coweight(*cw)
+        if cw.a1 < cw.a2:
+            raise ValueError(f"basis index {cw} is not dominant")
+        return cw
+
+    def _space(self):
+        return (self.q,)
 
     @classmethod
     def basis(cls, q, lam) -> "HeckeElement":
@@ -88,54 +167,10 @@ class HeckeElement:
     def zero(cls, q) -> "HeckeElement":
         return cls(q)
 
-    def is_zero(self):
-        return not self.terms
-
-    def support(self):
-        """Sorted tuple of coweights with nonzero coefficient."""
-        return tuple(sorted(self.terms))
-
-    def coefficient(self, lam) -> LaurentScalar:
-        return self.terms.get(Coweight(*lam), LaurentScalar.zero(self.q))
-
-    def _combine(self, other, sign):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        if self.q != other.q:
-            raise ValueError("mixed residue characteristics")
-        pairs = [*self.terms.items(), *((cw, c * sign) for cw, c in other.terms.items())]
-        return HeckeElement(self.q, pairs)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return HeckeElement(self.q, {cw: -c for cw, c in self.terms.items()})
-
-    def scaled(self, value) -> "HeckeElement":
-        s = _as_scalar(self.q, value)
-        return HeckeElement(self.q, {cw: c * s for cw, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             return convolve(self, other)
         return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.q == other.q
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.q, tuple(sorted(self.terms.items(), key=lambda p: p[0]))))
 
     def __repr__(self):
         if not self.terms:
@@ -164,7 +199,7 @@ class HeckeElement:
 
 @functools.lru_cache(maxsize=None)
 def _pair_product(q, lam, mu):
-    """Structure constants of T_lam * T_mu: tuple of ((nu1, nu2), count).
+    """Structure constants of T_lam * T_mu: tuple of (Coweight nu, count).
 
     Counts, for each dominant nu of total degree |lam| + |mu|, the lattices
     L'' in exact position lam from the standard lattice such that the
@@ -179,7 +214,7 @@ def _pair_product(q, lam, mu):
             for nu1 in range(-(-total // 2), lam[0] + mu[0] + 1):
                 if backend.rel_pos(q, a, b, c1, nu1, total - nu1, PZERO) == mu:
                     counts[nu1, total - nu1] += n
-    return tuple(sorted(counts.items()))
+    return tuple(sorted((Coweight(*nu), n) for nu, n in counts.items()))
 
 
 def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -200,7 +235,7 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
             c = _product_triples(cx, cy)
             for nu, count in _pair_product(q, tuple(lam), tuple(mu)):
                 _add_scaled(sums.setdefault(nu, {}), count, (0, 0, 0), c)
-    return HeckeElement(q, {nu: LaurentScalar._from_sums(q, s) for nu, s in sums.items()})
+    return x._from_merged({nu: LaurentScalar._from_sums(q, s) for nu, s in sums.items()})
 
 
 @functools.lru_cache(maxsize=None)

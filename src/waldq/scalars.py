@@ -14,14 +14,14 @@ Fraction only when it is not, so the integer values that almost every
 computation produces cost integer arithmetic; an int and the equal Fraction
 compare and hash alike, and both carry ``numerator``/``denominator``.
 
-Products are summed before anything is built: ``_add_terms`` adds
-(a + b*r) * x^shift * terms into a dict exps -> [a, b] of plain parts, and
-``LaurentScalar._from_sums`` makes one SqrtQ per nonzero sum.  Laurent
-products are built this way.  The module action (``WaldModel.act``) and
-Hecke convolution take each coefficient product once as raw terms
-(``_product_triples``) and add count-scaled, shifted copies of them
-(``_add_scaled``, the r-free case of ``_add_terms``), so each of their
-coefficients is built once too.
+Products are summed before anything is built: ``_add_scaled`` adds
+a * x^shift * terms, for a rational a, into a dict exps -> [a, b] of plain
+parts, and ``LaurentScalar._from_sums`` makes one SqrtQ per nonzero sum.
+Laurent products are built this way, a factor a + b*r as two such adds (of
+y and of r*y).  The module action (``WaldModel.act``) and Hecke convolution
+take each coefficient product once as raw terms (``_product_triples``) and
+add count-scaled, shifted copies of them, so each of their coefficients is
+built once too.
 ``_specialize_many`` specializes a whole table of values in one pass over
 shared power tables and one common denominator; ``specialize`` is its
 one-value case.
@@ -209,7 +209,7 @@ class LaurentScalar:
         """The scalar whose terms are the dict exps -> [a, b] of plain parts.
 
         The keys are valid exponent triples and the parts ints or Fractions,
-        as ``_add_terms`` leaves them, so only the zero sums are dropped here:
+        as ``_add_scaled`` leaves them, so only the zero sums are dropped here:
         one SqrtQ is built per surviving key, and nothing is merged again.
         """
         x = object.__new__(cls)
@@ -363,35 +363,14 @@ class LaurentScalar:
         return cls(q, terms)
 
 
-def _add_terms(sums, q, a, b, shift, triples):
-    """Add (a + b*r) * x^shift * triples into ``sums``, a dict exps -> [a, b].
+def _add_scaled(sums, a, shift, triples):
+    """Add a * x^shift * triples into ``sums``, a dict exps -> [a, b], for a rational ``a``.
 
     ``triples`` holds raw terms (exps, ta, tb), each (ta + tb*r) * x^exps.
     The parts are summed as plain ints and Fractions in lists that this
     function creates itself; ``LaurentScalar._from_sums`` builds the result.
-    """
-    s0, s1, s2 = shift
-    get = sums.get
-    qb = q * b
-    for (e0, e1, e2), ta, tb in triples:
-        key = (e0 + s0, e1 + s1, e2 + s2)
-        na, nb = a * ta + qb * tb, a * tb + b * ta
-        cur = get(key)
-        if cur is None:
-            sums[key] = [na, nb]
-        else:
-            cur[0] += na
-            cur[1] += nb
-
-
-def _add_scaled(sums, a, shift, triples):
-    """Add a * x^shift * triples into ``sums``, for a rational ``a`` (no r part).
-
-    The sums of ``_add_terms(sums, q, a, 0, shift, triples)``, without
-    multiplying the zero r part into every term: on Fraction parts each such
-    product and sum is a Fraction operation.  Row counts in ``act`` and
-    ``convolve`` take this loop, and so do the r-free terms of a product:
-    in the campaigns, which make no r, all of them.
+    A factor with an r part is two calls: r * (ta + tb*r) = q*tb + ta*r, so
+    its r part scales the triples (exps, q*tb, ta) (``_product_sums``).
     """
     s0, s1, s2 = shift
     get = sums.get
@@ -408,21 +387,25 @@ def _add_scaled(sums, a, shift, triples):
 def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
     """x * y as a dict exps -> [a, b], in the order x * y meets its terms.
 
-    Sums that cancel to zero are kept; ``_from_sums`` drops them.
+    Each term (a + b*r) * x^k of x adds a * x^k * y, then, when b is
+    nonzero, b * x^k * (r*y).  Sums that cancel to zero are kept;
+    ``_from_sums`` drops them.
     """
     q = x.q
     ys = [(k, c.a, c.b) for k, c in y.terms.items()]
+    rys = None
     sums = {}
     for k, c in x.terms.items():
+        _add_scaled(sums, c.a, k, ys)
         if c.b:
-            _add_terms(sums, q, c.a, c.b, k, ys)
-        else:
-            _add_scaled(sums, c.a, k, ys)
+            if rys is None:
+                rys = [(k2, q * tb, ta) for k2, ta, tb in ys]
+            _add_scaled(sums, c.b, k, rys)
     return sums
 
 
 def _product_triples(x: LaurentScalar, y: LaurentScalar) -> list:
-    """x * y as raw terms (exps, a, b) for ``_add_terms``, zero sums dropped."""
+    """x * y as raw terms (exps, a, b) for ``_add_scaled``, zero sums dropped."""
     return [(k, a, b) for k, (a, b) in _product_sums(x, y).items() if a or b]
 
 

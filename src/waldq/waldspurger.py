@@ -4,7 +4,9 @@ A function here is determined by finitely many values on orbit representatives
 (indexed by the nonnegative invariant m) and extends to the whole lattice set
 by chi-equivariance.  The Hecke action is computed by exact counting of
 sublattice transitions (lattice._member_histogram); everything stays symbolic
-in the character variables unless explicitly specialized.
+in the character variables unless explicitly specialized.  ``WaldFunction``
+is a finite sum over orbit indices and takes its arithmetic from
+``hecke._FiniteSum``, the one implementation it shares with HeckeElement.
 
 ``WaldModel.act`` reads the cached transition rows (``_transitions``) and
 makes one LaurentScalar per orbit index of its result: each row adds
@@ -23,7 +25,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .hecke import HeckeElement, ZeroEigenvalue, _as_scalar, satake_basis, schur_gl2
+from .hecke import HeckeElement, ZeroEigenvalue, _FiniteSum, satake_basis, schur_gl2
 from .lattice import Coweight, Lattice2, _member_histogram
 from .scalars import LaurentScalar, _add_scaled, _product_triples, _specialize_many, specialize
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
@@ -79,81 +81,35 @@ class CharacterParams:
         return dict(self.assignment)
 
 
-class WaldFunction:
+class WaldFunction(_FiniteSum):
     """Finitely supported values on orbit indices, with symbolic coefficients.
 
-    ``values`` maps orbit indices to nonzero LaurentScalars, merged and cleared
-    of zeros in the constructor and nowhere else.
+    ``values`` maps nonnegative int orbit indices to nonzero LaurentScalars;
+    it is the ``terms`` of the finite sum (``hecke._FiniteSum``), whose
+    arithmetic this shares with HeckeElement.  Two functions combine only
+    when their q and kind agree.
     """
 
-    __slots__ = ("q", "kind", "values")
+    __slots__ = ("kind",)
 
     def __init__(self, q, kind, values=()):
-        kind = EtaleKind(kind)
-        cleaned = {}
-        items = values.items() if isinstance(values, dict) else values
-        for m, v in items:
-            if type(m) is not int or m < 0:
-                raise ValueError("orbit indices are nonnegative integers")
-            v = _as_scalar(q, v)
-            prev = cleaned.get(m)
-            cleaned[m] = v if prev is None else prev + v
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", {m: v for m, v in cleaned.items() if not v.is_zero()})
+        object.__setattr__(self, "kind", EtaleKind(kind))
+        _FiniteSum.__init__(self, q, values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WaldFunction is immutable")
+    @staticmethod
+    def _key(m):
+        if type(m) is not int or m < 0:
+            raise ValueError("orbit indices are nonnegative integers")
+        return m
 
-    def __reduce__(self):
-        return (WaldFunction, (self.q, self.kind, self.values))
+    def _space(self):
+        return (self.q, self.kind)
 
-    def is_zero(self):
-        return not self.values
+    @property
+    def values(self):
+        return self.terms
 
-    def support(self):
-        return tuple(sorted(self.values))
-
-    def value(self, m) -> LaurentScalar:
-        return self.values.get(m, LaurentScalar.zero(self.q))
-
-    def _combine(self, other, sign):
-        if not isinstance(other, WaldFunction):
-            return NotImplemented
-        if self.q != other.q or self.kind is not other.kind:
-            raise ValueError("mixed function spaces")
-        pairs = [*self.values.items(), *((m, v * sign) for m, v in other.values.items())]
-        return WaldFunction(self.q, self.kind, pairs)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return WaldFunction(self.q, self.kind, {m: -v for m, v in self.values.items()})
-
-    def scaled(self, value) -> "WaldFunction":
-        s = _as_scalar(self.q, value)
-        return WaldFunction(self.q, self.kind, {m: v * s for m, v in self.values.items()})
-
-    def __mul__(self, other):
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WaldFunction)
-            and self.q == other.q
-            and self.kind is other.kind
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.kind, tuple(sorted(self.values.items(), key=lambda p: p[0]))))
+    value = _FiniteSum.coefficient
 
     def __repr__(self):
         body = ", ".join(f"{m}: {v}" for m, v in sorted(self.values.items()))
@@ -291,8 +247,8 @@ class WaldModel:
                     terms = scaled.get(m1)
                     if terms is not None:
                         _add_scaled(out, count, lo + exps + hi, terms)
-        return WaldFunction(
-            q, self.kind, {m0: LaurentScalar._from_sums(q, s) for m0, s in sums.items() if s}
+        return f._from_merged(
+            {m0: LaurentScalar._from_sums(q, s) for m0, s in sums.items() if s}
         )
 
     def ic_basis(self, d) -> WaldFunction:

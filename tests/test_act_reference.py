@@ -1,15 +1,15 @@
 """WaldModel.act, hecke.convolve and scalars.specialize against term-by-term routes.
 
 ``act`` and ``convolve`` sum each output coefficient as plain (a, b) parts
-(``scalars._add_scaled``, checked here against the general ``_add_terms``)
-and build it once, and ``specialize`` sums over a common denominator in
-integers, for one value or, in the eigen check, a whole table of values at
-once.  The references here are the object routes those replace: per
-transition row, one character monomial times the scaled function value; per
-pair of Hecke terms, their product times each structure constant; products
-taken term by term as SqrtQ products and merged by the LaurentScalar
-constructor, so no reference goes through the raw sums; and one Fraction
-product per term and variable, value by value.  The eigen check's
+(``scalars._add_scaled``, the one raw-sum loop, which Laurent products with
+sqrt(q) parts also take) and build it once, and ``specialize`` sums over a
+common denominator in integers, for one value or, in the eigen check, a
+whole table of values at once.  The references here are the object routes
+those replace: per transition row, one character monomial times the scaled
+function value; per pair of Hecke terms, their product times each structure
+constant; products taken term by term as SqrtQ products and merged by the
+LaurentScalar constructor, so no reference goes through the raw sums; and
+one Fraction product per term and variable, value by value.  The eigen check's
 ``_act_evaluated``, which acts on rational values at rational character
 values, is checked against ``specialize`` of ``act``.
 """
@@ -27,8 +27,6 @@ from waldq.scalars import (
     ResidualSqrtQ,
     SqrtQ,
     ZeroAssignment,
-    _add_scaled,
-    _add_terms,
     _specialize_many,
     specialize,
 )
@@ -205,19 +203,6 @@ def test_convolve_merges_sqrt_q_parts():
     assert got.coefficient((1, 0)) == want
     assert all(c.b for c in got.coefficient((1, 0)).terms.values())
     assert got.coefficient((0, 0)) == LaurentScalar.from_int(q, q)
-
-
-@given(
-    st.one_of(st.integers(-5, 5), RATIONALS),
-    EXPS,
-    st.lists(st.tuples(st.sampled_from([(0, 0, 0), (1, 0, 0)]), RATIONALS, RATIONALS), max_size=4),
-)
-def test_add_scaled_is_add_terms_with_no_r_part(a, shift, triples):
-    # repeated exponents make the later terms add into sums already there
-    scaled, general = {}, {}
-    _add_scaled(scaled, a, shift, triples)
-    _add_terms(general, 5, a, 0, shift, triples)
-    assert scaled == general
 
 
 @st.composite

@@ -6,9 +6,15 @@ import time
 
 import pytest
 
-from waldq import campaigns, cli
+from waldq import campaigns, cli, hecke
 from waldq.campaigns import MAX_WORKERS
-from waldq.cli import MAX_DET_VALUATION, hecke_main, quadform_main, wald_main
+from waldq.cli import (
+    MAX_COWEIGHT_WIDTH,
+    MAX_DET_VALUATION,
+    hecke_main,
+    quadform_main,
+    wald_main,
+)
 from waldq.hecke import HeckeElement, convolve
 from waldq.lattice import Coweight
 from waldq.quadform import SymMatrixO, diagonalize
@@ -307,6 +313,19 @@ class TestEnvOverrides:
         rc, _, err = run_wald(capsys, "min-orbit")
         assert rc == 2 and "wald: error:" in err
 
+    @pytest.mark.parametrize("name", [c.name for c in campaigns.CAMPAIGN_TABLE])
+    def test_no_flags_give_the_session_config_report(self, capsys, monkeypatch, name):
+        for var in [v for v in os.environ if v.startswith("WALDQ_")]:
+            monkeypatch.delenv(var)
+        if name == "quadform-orbits":
+            # the default is the whole q=3 sweep (about 20 s): both sides plan
+            # their cells, and a stand-in runs each one
+            monkeypatch.setattr(campaigns, "_run_cell", lambda c: {"cell": repr(c), "pass": True})
+        rc, out, err = run_wald(capsys, name)
+        assert rc == 0, err
+        want = campaigns.render_report(campaigns.run_campaign(name, campaigns.SessionConfig()))
+        assert out == want
+
 
 class TestSingleEigen:
     def test_split_single_run(self, capsys):
@@ -368,6 +387,29 @@ class TestHeckeCli:
         assert json.loads(out) == json.loads(
             json.dumps(want.to_json(), sort_keys=True)
         )
+
+    @pytest.mark.parametrize(
+        "side, wide", [("--lhs", "(100000,0)"), ("--rhs", f"({MAX_COWEIGHT_WIDTH + 1},0)")]
+    )
+    def test_wide_coweight_exits_2_before_any_counting(self, capsys, monkeypatch, side, wide):
+        def refuse(*args):
+            raise AssertionError("structure constants were counted")
+
+        monkeypatch.setattr(hecke, "_pair_product", refuse)
+        args = {"--lhs": "(1,0)", "--rhs": "(1,0)", side: wide}
+        start = time.perf_counter()
+        rc = hecke_main(["convolve", *(x for kv in args.items() for x in kv)])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        limit = f"exceeds the width limit {MAX_COWEIGHT_WIDTH}"
+        assert f"hecke: error: {side} {wide} {limit}" in captured.err
+
+    def test_width_not_size_is_bounded(self, capsys):
+        # the width is lam1 - lam2, so a large central part is accepted
+        rc = hecke_main(["convolve", "--lhs", "(100000,99999)", "--rhs", "(1,1)"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["terms"][0]["coweight"] == [100001, 100000]
 
     def test_nondominant_exits_2(self, capsys):
         rc = hecke_main(["convolve", "--lhs", "(0,1)", "--rhs", "(1,0)"])

@@ -19,6 +19,7 @@ from waldq.hecke import (
 from waldq.lattice import Coweight
 from waldq.scalars import LaurentScalar, specialize
 from waldq.torus import EtaleKind
+from waldq.waldspurger import WaldFunction
 
 
 def T(q, a1, a2):
@@ -58,6 +59,66 @@ class TestElement:
         h = T(q, 2, 1).scaled(Fraction(1, 2)) + T(q, 0, 0)
         assert HeckeElement.from_json(h.to_json()) == h
         assert hash(h) == hash(T(q, 0, 0) + T(q, 2, 1).scaled(Fraction(1, 2)))
+
+
+# Pairs whose term dicts are equal but which lie in different spaces: the
+# two types share one sum implementation, so only the type, q and kind
+# keep them apart.
+APART = {
+    "hecke-vs-function": (HeckeElement.zero(3), WaldFunction(3, "split")),
+    "hecke-q": (HeckeElement.zero(3), HeckeElement.zero(5)),
+    "function-q": (WaldFunction(3, "split"), WaldFunction(5, "split")),
+    "function-kind": (WaldFunction(3, "split", {0: 1}), WaldFunction(3, "ramified", {0: 1})),
+}
+
+
+class TestSharedSums:
+    @pytest.mark.parametrize("name", sorted(APART))
+    def test_equal_terms_in_different_spaces_are_unequal(self, name):
+        x, y = APART[name]
+        assert x.terms == y.terms
+        assert x != y and y != x
+
+    def test_hecke_and_function_do_not_combine(self):
+        h, f = HeckeElement.unit(3), WaldFunction(3, "split", {0: 1})
+        for a, b in ((h, f), (f, h)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (HeckeElement.unit(3), HeckeElement.unit(5)),
+            (WaldFunction(3, "split", {0: 1}), WaldFunction(5, "split", {0: 1})),
+            (WaldFunction(3, "split", {0: 1}), WaldFunction(3, "ramified", {0: 1})),
+        ],
+        ids=["hecke-q", "function-q", "function-kind"],
+    )
+    def test_mixed_spaces_raise(self, x, y):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            y - x
+
+    def test_equal_objects_hash_alike(self):
+        q = 3
+        built = [
+            (
+                HeckeElement(q, {(1, 0): 2, (0, 0): 1}),
+                HeckeElement(q, [(Coweight(0, 0), 1), (Coweight(1, 0), 2)]),
+            ),
+            (HeckeElement.zero(q), T(q, 1, 0) - T(q, 1, 0)),
+            (
+                WaldFunction(q, "split", {2: 1, 0: 3}),
+                WaldFunction(q, "split", [(0, 1), (2, 1), (0, 2)]),
+            ),
+            (WaldFunction(q, "ramified"), -WaldFunction(q, "ramified")),
+        ]
+        for x, y in built:
+            assert x == y
+            assert hash(x) == hash(y)
 
 
 class TestConvolution:
