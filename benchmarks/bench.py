@@ -9,9 +9,8 @@ Run from the repository root:
     python3 benchmarks/bench.py --label tier1 --entry after --against ../old --only tier1
 
 Each config runs ``wald`` in a fresh interpreter on the source in TREE
-(``PYTHONPATH=TREE/src``, ``WALDQ_BACKEND=pure``, which keeps an older tree
-with a built compiled extension on its pure kernels), after compiling TREE's
-bytecode, so that no run pays for compiling stale or missing ``.pyc`` files.
+(``PYTHONPATH=TREE/src``), after compiling TREE's bytecode, so that no run
+pays for compiling stale or missing ``.pyc`` files.
 Per config the entry records the median and every wall time, the median and
 every ``run_s`` (the time the child spends inside ``wald_main``, without
 interpreter start and ``import waldq``, which are most of a short run), the
@@ -124,7 +123,7 @@ RUN_WALD = (
 
 def run_once(tree, argv):
     """(wall s, run_s, peak RSS in MB, report bytes, exit code) of one fresh run."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), WALDQ_BACKEND="pure")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         child = subprocess.Popen(
@@ -141,7 +140,7 @@ def run_once(tree, argv):
 
 def run_tier1(tree):
     """Per part of the tier-1 suite: (wall s, tests passed, exit code) of one run."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), WALDQ_BACKEND="pure")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = {}
     for part, args in TIER1_PARTS.items():
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]

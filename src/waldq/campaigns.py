@@ -54,6 +54,12 @@ MAX_WORKERS = 64
 #: pool: about what starting and joining a two-process pool costs.
 POOL_AFTER_S = 0.02
 
+#: The largest degree ``ic-basis`` (``dmax``) and ``multone``, ``cs-matrix``
+#: and ``eigen`` (``depth``) accept: their cost grows about as its fourth
+#: power.  ``ic-basis --dmax 30`` takes about 1 s and 31 MB, ``--dmax 60``
+#: 17 s and 183 MB.
+MAX_DEGREE = 30
+
 #: Odd primes used by the polynomial-fit campaign, smallest first.
 PROBE_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -98,6 +104,14 @@ class SessionConfig:
         return self
 
 
+def _degree(cfg, knob):
+    """cfg's ``dmax`` or ``depth``, refused above MAX_DEGREE."""
+    value = getattr(cfg, knob)
+    if value > MAX_DEGREE:
+        raise ConfigInvalid(f"{knob} = {value} exceeds the limit {MAX_DEGREE}")
+    return value
+
+
 def _row(cell, claim, expected, computed, basis, ok=None):
     if ok is None:
         ok = expected == computed
@@ -114,43 +128,26 @@ def _row(cell, claim, expected, computed, basis, ok=None):
 # -- exact polynomial fitting ------------------------------------------------
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _newton_fit(points):
+    """The polynomial through exact points with distinct x: (degree, evaluator).
 
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _lagrange(points):
-    """Interpolating polynomial through exact points, ascending coefficients.
-
-    Trailing zero coefficients are stripped, so ``len(result) - 1`` is the
-    true degree (the zero polynomial comes back as an empty list).
+    Newton's divided differences: the degree is the index of the last nonzero
+    difference, -1 for the zero polynomial.
     """
-    n = len(points)
-    acc = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        den = Fraction(1)
-        for j, (xj, _yj) in enumerate(points):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        for k, c in enumerate(basis):
-            acc[k] += scale * c
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
+    xs = [x for x, _y in points]
+    diffs = [Fraction(y) for _x, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    deg = max((i for i, c in enumerate(diffs) if c), default=-1)
+
+    def at(x):
+        acc = Fraction(0)
+        for i in range(deg, -1, -1):
+            acc = acc * (x - xs[i]) + diffs[i]
+        return acc
+
+    return deg, at
 
 
 # -- cell handlers -------------------------------------------------------------
@@ -175,10 +172,9 @@ def _cell_stratum_fit(cell, kind, a, m, probes, holdout):
     pts = []
     for p in probes:
         pts.append((p, WaldModel(p, kind).orbit_stratum_counts((a, 0), m)))
-    coeffs = _lagrange(pts)
-    deg = len(coeffs) - 1
+    deg, fit = _newton_fit(pts)
     positive = all(n > 0 for _p, n in pts)
-    predicted = _poly_eval(coeffs, holdout)
+    predicted = fit(holdout)
     counted = WaldModel(holdout, kind).orbit_stratum_counts((a, 0), m)
     ok = positive and deg == m and predicted == counted
     claim = (
@@ -624,7 +620,7 @@ def _plan_hecke_tables(cfg):
 
 def _plan_ic_basis(cfg):
     cells = []
-    for d in range(cfg.dmax + 1):
+    for d in range(_degree(cfg, "dmax") + 1):
         cells.append((_cell_ic_support, f"d{d}-support", cfg.q, cfg.kind, d))
         cells.append((_cell_ic_monomials, f"d{d}-monomials", cfg.q, cfg.kind, d))
         cells.append((_cell_ic_twist, f"d{d}-twist", cfg.q, cfg.kind, d))
@@ -633,14 +629,16 @@ def _plan_ic_basis(cfg):
 
 def _plan_multone(cfg):
     return [
-        (_cell_multone_col, f"col{a}", cfg.q, cfg.kind, a) for a in range(cfg.depth + 1)
+        (_cell_multone_col, f"col{a}", cfg.q, cfg.kind, a)
+        for a in range(_degree(cfg, "depth") + 1)
     ]
 
 
 def _plan_cs_matrix(cfg):
+    depth = _degree(cfg, "depth")
     return [
-        (_cell_cs_triangular, "triangular", cfg.q, cfg.kind, cfg.depth),
-        (_cell_cs_diag_monomial, "diag-monomial", cfg.q, cfg.kind, cfg.depth),
+        (_cell_cs_triangular, "triangular", cfg.q, cfg.kind, depth),
+        (_cell_cs_diag_monomial, "diag-monomial", cfg.q, cfg.kind, depth),
         (_cell_cs_nonsemisimple, "nonsemisimple", cfg.q, cfg.kind),
     ]
 
@@ -689,13 +687,14 @@ def _nonzero_fraction(rng):
 
 
 def _plan_eigen(cfg):
+    depth = _degree(cfg, "depth")
     rng = random.Random(cfg.seed)
     kind = EtaleKind.parse(cfg.kind)
     cells = []
     for i in range(20):
         rows = tuple((name, str(_nonzero_fraction(rng))) for name in kind.variables)
         e1 = str(_nonzero_fraction(rng))
-        cells.append((_cell_eigen, f"draw-{i:02d}", cfg.q, cfg.kind, cfg.depth, e1, rows))
+        cells.append((_cell_eigen, f"draw-{i:02d}", cfg.q, cfg.kind, depth, e1, rows))
     return cells
 
 
@@ -855,7 +854,7 @@ def single_eigen_report(cfg: SessionConfig, e1_text, assignment_rows) -> dict:
     """A one-row report for a single numeric eigen-window check."""
     cfg = cfg.validate()
     row = _cell_eigen(
-        "single", cfg.q, cfg.kind, cfg.depth, str(e1_text), tuple(assignment_rows)
+        "single", cfg.q, cfg.kind, _degree(cfg, "depth"), str(e1_text), tuple(assignment_rows)
     )
     return _report("eigen", cfg, [row])
 

@@ -2,11 +2,13 @@
 
 ``wald`` runs verification campaigns and emits deterministic reports;
 ``hecke`` convolves basis elements of the spherical algebra; ``quadform``
-classifies a symmetric matrix over the power-series ring.  Every flag of
-``wald`` can also be set through a ``WALDQ_``-prefixed environment variable
-(the flag wins when both are given).  An explicit ``--q``, ``--dmax``,
-``--mmax`` or ``--D`` that the campaign does not read exits 2; the same
-setting from the environment is a default, and is not refused.
+classifies a symmetric matrix over the power-series ring.  Each setting of
+``wald``, and the ``--q`` of the other two, is read from its flag if given,
+else from its environment variable (``WALDQ_`` and the flag upper-cased, so
+``--D`` gives ``WALDQ_D``), else from the ``SessionConfig`` default.  An
+explicit ``--q``, ``--dmax``, ``--mmax`` or ``--D`` that the campaign does not
+read exits 2; the same setting from the environment is a default, and is not
+refused.
 """
 
 from __future__ import annotations
@@ -49,76 +51,56 @@ MAX_DET_VALUATION = 10**5
 MAX_COWEIGHT_WIDTH = 500
 
 
-def _env(name):
-    return os.environ.get("WALDQ_" + name)
-
-
-def _env_int(name, fallback):
-    raw = _env(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"WALDQ_{name} must be an integer, got {raw!r}") from None
-
-
-def _env_str(name, fallback):
-    raw = _env(name)
-    return fallback if raw is None else raw
-
-
-#: Per campaign knob (``Campaign.knobs``): its flag and environment variable;
-#: it falls back to its SessionConfig default.  The flags have no parser
-#: default, so a flag that was given shows in the parsed arguments.
-_KNOB_FLAGS = {
-    "q": ("--q", "Q"),
-    "dmax": ("--dmax", "DMAX"),
-    "mmax": ("--mmax", "MMAX"),
-    "depth": ("--D", "D"),
+#: One row per SessionConfig field: its flags, then the rest of its
+#: ``add_argument`` call.  A flag has no parser default, so one that was given
+#: shows in the parsed arguments; ``_resolve`` fills in the rest.
+_SETTINGS = {
+    "q": (("--q",), dict(type=int, help="odd prime residue size")),
+    "kind": (("--kind",), dict(help="algebra kind: split or ramified")),
+    "dmax": (("--dmax",), dict(type=int, help="degree bound")),
+    "mmax": (("--mmax",), dict(type=int, help="orbit-index bound")),
+    "depth": (
+        ("--D", "--depth"),
+        dict(type=int, help="truncation depth for matrix/eigen campaigns"),
+    ),
+    "seed": (("--seed",), dict(type=int, help="RNG seed for planned draws")),
+    "workers": (("--workers",), dict(type=int, help=f"process-pool size, 1 to {MAX_WORKERS}")),
+    "out": (("--out",), dict(help="write the report to this path")),
+    "fmt": (
+        ("--format",),
+        dict(
+            choices=("ndjson", "json", "csv"),
+            help="report serialization (json is an alias for ndjson)",
+        ),
+    ),
 }
 
 
-def _add_common(sub):
-    unset = argparse.SUPPRESS
-    sub.add_argument("--q", type=int, default=unset, help="odd prime residue size")
-    sub.add_argument(
-        "--kind",
-        default=_env_str("KIND", SessionConfig.kind),
-        help="algebra kind: split or ramified",
-    )
-    sub.add_argument("--dmax", type=int, default=unset, help="degree bound")
-    sub.add_argument("--mmax", type=int, default=unset, help="orbit-index bound")
-    sub.add_argument(
-        "--D",
-        "--depth",
-        dest="depth",
-        type=int,
-        default=unset,
-        help="truncation depth for matrix/eigen campaigns",
-    )
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=_env_int("SEED", SessionConfig.seed),
-        help="RNG seed for planned draws",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=_env_int("WORKERS", SessionConfig.workers),
-        help=f"process-pool size, 1 to {MAX_WORKERS}",
-    )
-    sub.add_argument(
-        "--out", default=_env_str("OUT", SessionConfig.out), help="write the report to this path"
-    )
-    sub.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("ndjson", "json", "csv"),
-        default=_env_str("FORMAT", SessionConfig.fmt),
-        help="report serialization (json is an alias for ndjson)",
-    )
+def _add_settings(parser, fields):
+    for field in fields:
+        flags, opts = _SETTINGS[field]
+        parser.add_argument(*flags, dest=field, default=argparse.SUPPRESS, **opts)
+
+
+def _flag(field):
+    return _SETTINGS[field][0][0]
+
+
+def _resolve(args, field):
+    """The field's flag value if given, else its variable's, else the SessionConfig default."""
+    if field in args:
+        return getattr(args, field)
+    flags, opts = _SETTINGS[field]
+    var = "WALDQ_" + flags[0].lstrip("-").upper()
+    raw = os.environ.get(var)
+    if raw is None:
+        return getattr(SessionConfig, field)
+    if opts.get("type") is not int:
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigInvalid(f"{var} must be an integer, got {raw!r}") from None
 
 
 def _build_wald_parser():
@@ -131,7 +113,7 @@ def _build_wald_parser():
         name = campaign.name
         p = sub.add_parser(name, aliases=campaign.aliases, help=campaign.help)
         p.set_defaults(campaign=name)
-        _add_common(p)
+        _add_settings(p, _SETTINGS)
         if name == "ic-basis":
             p.add_argument(
                 "--d", dest="dmax", type=int, help="alias for --dmax", default=argparse.SUPPRESS
@@ -141,21 +123,6 @@ def _build_wald_parser():
             for var in VARS:
                 p.add_argument(f"--{var}", default=None, help=f"{var} value for a single run")
     return parser
-
-
-def _fill_knobs(name, args):
-    """Refuse an explicit knob flag the campaign does not read; default the rest.
-
-    A ``WALDQ_`` variable only sets a default, so it is never refused.
-    """
-    uses = next(c.knobs for c in CAMPAIGN_TABLE if c.name == name)
-    given = vars(args)
-    for knob, (flag, env) in _KNOB_FLAGS.items():
-        if knob not in given:
-            setattr(args, knob, _env_int(env, getattr(SessionConfig, knob)))
-        elif knob not in uses:
-            flags = " ".join(_KNOB_FLAGS[k][0] for k in uses)
-            raise ConfigInvalid(f"{name} does not use {flag} (it uses {flags})")
 
 
 def _single_eigen(cfg, args):
@@ -191,18 +158,15 @@ def wald_main(argv=None) -> int:
         parser = _build_wald_parser()
         args = parser.parse_args(argv)
         name = args.campaign
-        _fill_knobs(name, args)
-        cfg = SessionConfig(
-            q=args.q,
-            kind=args.kind,
-            dmax=args.dmax,
-            mmax=args.mmax,
-            depth=args.depth,
-            seed=args.seed,
-            workers=args.workers,
-            out=args.out,
-            fmt=args.fmt,
-        ).validate()
+        uses = next(c.knobs for c in CAMPAIGN_TABLE if c.name == name)
+        # a knob is a field some campaign reads; a WALDQ_ variable only sets
+        # a default, so an unread knob is refused only as a flag
+        knobs = {k for c in CAMPAIGN_TABLE for k in c.knobs}
+        for field in _SETTINGS:
+            if field in knobs and field in args and field not in uses:
+                flags = " ".join(_flag(k) for k in uses)
+                raise ConfigInvalid(f"{name} does not use {_flag(field)} (it uses {flags})")
+        cfg = SessionConfig(**{f: _resolve(args, f) for f in _SETTINGS}).validate()
         if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
             raise ConfigInvalid(f"cannot write the report to {cfg.out}: no such directory")
         if name == "eigen" and (args.e1, args.alpha, args.beta, args.gamma) != (None,) * 4:
@@ -222,19 +186,18 @@ def hecke_main(argv=None) -> int:
         )
         sub = parser.add_subparsers(dest="command", required=True)
         conv = sub.add_parser("convolve", help="convolve two basis elements")
-        conv.add_argument("--q", type=int, default=_env_int("Q", 3))
+        _add_settings(conv, ("q",))
         conv.add_argument("--lhs", required=True, help='dominant pair like "(2,0)"')
         conv.add_argument("--rhs", required=True, help='dominant pair like "(1,1)"')
         args = parser.parse_args(argv)
-        _check_q(args.q)
+        q = _resolve(args, "q")
+        _check_q(q)
         lhs = Coweight.parse(args.lhs)
         rhs = Coweight.parse(args.rhs)
         for name, cw in (("--lhs", lhs), ("--rhs", rhs)):
             if cw.a1 - cw.a2 > MAX_COWEIGHT_WIDTH:
                 raise ValueError(f"{name} {cw} exceeds the width limit {MAX_COWEIGHT_WIDTH}")
-        out = convolve(
-            HeckeElement.basis(args.q, lhs), HeckeElement.basis(args.q, rhs)
-        )
+        out = convolve(HeckeElement.basis(q, lhs), HeckeElement.basis(q, rhs))
         print(json.dumps(out.to_json(), sort_keys=True, separators=(",", ":")))
         return 0
     except ValueError as exc:
@@ -250,7 +213,7 @@ def quadform_main(argv=None) -> int:
         )
         sub = parser.add_subparsers(dest="command", required=True)
         cls = sub.add_parser("classify", help="diagonal invariant and covering type")
-        cls.add_argument("--q", type=int, default=_env_int("Q", 3))
+        _add_settings(cls, ("q",))
         cls.add_argument(
             "--matrix",
             required=True,
@@ -258,7 +221,8 @@ def quadform_main(argv=None) -> int:
         )
         cls.add_argument("--precision", type=int, default=None)
         args = parser.parse_args(argv)
-        entries = SymMatrixO._json_entries(args.q, json.loads(args.matrix))
+        q = _resolve(args, "q")
+        entries = SymMatrixO._json_entries(q, json.loads(args.matrix))
         # checked before the exact determinant, whose size grows with the top terms
         top = 2 * MAX_DET_VALUATION + 2
         if any(e.degree() >= top for e in entries):
@@ -273,7 +237,7 @@ def quadform_main(argv=None) -> int:
         # the default precision does: a larger one only costs time and memory
         prec = args.precision
         inv, _a, _eps = diagonalize(mat, prec if prec is None else min(prec, default_precision(mat)))
-        cover, in_scope = covering_type(inv, args.q)
+        cover, in_scope = covering_type(inv, q)
         print(
             json.dumps(
                 {

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ._purekern import INF, pval
+from ._purekern import pval
 from .lattice import Lattice2
 from .scalars import LaurentScalar
 from .series import LaurentPoly
@@ -128,14 +128,6 @@ class OrbitPoint(NamedTuple):
 
     m: int
     chi: LaurentScalar
-
-
-def s_valuation(x: LaurentPoly, y: LaurentPoly):
-    """val_s(x + y*s) in the ramified algebra; +inf only for (0, 0)."""
-    vx = 2 * x.off if not x.is_zero() else INF
-    vy = 2 * y.off + 1 if not y.is_zero() else INF
-    v = min(vx, vy)
-    return v if v < INF else None
 
 
 def embed(q, kind, x: LaurentPoly, y: LaurentPoly):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,17 @@ def test_declared_knobs_are_the_ones_the_planner_reads(campaign):
     for knob in ("q", "dmax", "mmax", "depth"):
         moved = campaign.planner(dataclasses.replace(base, **{knob: getattr(base, knob) + 2}))
         assert (moved != cells) == (knob in campaign.knobs), knob
+
+
+@pytest.mark.parametrize(
+    "poly, deg",
+    [(lambda x: 0, -1), (lambda x: 7, 0), (lambda x: 3 * x**2 - x + 5, 2), (lambda x: Fraction(x**4, 2), 4)],
+)
+def test_newton_fit_finds_the_degree_and_the_values(poly, deg):
+    points = [(p, poly(p)) for p in campaigns.PROBE_PRIMES[:5]]
+    got, fit = campaigns._newton_fit(points)
+    assert got == deg
+    assert fit(23) == poly(Fraction(23)) and fit(-4) == poly(Fraction(-4))
 
 
 # the first cell's draws of the planners that read the per-kind table: one

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from waldq import campaigns, cli, hecke
-from waldq.campaigns import MAX_WORKERS
+from waldq.campaigns import MAX_DEGREE, MAX_WORKERS
 from waldq.cli import (
     MAX_COWEIGHT_WIDTH,
     MAX_DET_VALUATION,
@@ -19,6 +19,11 @@ from waldq.hecke import HeckeElement, convolve
 from waldq.lattice import Coweight
 from waldq.quadform import SymMatrixO, diagonalize
 from waldq.series import LaurentPoly
+from waldq.waldspurger import WaldModel
+
+
+#: quadform's JSON for the hyperbolic plane [[0,1],[1,0]] at q=3
+HYPERBOLIC = json.dumps(SymMatrixO.from_entries(3, {}, {0: 1}, {}).to_json())
 
 
 def run_wald(capsys, *argv):
@@ -104,8 +109,37 @@ class TestWaldBasics:
         assert out == ""
         assert "wald: error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ic-basis", "--dmax", "100000"],
+            ["ic-basis", "--d", str(MAX_DEGREE + 1)],
+            ["multone", "--D", "100000"],
+            ["cs-matrix", "--D", "100000"],
+            ["eigen", "--D", str(MAX_DEGREE + 1)],
+            ["eigen", "--e1", "2", "--alpha", "1", "--beta", "1", "--D", "100000"],
+        ],
+    )
+    def test_degree_past_the_limit_exits_2_before_any_cell(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(WaldModel, "act", refuse)
+        start = time.perf_counter()
+        rc, out, err = run_wald(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert f"wald: error: {'dmax' if argv[0] == 'ic-basis' else 'depth'} = " in err
+        assert f"exceeds the limit {MAX_DEGREE}" in err
+
+    def test_degree_at_the_limit_is_planned(self):
+        cfg = campaigns.SessionConfig(dmax=MAX_DEGREE, depth=MAX_DEGREE)
+        for name in ("ic-basis", "multone", "cs-matrix", "eigen"):
+            assert campaigns.plan(name, cfg)
+
     def test_each_campaign_refuses_exactly_the_knobs_it_does_not_read(self, capsys, monkeypatch):
-        refused = {(c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in cli._KNOB_FLAGS} - {
+        knobs = ("q", "dmax", "mmax", "depth")
+        refused = {(c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in knobs} - {
             (c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in c.knobs
         }
         forms = {(n, k) for n in ("quadform-orbits", "hecke-tables", "isotropic") for k in ("dmax", "mmax", "depth")}
@@ -307,6 +341,59 @@ class TestEnvOverrides:
         rc, out, _ = run_wald(capsys, "min-orbit", "--q", "3", "--dmax", "1", "--mmax", "1")
         assert rc == 0
         assert parse_ndjson(out)[0]["q"] == 3
+
+    @pytest.mark.parametrize(
+        "field, campaign, flag, var, by_flag, by_var",
+        [
+            ("q", "min-orbit", "--q", "WALDQ_Q", 5, 7),
+            ("kind", "min-orbit", "--kind", "WALDQ_KIND", "split", "ramified"),
+            ("dmax", "min-orbit", "--dmax", "WALDQ_DMAX", 2, 3),
+            ("mmax", "min-orbit", "--mmax", "WALDQ_MMAX", 2, 3),
+            ("depth", "eigen", "--D", "WALDQ_D", 3, 4),
+            ("seed", "module-axiom", "--seed", "WALDQ_SEED", 7, 11),
+            ("workers", "min-orbit", "--workers", "WALDQ_WORKERS", 2, 3),
+            ("out", "counts", "--out", "WALDQ_OUT", "flag.ndjson", "var.ndjson"),
+            ("fmt", "counts", "--format", "WALDQ_FORMAT", "ndjson", "csv"),
+        ],
+    )
+    def test_flag_then_variable_then_default(
+        self, monkeypatch, tmp_path, field, campaign, flag, var, by_flag, by_var
+    ):
+        for name in [v for v in os.environ if v.startswith("WALDQ_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        monkeypatch.setattr(cli, "run_campaign", lambda name, cfg: seen.append(getattr(cfg, field)))
+        monkeypatch.setattr(cli, "_emit", lambda report, cfg: 0)
+        assert wald_main([campaign]) == 0
+        monkeypatch.setenv(var, str(by_var))
+        assert wald_main([campaign]) == 0
+        assert wald_main([campaign, flag, str(by_flag)]) == 0
+        assert seen == [getattr(campaigns.SessionConfig(), field), by_var, by_flag]
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (hecke_main, ["convolve", "--lhs", "(1,0)", "--rhs", "(1,0)"]),
+            (quadform_main, ["classify", "--matrix", HYPERBOLIC]),
+        ],
+    )
+    def test_q_of_hecke_and_quadform_from_flag_then_variable(self, capsys, monkeypatch, main, argv):
+        monkeypatch.setenv("WALDQ_Q", "4")
+        assert main([*argv, "--q", "3"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "error: q must be an odd prime, got 4" in capsys.readouterr().err
+
+    def test_help_prints_with_a_malformed_variable(self, capsys, monkeypatch):
+        # variables are read after parsing, so --help never reads them
+        monkeypatch.setenv("WALDQ_SEED", "x")
+        with pytest.raises(SystemExit) as exc:
+            wald_main(["min-orbit", "--help"])
+        assert exc.value.code == 0
+        assert "--seed SEED" in capsys.readouterr().out
+        rc, _, err = run_wald(capsys, "min-orbit")
+        assert rc == 2 and "wald: error: WALDQ_SEED must be an integer, got 'x'" in err
 
     def test_env_bad_value_surfaces_as_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_KIND", "noneuclidean")

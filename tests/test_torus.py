@@ -15,7 +15,6 @@ from waldq.torus import (
     envelope,
     normalize,
     orbit_representative,
-    s_valuation,
 )
 
 
@@ -79,16 +78,6 @@ class TestEmbed:
         # residue characteristic unless both are zero
         with pytest.raises(NotInvertible):
             embed(q, EtaleKind.RAMIFIED, zero, zero)
-
-    def test_s_valuation(self):
-        q = 3
-        t = LaurentPoly.t_power(q, 1)
-        one = LaurentPoly.const(q, 1)
-        zero = LaurentPoly.zero(q)
-        assert s_valuation(one, zero) == 0
-        assert s_valuation(t, zero) == 2
-        assert s_valuation(zero, one) == 1
-        assert s_valuation(t, one) == 1
 
 
 class TestTorusClass:
