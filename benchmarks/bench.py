@@ -64,6 +64,8 @@ REPO = Path(__file__).resolve().parent.parent
 #: ones, then the scalar-bound ones of criteria 04-08, then those of criteria
 #: 01-03 and 10, in both algebra kinds where the campaign takes a kind, then
 #: ``counts`` past the acceptance range (dmax 7, 2 x 97,656 members), then the
+#: campaigns at ``MAX_DEGREE`` (30) in every degree setting they read (only
+#: ``stratum-dim``'s mmax stays at 5, where its probe primes run out), then the
 #: form campaign at two primes and criterion 09's exhaustive q=3 sweep (81
 #: shards of 6,561 forms: by far the longest run here).
 CONFIGS = {
@@ -88,6 +90,11 @@ for _q in ("3", "5"):
     CONFIGS[f"counts-q{_q}"] = ["counts", "--q", _q, "--dmax", "4"]
     CONFIGS[f"isotropic-q{_q}"] = ["isotropic", "--q", _q]
 CONFIGS["counts-q5-d7"] = ["counts", "--q", "5", "--dmax", "7"]
+CONFIGS["ic-basis-bound"] = ["ic-basis", "--dmax", "30"]
+for _name in ("multone", "cs-matrix", "eigen"):
+    CONFIGS[f"{_name}-bound"] = [_name, "--D", "30"]
+CONFIGS["min-orbit-bound"] = ["min-orbit", "--dmax", "30", "--mmax", "30"]
+CONFIGS["stratum-dim-bound"] = ["stratum-dim", "--dmax", "30", "--mmax", "5"]
 for _q in ("5", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]

@@ -54,10 +54,12 @@ MAX_WORKERS = 64
 #: pool: about what starting and joining a two-process pool costs.
 POOL_AFTER_S = 0.02
 
-#: The largest degree ``ic-basis`` (``dmax``) and ``multone``, ``cs-matrix``
-#: and ``eigen`` (``depth``) accept: their cost grows about as its fourth
-#: power.  ``ic-basis --dmax 30`` takes about 1 s and 31 MB, ``--dmax 60``
-#: 17 s and 183 MB.
+#: The largest ``dmax``, ``mmax`` and ``depth`` any campaign accepts.  The
+#: cost of ``ic-basis`` (``dmax``) and of ``multone``, ``cs-matrix`` and
+#: ``eigen`` (``depth``) grows about as the fourth power of the degree:
+#: ``ic-basis --dmax 30`` takes about 1 s and 31 MB, ``--dmax 60`` 17 s and
+#: 183 MB.  ``min-orbit`` and ``stratum-dim`` plan a cell per (dmax, mmax)
+#: pair; ``min-orbit --dmax 120 --mmax 120`` took 86 s.
 MAX_DEGREE = 30
 
 #: Odd primes used by the polynomial-fit campaign, smallest first.
@@ -93,6 +95,10 @@ class SessionConfig:
                 raise ConfigInvalid(f"{name} must be a nonnegative integer")
         if type(self.depth) is not int or self.depth < 2:
             raise ConfigInvalid("depth must be an integer >= 2")
+        for name in ("dmax", "mmax", "depth"):
+            v = getattr(self, name)
+            if v > MAX_DEGREE:
+                raise ConfigInvalid(f"{name} = {v} exceeds the limit {MAX_DEGREE}")
         if type(self.seed) is not int:
             raise ConfigInvalid("seed must be an integer")
         if type(self.workers) is not int or not 1 <= self.workers <= MAX_WORKERS:
@@ -102,14 +108,6 @@ class SessionConfig:
         if self.fmt not in ("ndjson", "csv"):
             raise ConfigInvalid("format must be ndjson (json) or csv")
         return self
-
-
-def _degree(cfg, knob):
-    """cfg's ``dmax`` or ``depth``, refused above MAX_DEGREE."""
-    value = getattr(cfg, knob)
-    if value > MAX_DEGREE:
-        raise ConfigInvalid(f"{knob} = {value} exceeds the limit {MAX_DEGREE}")
-    return value
 
 
 def _row(cell, claim, expected, computed, basis, ok=None):
@@ -620,7 +618,7 @@ def _plan_hecke_tables(cfg):
 
 def _plan_ic_basis(cfg):
     cells = []
-    for d in range(_degree(cfg, "dmax") + 1):
+    for d in range(cfg.dmax + 1):
         cells.append((_cell_ic_support, f"d{d}-support", cfg.q, cfg.kind, d))
         cells.append((_cell_ic_monomials, f"d{d}-monomials", cfg.q, cfg.kind, d))
         cells.append((_cell_ic_twist, f"d{d}-twist", cfg.q, cfg.kind, d))
@@ -630,15 +628,14 @@ def _plan_ic_basis(cfg):
 def _plan_multone(cfg):
     return [
         (_cell_multone_col, f"col{a}", cfg.q, cfg.kind, a)
-        for a in range(_degree(cfg, "depth") + 1)
+        for a in range(cfg.depth + 1)
     ]
 
 
 def _plan_cs_matrix(cfg):
-    depth = _degree(cfg, "depth")
     return [
-        (_cell_cs_triangular, "triangular", cfg.q, cfg.kind, depth),
-        (_cell_cs_diag_monomial, "diag-monomial", cfg.q, cfg.kind, depth),
+        (_cell_cs_triangular, "triangular", cfg.q, cfg.kind, cfg.depth),
+        (_cell_cs_diag_monomial, "diag-monomial", cfg.q, cfg.kind, cfg.depth),
         (_cell_cs_nonsemisimple, "nonsemisimple", cfg.q, cfg.kind),
     ]
 
@@ -687,14 +684,13 @@ def _nonzero_fraction(rng):
 
 
 def _plan_eigen(cfg):
-    depth = _degree(cfg, "depth")
     rng = random.Random(cfg.seed)
     kind = EtaleKind.parse(cfg.kind)
     cells = []
     for i in range(20):
         rows = tuple((name, str(_nonzero_fraction(rng))) for name in kind.variables)
         e1 = str(_nonzero_fraction(rng))
-        cells.append((_cell_eigen, f"draw-{i:02d}", cfg.q, cfg.kind, depth, e1, rows))
+        cells.append((_cell_eigen, f"draw-{i:02d}", cfg.q, cfg.kind, cfg.depth, e1, rows))
     return cells
 
 
@@ -750,11 +746,9 @@ def _plan_isotropic(cfg):
 class Campaign(NamedTuple):
     """One ``wald`` campaign: its name, planner, knobs, CLI help and CLI aliases.
 
-    ``knobs`` names the SessionConfig bounds among q, dmax, mmax and depth
-    that the planner reads; ``wald`` refuses an explicit flag for any other
-    one.  ``kind`` and ``seed`` are no knobs: every campaign accepts both,
-    and one with no kind or no random draws plans the same cells for every
-    value.
+    ``knobs`` names every SessionConfig field the planner reads; its ``wald``
+    subcommand has a flag for each of them and for the run settings, and no
+    other.
     """
 
     name: str
@@ -766,26 +760,26 @@ class Campaign(NamedTuple):
 
 #: Every campaign, in ``wald --help`` and ``CAMPAIGNS`` order.
 CAMPAIGN_TABLE = (
-    Campaign("min-orbit", _plan_min_orbit, ("q", "dmax", "mmax"),
+    Campaign("min-orbit", _plan_min_orbit, ("q", "kind", "dmax", "mmax"),
              "count closed-orbit sublattices from each orbit representative",
              aliases=("verify-min-orbit",)),
-    Campaign("stratum-dim", _plan_stratum_dim, ("dmax", "mmax"),
+    Campaign("stratum-dim", _plan_stratum_dim, ("kind", "dmax", "mmax"),
              "fit orbit-stratum counts to polynomials in q and cross-check"),
     Campaign("counts", _plan_counts, ("q", "dmax"),
              "check sublattice counts against the closed-form formula"),
-    Campaign("hecke-tables", _plan_hecke_tables, ("q",),
+    Campaign("hecke-tables", _plan_hecke_tables, ("q", "seed"),
              "convolution identities, ring axioms, structure constants"),
-    Campaign("ic-basis", _plan_ic_basis, ("q", "dmax"),
+    Campaign("ic-basis", _plan_ic_basis, ("q", "kind", "dmax"),
              "support, monomial counts and central twist of the basis functions"),
-    Campaign("multone", _plan_multone, ("q", "depth"),
+    Campaign("multone", _plan_multone, ("q", "kind", "depth"),
              "triangularity of the algebra action on the unit delta"),
-    Campaign("cs-matrix", _plan_cs_matrix, ("q", "depth"),
+    Campaign("cs-matrix", _plan_cs_matrix, ("q", "kind", "depth"),
              "shape of the basis-function matrix in the delta basis"),
-    Campaign("module-axiom", _plan_module_axiom, ("q",),
+    Campaign("module-axiom", _plan_module_axiom, ("q", "kind", "seed"),
              "compatibility of the action with convolution on random data"),
-    Campaign("eigen", _plan_eigen, ("q", "depth"),
+    Campaign("eigen", _plan_eigen, ("q", "kind", "depth", "seed"),
              "truncated eigenfunction window checks (batch or single run)"),
-    Campaign("quadform-orbits", _plan_quadform_orbits, ("q",),
+    Campaign("quadform-orbits", _plan_quadform_orbits, ("q", "seed"),
              "symmetric-form invariants: constancy, parity, completeness"),
     Campaign("isotropic", _plan_isotropic, ("q",),
              "isotropic line counts against a direct projective scan"),
@@ -853,9 +847,7 @@ def run_campaign(name, cfg: SessionConfig) -> dict:
 def single_eigen_report(cfg: SessionConfig, e1_text, assignment_rows) -> dict:
     """A one-row report for a single numeric eigen-window check."""
     cfg = cfg.validate()
-    row = _cell_eigen(
-        "single", cfg.q, cfg.kind, _degree(cfg, "depth"), str(e1_text), tuple(assignment_rows)
-    )
+    row = _cell_eigen("single", cfg.q, cfg.kind, cfg.depth, str(e1_text), tuple(assignment_rows))
     return _report("eigen", cfg, [row])
 
 

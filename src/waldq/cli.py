@@ -5,10 +5,11 @@
 classifies a symmetric matrix over the power-series ring.  Each setting of
 ``wald``, and the ``--q`` of the other two, is read from its flag if given,
 else from its environment variable (``WALDQ_`` and the flag upper-cased, so
-``--D`` gives ``WALDQ_D``), else from the ``SessionConfig`` default.  An
-explicit ``--q``, ``--dmax``, ``--mmax`` or ``--D`` that the campaign does not
-read exits 2; the same setting from the environment is a default, and is not
-refused.
+``--D`` gives ``WALDQ_D``), else from the ``SessionConfig`` default.  Each
+``wald`` subcommand has a flag for each of its campaign's ``knobs`` and for
+the run settings ``--workers``, ``--out`` and ``--format``, and no other, so
+any other flag exits 2; the same setting from the environment is a default,
+and is not refused.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ def _add_settings(parser, fields):
         parser.add_argument(*flags, dest=field, default=argparse.SUPPRESS, **opts)
 
 
-def _flag(field):
-    return _SETTINGS[field][0][0]
-
-
 def _resolve(args, field):
     """The field's flag value if given, else its variable's, else the SessionConfig default."""
     if field in args:
@@ -113,7 +110,7 @@ def _build_wald_parser():
         name = campaign.name
         p = sub.add_parser(name, aliases=campaign.aliases, help=campaign.help)
         p.set_defaults(campaign=name)
-        _add_settings(p, _SETTINGS)
+        _add_settings(p, (*campaign.knobs, "workers", "out", "fmt"))
         if name == "ic-basis":
             p.add_argument(
                 "--d", dest="dmax", type=int, help="alias for --dmax", default=argparse.SUPPRESS
@@ -158,15 +155,9 @@ def wald_main(argv=None) -> int:
         parser = _build_wald_parser()
         args = parser.parse_args(argv)
         name = args.campaign
-        uses = next(c.knobs for c in CAMPAIGN_TABLE if c.name == name)
-        # a knob is a field some campaign reads; a WALDQ_ variable only sets
-        # a default, so an unread knob is refused only as a flag
-        knobs = {k for c in CAMPAIGN_TABLE for k in c.knobs}
-        for field in _SETTINGS:
-            if field in knobs and field in args and field not in uses:
-                flags = " ".join(_flag(k) for k in uses)
-                raise ConfigInvalid(f"{name} does not use {_flag(field)} (it uses {flags})")
         cfg = SessionConfig(**{f: _resolve(args, f) for f in _SETTINGS}).validate()
+        if cfg.out and os.path.isdir(cfg.out):
+            raise ConfigInvalid(f"cannot write the report to {cfg.out}: Is a directory")
         if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
             raise ConfigInvalid(f"cannot write the report to {cfg.out}: no such directory")
         if name == "eigen" and (args.e1, args.alpha, args.beta, args.gamma) != (None,) * 4:

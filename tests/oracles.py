@@ -10,6 +10,7 @@ package's exact raw-poly primitives, and share no code with its form kernels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from waldq._purekern import (
@@ -453,6 +454,9 @@ def sym_diag_reference(q, prec, b11, b12, b22):
     return (va, vb, w, A, eps)
 
 
+# cached for the test session: the width-3 cube and the sweep shards are
+# certified by several tests, and every caller still diffs each form
+@functools.lru_cache(maxsize=None)
 def sym_normal_cert_reference(q, prec, check_prec, b11, b12, b22, ns):
     """The certificate multiplied out exactly, truncated only for the comparison."""
     r = sym_diag_reference(q, prec, b11, b12, b22)

@@ -1,10 +1,16 @@
 """Command-line front ends: exit codes, report formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waldq import campaigns, cli, hecke
 from waldq.campaigns import MAX_DEGREE, MAX_WORKERS
@@ -18,8 +24,21 @@ from waldq.cli import (
 from waldq.hecke import HeckeElement, convolve
 from waldq.lattice import Coweight
 from waldq.quadform import SymMatrixO, diagonalize
+from waldq.scalars import VARS
 from waldq.series import LaurentPoly
 from waldq.waldspurger import WaldModel
+
+
+#: The flags of a ``wald`` subcommand besides its knobs and the run settings.
+EXTRA_FLAGS = {"ic-basis": {"--d"}, "eigen": {"--e1", *(f"--{v}" for v in VARS)}}
+
+
+def declared_flags(campaign):
+    """Every flag of the campaign's ``wald`` subcommand but ``-h``/``--help``."""
+    fields = (*campaign.knobs, "workers", "out", "fmt")
+    return {flag for field in fields for flag in cli._SETTINGS[field][0]} | EXTRA_FLAGS.get(
+        campaign.name, set()
+    )
 
 
 #: quadform's JSON for the hyperbolic plane [[0,1],[1,0]] at q=3
@@ -110,55 +129,87 @@ class TestWaldBasics:
         assert "wald: error:" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, field",
         [
-            ["ic-basis", "--dmax", "100000"],
-            ["ic-basis", "--d", str(MAX_DEGREE + 1)],
-            ["multone", "--D", "100000"],
-            ["cs-matrix", "--D", "100000"],
-            ["eigen", "--D", str(MAX_DEGREE + 1)],
-            ["eigen", "--e1", "2", "--alpha", "1", "--beta", "1", "--D", "100000"],
+            pytest.param(argv, field, id=f"argv{i}")
+            for i, (argv, field) in enumerate(
+                [
+                    (["ic-basis", "--dmax", "100000"], "dmax"),
+                    (["ic-basis", "--d", str(MAX_DEGREE + 1)], "dmax"),
+                    (["multone", "--D", "100000"], "depth"),
+                    (["cs-matrix", "--D", "100000"], "depth"),
+                    (["eigen", "--D", str(MAX_DEGREE + 1)], "depth"),
+                    (["eigen", "--e1", "2", "--alpha", "1", "--beta", "1", "--D", "100000"], "depth"),
+                    (["min-orbit", "--dmax", "100000", "--mmax", "100000"], "dmax"),
+                    (["min-orbit", "--mmax", str(MAX_DEGREE + 1)], "mmax"),
+                    (["stratum-dim", "--dmax", "0", "--mmax", "100000000"], "mmax"),
+                    (["counts", "--dmax", str(MAX_DEGREE + 1)], "dmax"),
+                ]
+            )
         ],
     )
-    def test_degree_past_the_limit_exits_2_before_any_cell(self, capsys, monkeypatch, argv):
+    def test_degree_past_the_limit_exits_2_before_any_cell(self, capsys, monkeypatch, argv, field):
         def refuse(*args):
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(WaldModel, "act", refuse)
+        monkeypatch.setattr(campaigns, "_run_cell", refuse)
         start = time.perf_counter()
         rc, out, err = run_wald(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert rc == 2 and out == ""
-        assert f"wald: error: {'dmax' if argv[0] == 'ic-basis' else 'depth'} = " in err
+        assert f"wald: error: {field} = " in err
         assert f"exceeds the limit {MAX_DEGREE}" in err
 
     def test_degree_at_the_limit_is_planned(self):
-        cfg = campaigns.SessionConfig(dmax=MAX_DEGREE, depth=MAX_DEGREE)
-        for name in ("ic-basis", "multone", "cs-matrix", "eigen"):
+        cfg = campaigns.SessionConfig(dmax=MAX_DEGREE, mmax=MAX_DEGREE, depth=MAX_DEGREE).validate()
+        for name in ("ic-basis", "multone", "cs-matrix", "eigen", "min-orbit", "counts"):
             assert campaigns.plan(name, cfg)
+        # stratum-dim's fits stop at min(dmax, mmax) = 5, where the probe primes run out
+        assert campaigns.plan("stratum-dim", campaigns.SessionConfig(dmax=MAX_DEGREE, mmax=5))
 
     def test_each_campaign_refuses_exactly_the_knobs_it_does_not_read(self, capsys, monkeypatch):
-        knobs = ("q", "dmax", "mmax", "depth")
+        knobs = ("q", "kind", "dmax", "mmax", "depth", "seed")
         refused = {(c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in knobs} - {
             (c.name, k) for c in campaigns.CAMPAIGN_TABLE for k in c.knobs
         }
-        forms = {(n, k) for n in ("quadform-orbits", "hecke-tables", "isotropic") for k in ("dmax", "mmax", "depth")}
-        assert forms | {("stratum-dim", "q")} <= refused
+        forms = {(n, k) for n in ("quadform-orbits", "hecke-tables", "isotropic") for k in ("kind", "dmax", "mmax", "depth")}
+        unseeded = {(n, "seed") for n in ("min-orbit", "stratum-dim", "counts", "ic-basis", "multone", "cs-matrix", "isotropic")}
+        assert forms | unseeded | {("stratum-dim", "q"), ("counts", "kind")} <= refused
         ran = []
         monkeypatch.setattr(cli, "run_campaign", lambda name, cfg: ran.append(name) or {})
         monkeypatch.setattr(cli, "_emit", lambda report, cfg: 0)
-        flags = (("q", "--q"), ("dmax", "--dmax"), ("mmax", "--mmax"), ("depth", "--D"), ("depth", "--depth"))
+        flags = (
+            ("q", "--q", "5"),
+            ("kind", "--kind", "ramified"),
+            ("dmax", "--dmax", "5"),
+            ("mmax", "--mmax", "5"),
+            ("depth", "--D", "5"),
+            ("depth", "--depth", "5"),
+            ("seed", "--seed", "5"),
+        )
         for campaign in campaigns.CAMPAIGN_TABLE:
-            for knob, flag in flags:
-                rc, out, err = run_wald(capsys, campaign.name, flag, "5")
+            for knob, flag, value in flags:
                 if (campaign.name, knob) in refused:
-                    assert rc == 2 and out == ""
-                    shown = "--D" if knob == "depth" else flag
-                    assert f"wald: error: {campaign.name} does not use {shown}" in err
+                    with pytest.raises(SystemExit) as exc:
+                        wald_main([campaign.name, flag, value])
+                    out, err = capsys.readouterr()
+                    assert exc.value.code == 2 and out == ""
+                    assert f"unrecognized arguments: {flag} {value}" in err
                 else:
+                    rc, out, err = run_wald(capsys, campaign.name, flag, value)
                     assert rc == 0, (campaign.name, flag, err)
         # no refused flag reached a campaign
         assert len(ran) == sum(len(c.knobs) + c.knobs.count("depth") for c in campaigns.CAMPAIGN_TABLE)
+
+    @pytest.mark.parametrize("campaign", campaigns.CAMPAIGN_TABLE, ids=campaigns.CAMPAIGNS)
+    def test_help_lists_the_knobs_and_the_run_settings(self, capsys, campaign):
+        with pytest.raises(SystemExit) as exc:
+            wald_main([campaign.name, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"(?:^  |, )(--?[\w-]+)", text.split("options:")[1], re.M))
+        assert listed == {"-h", "--help", *declared_flags(campaign)}
 
     def test_env_knobs_a_campaign_ignores_stay_silent(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_DMAX", "2")
@@ -181,6 +232,73 @@ class TestWaldBasics:
     def test_unknown_campaign_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             wald_main(["definitely-not-a-campaign"])
+
+
+#: Every flag of some ``wald`` subcommand, and every ``WALDQ_`` variable.
+WALD_FLAGS = sorted(set().union(*(declared_flags(c) for c in campaigns.CAMPAIGN_TABLE)))
+WALD_VARS = sorted("WALDQ_" + flags[0].lstrip("-").upper() for flags, _ in cli._SETTINGS.values())
+#: Values: ints from -3 to 10^12, drawn near the degree bound as often as
+#: from the whole range, and strings no integer setting accepts.
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 2 * MAX_DEGREE).map(str),
+    st.integers(-3, 10**12).map(str),
+    st.sampled_from(["x", "1.5", "ramified", "split", "csv", "7/2"]),
+)
+
+
+class TestWaldFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from([n for c in campaigns.CAMPAIGN_TABLE for n in (c.name, *c.aliases)]),
+        flags=st.lists(st.tuples(st.sampled_from(WALD_FLAGS), FUZZ_VALUES), max_size=3),
+        env=st.dictionaries(st.sampled_from(WALD_VARS), FUZZ_VALUES, max_size=2),
+    )
+    def test_any_input_exits_0_or_2_within_the_declared_flags_and_bounds(self, name, flags, env):
+        # planning runs, and no cell does: the planner's cells are dropped,
+        # and a single eigen run gets a passing stand-in row
+        real_plan, real_report = campaigns.plan, campaigns._report
+        accepted = []
+
+        def plan(campaign, cfg):
+            # isotropic plans one cell per residue mod q, and nothing bounds q
+            if campaign != "isotropic" or cfg.q < 10**4:
+                real_plan(campaign, cfg)
+            return []
+
+        def report(campaign, cfg, rows):
+            accepted.append(cfg)
+            return real_report(campaign, cfg, rows)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        argv = [name, *(x for pair in flags for x in pair)]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            for var in [v for v in os.environ if v.startswith("WALDQ_")]:
+                mp.delenv(var)
+            for var, value in env.items():
+                mp.setenv(var, value)
+            mp.chdir(tmp)  # --out and WALDQ_OUT write here
+            mp.setattr(campaigns, "plan", plan)
+            mp.setattr(campaigns, "_report", report)
+            mp.setattr(campaigns, "_cell_eigen", lambda cell, *args: {"cell": cell, "pass": True})
+            mp.setattr(campaigns, "ProcessPoolExecutor", no_pool)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    rc = wald_main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+        assert rc in (0, 2), (argv, env, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            campaign = next(c for c in campaigns.CAMPAIGN_TABLE if name in (c.name, *c.aliases))
+            declared = declared_flags(campaign)
+            for flag, _value in flags:
+                # argparse also takes a prefix of exactly one declared flag
+                assert flag in declared or sum(d.startswith(flag) for d in declared) == 1, argv
+            (cfg,) = accepted
+            assert max(cfg.dmax, cfg.mmax, cfg.depth) <= MAX_DEGREE, (argv, env)
 
 
 class TestFormats:
@@ -215,15 +333,24 @@ class TestFormats:
         assert lines[0]["type"] == "header"
         assert lines[-1]["pass"] is True
 
-    @pytest.mark.parametrize("name", ["missing/report.ndjson", "."])
-    def test_out_unwritable_exits_2(self, capsys, tmp_path, name):
-        # a missing directory is refused before the campaign runs; a path
-        # that is a directory fails when the report is written
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            pytest.param("missing/report.ndjson", "no such directory", id="missing/report.ndjson"),
+            pytest.param(".", "Is a directory", id="."),
+        ],
+    )
+    def test_out_unwritable_exits_2(self, capsys, monkeypatch, tmp_path, name, reason):
+        # both are refused before the campaign runs
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(campaigns, "_run_cell", refuse)
         target = str(tmp_path / name)
         rc, out, err = run_wald(capsys, "counts", "--dmax", "2", "--out", target)
         assert rc == 2
         assert out == ""
-        assert "wald: error:" in err and target in err
+        assert f"wald: error: cannot write the report to {target}: {reason}" in err
         assert not (tmp_path / "missing").exists()
 
 
@@ -389,10 +516,10 @@ class TestEnvOverrides:
         # variables are read after parsing, so --help never reads them
         monkeypatch.setenv("WALDQ_SEED", "x")
         with pytest.raises(SystemExit) as exc:
-            wald_main(["min-orbit", "--help"])
+            wald_main(["module-axiom", "--help"])
         assert exc.value.code == 0
         assert "--seed SEED" in capsys.readouterr().out
-        rc, _, err = run_wald(capsys, "min-orbit")
+        rc, _, err = run_wald(capsys, "module-axiom")
         assert rc == 2 and "wald: error: WALDQ_SEED must be an integer, got 'x'" in err
 
     def test_env_bad_value_surfaces_as_config_error(self, capsys, monkeypatch):
