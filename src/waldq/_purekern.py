@@ -5,10 +5,11 @@ is a tuple of ints in ``[0, q)`` whose first and last entries are nonzero, and
 the pair denotes ``sum(coeffs[i] * t**(offset + i))``.  Zero is ``(0, ())``.
 
 The batch kernels at the bottom (``rel_pos``, ``canon``, ``sublattices``,
-``sym_diag``, ``sym_normal_cert``) are what ``waldq.backend`` binds by
-name, and callers reach them through it.  Everything here is exact: no global
-truncation, and unit inverses are produced to an explicit finite precision
-that each caller derives from valuations.
+``sublattice_rows``, ``sym_diag``, ``sym_normal_cert``) are what
+``waldq.backend`` binds by name, and callers reach them through it.
+Everything here is exact: no global truncation, and unit inverses are
+produced to an explicit finite precision that each caller derives from
+valuations.
 
 ``pmul`` is the exact product.  ``pdot(q, prec, pairs)`` is the fused one:
 the sum of the products of raw pairs, truncated below ``t^prec`` (``INF``
@@ -257,10 +258,14 @@ def sublattices(q, a, b, c, n):
     Returns (a2, b2, c2, s) tuples where s = min(alpha, beta, val w) for the
     triangular coordinates (alpha, beta, w) of the sublattice, so its relative
     position in (a, b, c) is (n - s, s).  Exactly sum(q^alpha) tuples, no
-    duplicates.
+    duplicates: the rows of ``sublattice_rows``, in its order.
     """
-    out = []
-    append = out.append
+    return list(sublattice_rows(q, a, b, c, n))
+
+
+def sublattice_rows(q, a, b, c, n):
+    """Yield the rows of ``sublattices`` one at a time, in the same order, so
+    that a caller that only counts them holds none."""
     digits = range(q)
     for alpha in range(n + 1):
         beta = n - alpha
@@ -284,8 +289,7 @@ def sublattices(q, a, b, c, n):
                 c2 = PZERO
             if add:
                 c2 = padd(q, c2, cs)
-            append((ca, cb, c2, v if v < top else top))
-    return out
+            yield (ca, cb, c2, v if v < top else top)
 
 
 STAY, SWAP, ADD = range(3)

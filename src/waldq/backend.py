@@ -1,9 +1,12 @@
 """The batch kernels, bound by name.
 
-The five batch kernels (rel_pos, canon, sublattices, sym_diag,
+The batch kernels (rel_pos, canon, sublattices, sublattice_rows, sym_diag,
 sym_normal_cert) live in ``waldq._purekern``.  This module binds them as
 module-level names; callers look them up as ``backend.<kernel>`` at call
-time, so a tracer can wrap them in one place.  ``available()`` names the one
+time, so a tracer can wrap them in one place.  ``sublattices`` returns the
+list of member rows, for callers that sort or build lattices from them;
+``sublattice_rows`` yields the same rows one at a time, so ``counts`` counts
+them as they are yielded and holds none.  ``available()`` names the one
 backend, ``pure``; ``use("pure")`` rebinds the kernels and any other name
 raises ValueError.  The report header records ``active_name()``.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from . import _purekern
 
-_KERNELS = ("rel_pos", "canon", "sublattices", "sym_diag", "sym_normal_cert")
+_KERNELS = ("rel_pos", "canon", "sublattices", "sublattice_rows", "sym_diag", "sym_normal_cert")
 
 
 def available() -> tuple[str, ...]:

@@ -119,7 +119,7 @@ def _build_wald_parser():
             p.add_argument("--e1", default=None, help="first eigenvalue (a rational) for a single run")
             for var in VARS:
                 p.add_argument(f"--{var}", default=None, help=f"{var} value for a single run")
-    return parser
+    return parser, sub.choices
 
 
 def _single_eigen(cfg, args):
@@ -152,9 +152,13 @@ def _emit(report, cfg) -> int:
 
 def wald_main(argv=None) -> int:
     try:
-        parser = _build_wald_parser()
-        args = parser.parse_args(argv)
+        parser, subparsers = _build_wald_parser()
+        args, extras = parser.parse_known_args(argv)
         name = args.campaign
+        if extras:
+            # argparse leaves a subcommand's unknown flags to the top-level
+            # parser; the subcommand's own usage line names the flags it takes
+            subparsers[name].error(f"unrecognized arguments: {' '.join(extras)}")
         cfg = SessionConfig(**{f: _resolve(args, f) for f in _SETTINGS}).validate()
         if cfg.out and os.path.isdir(cfg.out):
             raise ConfigInvalid(f"cannot write the report to {cfg.out}: Is a directory")

@@ -12,10 +12,12 @@ beta = n, w a polynomial of degree < alpha, giving sum(q^alpha) members, of
 which the ones in exact relative position (n, 0) are q^(n-1) * (q+1).
 closure_members and enumerate_in_position enumerate them as sorted
 lattices, through _raw_members and the sublattices kernel.  The counts
-campaign reads _member_count, which counts the same kernel rows without
-building a lattice or sorting.  The orbit tables and the Hecke structure
-constants read only _member_histogram, which counts the members of each
-(a2, b2, val c2, s) class in closed form and enumerates nothing.
+campaign reads _member_count, which counts the same rows as the
+sublattice_rows kernel yields them, one at a time: it builds no lattice,
+sorts nothing and holds no list, so its memory does not grow with q or n.
+The orbit tables and the Hecke structure constants read only
+_member_histogram, which counts the members of each (a2, b2, val c2, s)
+class in closed form and enumerates nothing.
 
 Exponents and coweight entries must be ints (bool and float are rejected).
 """
@@ -192,8 +194,8 @@ def _shifted(triple, lam):
 
 
 def _raw_members(q, triple, lam):
-    """Every member row, enumerated: read by _members and _member_count, and as
-    the reference that _member_histogram's counts are tested against.
+    """Every member row, enumerated: read by _members, and as the reference
+    that _member_histogram's counts are tested against.
 
     Returns (a2, b2, c2_raw, s) tuples for all sublattices of t^lam2 * L of
     colength lam1 - lam2; s = 0 exactly for the members in position lam.
@@ -260,9 +262,12 @@ def _members(lat, lam, exact):
 
 def _member_count(lat, lam, exact):
     """The number of rows of _raw_members, or of its s = 0 rows if exact: the
-    size of _members, counted on the enumerated rows without a lattice."""
-    rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
-    return [row[3] for row in rows].count(0) if exact else len(rows)
+    size of _members, counted as the sublattice_rows kernel yields the rows,
+    without a lattice and without holding a row."""
+    rows = backend.sublattice_rows(lat.q, *_shifted(lat.triple, Coweight(*lam)))
+    if exact:
+        return sum(1 for row in rows if row[3] == 0)
+    return sum(1 for _row in rows)
 
 
 def closure_members(lat: Lattice2, lam: Coweight) -> list[Lattice2]:

@@ -196,6 +196,9 @@ class TestWaldBasics:
                     out, err = capsys.readouterr()
                     assert exc.value.code == 2 and out == ""
                     assert f"unrecognized arguments: {flag} {value}" in err
+                    # the subcommand's usage line, with the flags it does take
+                    assert err.startswith(f"usage: wald {campaign.name} "), err
+                    assert f"wald {campaign.name}: error: " in err
                 else:
                     rc, out, err = run_wald(capsys, campaign.name, flag, value)
                     assert rc == 0, (campaign.name, flag, err)

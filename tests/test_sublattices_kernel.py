@@ -5,12 +5,16 @@ order, slices ``w t^a`` out of each tuple and adds ``c t^beta mod
 t^(a+alpha)``, computed once per ``alpha``, only when it is nonzero.  The
 reference below is the per-member route it replaced: one base-q digit loop,
 ``pnorm``, ``pshift``, ``padd`` and ``ptrunc`` per member.  It must give the
-same list, in the same order.
+same list, in the same order, and so must ``sublattice_rows``, the generator
+that ``sublattices`` lists.
 
-The ``counts`` cells count the kernel's rows without building lattices; they
-are checked against the sorted ``Lattice2`` lists of the public enumerators,
-the closed forms, and the t-stable subspaces of ``tests/oracles.py``.
+The ``counts`` cells count the rows as ``sublattice_rows`` yields them,
+without building lattices or holding the rows; they are checked against the
+sorted ``Lattice2`` lists of the public enumerators, the closed forms, and
+the t-stable subspaces of ``tests/oracles.py``.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from waldq import campaigns
-from waldq._purekern import padd, pnorm, pshift, ptrunc, pval, sublattices
+from waldq._purekern import padd, pnorm, pshift, ptrunc, pval, sublattice_rows, sublattices
 from waldq.lattice import (
     Coweight,
     Lattice2,
@@ -70,9 +74,9 @@ def test_matches_reference_on_the_grid(q):
             i += 1
             seen.add((a, b))
             for n in range(5):
-                assert sublattices(q, a, b, c, n) == sublattices_reference(q, a, b, c, n), (
-                    q, a, b, c, n,
-                )
+                rows = sublattices(q, a, b, c, n)
+                assert rows == sublattices_reference(q, a, b, c, n), (q, a, b, c, n)
+                assert rows == list(sublattice_rows(q, a, b, c, n)), (q, a, b, c, n)
     assert len({b for _a, b in seen}) == len(EXPONENTS)
 
 
@@ -90,7 +94,9 @@ def triples(draw):
 @settings(max_examples=200, deadline=None)
 @given(triples())
 def test_matches_reference_on_random_triples(args):
-    assert sublattices(*args) == sublattices_reference(*args)
+    rows = sublattices(*args)
+    assert rows == sublattices_reference(*args)
+    assert rows == list(sublattice_rows(*args))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -119,3 +125,18 @@ def test_member_count_off_the_standard_lattice():
         for lam in (Coweight(3, 0), Coweight(2, 1), Coweight(1, -1)):
             assert _member_count(lat, lam, exact=True) == len(enumerate_in_position(lat, lam))
             assert _member_count(lat, lam, exact=False) == len(closure_members(lat, lam))
+
+
+@pytest.mark.parametrize("exact", (True, False))
+def test_member_count_holds_no_rows(exact):
+    # 19,531 rows, about 4 MB as a list; counted as they are yielded, a few
+    # rows at a time are alive
+    lat, lam = Lattice2.standard(5), Coweight(6, 0)
+    tracemalloc.start()
+    try:
+        got = _member_count(lat, lam, exact=exact)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (position_count_formula(5, 6) if exact else sum(5**alpha for alpha in range(7)))
+    assert peak < 64 * 1024, peak
