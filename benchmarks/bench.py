@@ -63,8 +63,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: The acceptance configs, as ``wald`` arguments: first the enumeration-bound
 #: ones, then the scalar-bound ones of criteria 04-08, then those of criteria
 #: 01-03 and 10, in both algebra kinds where the campaign takes a kind, then
-#: ``counts`` past the acceptance range (q 5 at dmax 7, 2 x 97,656 members; q 7
-#: at dmax 7, 2 x 960,800; q 11 at dmax 6, 2 x 1,948,717), then the
+#: ``counts`` past the acceptance range (q 7 at dmax 4; q 5 at dmax 7, 2 x
+#: 97,656 members; q 7 at dmax 7, 2 x 960,800; q 11 at dmax 6, 2 x
+#: 1,948,717), then the
 #: campaigns at ``MAX_DEGREE`` (30) in every degree setting they read (only
 #: ``stratum-dim``'s mmax stays at 5, where its probe primes run out), then the
 #: form campaign at two primes and criterion 09's exhaustive q=3 sweep (81
@@ -90,6 +91,7 @@ for _kind in ("split", "ramified"):
 for _q in ("3", "5"):
     CONFIGS[f"counts-q{_q}"] = ["counts", "--q", _q, "--dmax", "4"]
     CONFIGS[f"isotropic-q{_q}"] = ["isotropic", "--q", _q]
+CONFIGS["counts-q7"] = ["counts", "--q", "7", "--dmax", "4"]
 CONFIGS["counts-q5-d7"] = ["counts", "--q", "5", "--dmax", "7"]
 CONFIGS["counts-q7-d7"] = ["counts", "--q", "7", "--dmax", "7"]
 CONFIGS["counts-q11-d6"] = ["counts", "--q", "11", "--dmax", "6"]
