@@ -67,7 +67,8 @@ REPO = Path(__file__).resolve().parent.parent
 #: 97,656 members; q 7 at dmax 7, 2 x 960,800; q 11 at dmax 6, 2 x
 #: 1,948,717), then the
 #: campaigns at ``MAX_DEGREE`` (30) in every degree setting they read (only
-#: ``stratum-dim``'s mmax stays at 5, where its probe primes run out), then the
+#: ``stratum-dim``'s mmax stays at 5, where its probe primes run out) and
+#: ``isotropic`` at its largest q (``MAX_ISOTROPIC_Q``, 43), then the
 #: form campaign at two primes and criterion 09's exhaustive q=3 sweep (81
 #: shards of 6,561 forms: by far the longest run here).
 CONFIGS = {
@@ -100,6 +101,7 @@ for _name in ("multone", "cs-matrix", "eigen"):
     CONFIGS[f"{_name}-bound"] = [_name, "--D", "30"]
 CONFIGS["min-orbit-bound"] = ["min-orbit", "--dmax", "30", "--mmax", "30"]
 CONFIGS["stratum-dim-bound"] = ["stratum-dim", "--dmax", "30", "--mmax", "5"]
+CONFIGS["isotropic-bound"] = ["isotropic", "--q", "43"]
 for _q in ("5", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]

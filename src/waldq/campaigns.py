@@ -62,6 +62,14 @@ POOL_AFTER_S = 0.02
 #: pair; ``min-orbit --dmax 120 --mmax 120`` took 86 s.
 MAX_DEGREE = 30
 
+#: The largest ``q`` ``isotropic`` accepts.  It plans a cell per residue mod q
+#: and each cell scans q^2 forms, so its cost grows as q^4.  Timed inside
+#: ``wald_main`` in fresh interpreters (median of 5, 2-core host):
+#: ``--q 37`` 0.77 s, ``--q 41`` 1.16 s, ``--q 43`` 1.31 s and ``--q 47``
+#: 1.79 s, against 1.61 s for ``eigen --D 30``, the slowest config accepted
+#: at ``MAX_DEGREE``.
+MAX_ISOTROPIC_Q = 43
+
 #: Odd primes used by the polynomial-fit campaign, smallest first.
 PROBE_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -740,6 +748,11 @@ def _plan_quadform_orbits(cfg):
 
 
 def _plan_isotropic(cfg):
+    if cfg.q > MAX_ISOTROPIC_Q:
+        raise ConfigInvalid(
+            f"isotropic scans q^2 forms in each of q cells: q = {cfg.q} exceeds the limit "
+            f"{MAX_ISOTROPIC_Q}"
+        )
     return [(_cell_isotropic, f"b11-{v}", cfg.q, v) for v in range(cfg.q)]
 
 

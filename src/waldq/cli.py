@@ -7,9 +7,10 @@ classifies a symmetric matrix over the power-series ring.  Each setting of
 else from its environment variable (``WALDQ_`` and the flag upper-cased, so
 ``--D`` gives ``WALDQ_D``), else from the ``SessionConfig`` default.  Each
 ``wald`` subcommand has a flag for each of its campaign's ``knobs`` and for
-the run settings ``--workers``, ``--out`` and ``--format``, and no other, so
-any other flag exits 2; the same setting from the environment is a default,
-and is not refused.
+the run settings ``--workers``, ``--out`` and ``--format``.  The three parse
+and fail alike: a flag the subcommand does not declare exits 2 with its usage
+line (the same setting from the environment is a default, and is not
+refused), any other bad input exits 2, and an undetermined ``quadform`` 1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .campaigns import (
     MAX_WORKERS,
     ConfigInvalid,
     SessionConfig,
+    _dumps,
     render_report,
     run_campaign,
     single_eigen_report,
@@ -100,16 +102,19 @@ def _resolve(args, field):
         raise ConfigInvalid(f"{var} must be an integer, got {raw!r}") from None
 
 
+def _program(prog, description, **opts):
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    return parser, parser.add_subparsers(dest="command", required=True, **opts)
+
+
 def _build_wald_parser():
-    parser = argparse.ArgumentParser(
-        prog="wald",
-        description="Batch verification campaigns for lattice-orbit combinatorics.",
+    parser, sub = _program(
+        "wald", "Batch verification campaigns for lattice-orbit combinatorics.", metavar="CAMPAIGN"
     )
-    sub = parser.add_subparsers(dest="campaign", required=True, metavar="CAMPAIGN")
     for campaign in CAMPAIGN_TABLE:
         name = campaign.name
         p = sub.add_parser(name, aliases=campaign.aliases, help=campaign.help)
-        p.set_defaults(campaign=name)
+        p.set_defaults(command=name)
         _add_settings(p, (*campaign.knobs, "workers", "out", "fmt"))
         if name == "ic-basis":
             p.add_argument(
@@ -120,6 +125,26 @@ def _build_wald_parser():
             for var in VARS:
                 p.add_argument(f"--{var}", default=None, help=f"{var} value for a single run")
     return parser, sub.choices
+
+
+def _parse(parser, subparsers, argv):
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # argparse leaves a subcommand's unknown flags to the top-level
+        # parser; the subcommand's own usage line names the flags it takes
+        subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _main(prog, run, argv) -> int:
+    try:
+        return run(argv)
+    except PrecisionExhausted as exc:
+        print(f"{prog}: undetermined: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # ConfigInvalid and json.JSONDecodeError are ValueErrors
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _single_eigen(cfg, args):
@@ -137,122 +162,96 @@ def _single_eigen(cfg, args):
     return single_eigen_report(cfg, args.e1, rows)
 
 
+def _write(path, text, mode):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write the report to {path}: {exc.strerror}") from None
+
+
 def _emit(report, cfg) -> int:
     text = render_report(report, cfg.fmt)
     if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot write the report to {cfg.out}: {exc.strerror}") from None
+        _write(cfg.out, text, "w")
     else:
         sys.stdout.write(text)
     return 0 if report["summary"]["pass"] else 1
 
 
+def _wald(argv):
+    args = _parse(*_build_wald_parser(), argv)
+    cfg = SessionConfig(**{f: _resolve(args, f) for f in _SETTINGS}).validate()
+    if cfg.out:
+        new = not os.path.lexists(cfg.out)
+        _write(cfg.out, "", "a")  # before any cell runs; keeps an existing report
+        if new:
+            os.remove(cfg.out)
+    if args.command == "eigen" and (args.e1, args.alpha, args.beta, args.gamma) != (None,) * 4:
+        return _emit(_single_eigen(cfg, args), cfg)
+    return _emit(run_campaign(args.command, cfg), cfg)
+
+
+def _hecke(argv):
+    parser, sub = _program("hecke", "Spherical convolution of basis elements.")
+    conv = sub.add_parser("convolve", help="convolve two basis elements")
+    _add_settings(conv, ("q",))
+    conv.add_argument("--lhs", required=True, help='dominant pair like "(2,0)"')
+    conv.add_argument("--rhs", required=True, help='dominant pair like "(1,1)"')
+    args = _parse(parser, sub.choices, argv)
+    q = _resolve(args, "q")
+    _check_q(q)
+    lhs, rhs = Coweight.parse(args.lhs), Coweight.parse(args.rhs)
+    for name, cw in (("--lhs", lhs), ("--rhs", rhs)):
+        if cw.a1 - cw.a2 > MAX_COWEIGHT_WIDTH:
+            raise ValueError(f"{name} {cw} exceeds the width limit {MAX_COWEIGHT_WIDTH}")
+    print(_dumps(convolve(HeckeElement.basis(q, lhs), HeckeElement.basis(q, rhs)).to_json()))
+    return 0
+
+
+def _quadform(argv):
+    parser, sub = _program("quadform", "Classify a symmetric matrix over the power-series ring.")
+    cls = sub.add_parser("classify", help="diagonal invariant and covering type")
+    _add_settings(cls, ("q",))
+    cls.add_argument(
+        "--matrix",
+        required=True,
+        help='JSON rows [[b11,b12],[b12,b22]], entries {"offset":k,"coeffs":[...]}',
+    )
+    cls.add_argument("--precision", type=int, default=None)
+    args = _parse(parser, sub.choices, argv)
+    q = _resolve(args, "q")
+    entries = SymMatrixO._json_entries(q, json.loads(args.matrix))
+    # checked before the exact determinant, whose size grows with the top terms
+    top = 2 * MAX_DET_VALUATION + 2
+    if any(e.degree() >= top for e in entries):
+        raise ValueError(
+            f"an entry has a term at or above t^{top}, which classify reads only "
+            f"when val(det) exceeds the limit {MAX_DET_VALUATION}"
+        )
+    mat = SymMatrixO(*entries)
+    if mat.det_valuation > MAX_DET_VALUATION:
+        raise ValueError(f"val(det) = {mat.det_valuation} exceeds the limit {MAX_DET_VALUATION}")
+    # the invariants are fixed once the precision exceeds val(det), which
+    # the default precision does: a larger one only costs time and memory
+    prec = args.precision
+    inv, _a, _eps = diagonalize(mat, prec if prec is None else min(prec, default_precision(mat)))
+    cover, in_scope = covering_type(inv, q)
+    fields = {"a": inv.a, "b": inv.b, "delta": inv.delta.value, "cover": cover.value}
+    print(_dumps({**fields, "in_scope": in_scope}))
+    return 0
+
+
 def wald_main(argv=None) -> int:
-    try:
-        parser, subparsers = _build_wald_parser()
-        args, extras = parser.parse_known_args(argv)
-        name = args.campaign
-        if extras:
-            # argparse leaves a subcommand's unknown flags to the top-level
-            # parser; the subcommand's own usage line names the flags it takes
-            subparsers[name].error(f"unrecognized arguments: {' '.join(extras)}")
-        cfg = SessionConfig(**{f: _resolve(args, f) for f in _SETTINGS}).validate()
-        if cfg.out and os.path.isdir(cfg.out):
-            raise ConfigInvalid(f"cannot write the report to {cfg.out}: Is a directory")
-        if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
-            raise ConfigInvalid(f"cannot write the report to {cfg.out}: no such directory")
-        if name == "eigen" and (args.e1, args.alpha, args.beta, args.gamma) != (None,) * 4:
-            report = _single_eigen(cfg, args)
-        else:
-            report = run_campaign(name, cfg)
-        return _emit(report, cfg)
-    except (ConfigInvalid, ValueError) as exc:
-        print(f"wald: error: {exc}", file=sys.stderr)
-        return 2
+    return _main("wald", _wald, argv)
 
 
 def hecke_main(argv=None) -> int:
-    try:
-        parser = argparse.ArgumentParser(
-            prog="hecke", description="Spherical convolution of basis elements."
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        conv = sub.add_parser("convolve", help="convolve two basis elements")
-        _add_settings(conv, ("q",))
-        conv.add_argument("--lhs", required=True, help='dominant pair like "(2,0)"')
-        conv.add_argument("--rhs", required=True, help='dominant pair like "(1,1)"')
-        args = parser.parse_args(argv)
-        q = _resolve(args, "q")
-        _check_q(q)
-        lhs = Coweight.parse(args.lhs)
-        rhs = Coweight.parse(args.rhs)
-        for name, cw in (("--lhs", lhs), ("--rhs", rhs)):
-            if cw.a1 - cw.a2 > MAX_COWEIGHT_WIDTH:
-                raise ValueError(f"{name} {cw} exceeds the width limit {MAX_COWEIGHT_WIDTH}")
-        out = convolve(HeckeElement.basis(q, lhs), HeckeElement.basis(q, rhs))
-        print(json.dumps(out.to_json(), sort_keys=True, separators=(",", ":")))
-        return 0
-    except ValueError as exc:
-        print(f"hecke: error: {exc}", file=sys.stderr)
-        return 2
+    return _main("hecke", _hecke, argv)
 
 
 def quadform_main(argv=None) -> int:
-    try:
-        parser = argparse.ArgumentParser(
-            prog="quadform",
-            description="Classify a symmetric matrix over the power-series ring.",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        cls = sub.add_parser("classify", help="diagonal invariant and covering type")
-        _add_settings(cls, ("q",))
-        cls.add_argument(
-            "--matrix",
-            required=True,
-            help='JSON rows [[b11,b12],[b12,b22]], entries {"offset":k,"coeffs":[...]}',
-        )
-        cls.add_argument("--precision", type=int, default=None)
-        args = parser.parse_args(argv)
-        q = _resolve(args, "q")
-        entries = SymMatrixO._json_entries(q, json.loads(args.matrix))
-        # checked before the exact determinant, whose size grows with the top terms
-        top = 2 * MAX_DET_VALUATION + 2
-        if any(e.degree() >= top for e in entries):
-            raise ValueError(
-                f"an entry has a term at or above t^{top}, which classify reads only "
-                f"when val(det) exceeds the limit {MAX_DET_VALUATION}"
-            )
-        mat = SymMatrixO(*entries)
-        if mat.det_valuation > MAX_DET_VALUATION:
-            raise ValueError(f"val(det) = {mat.det_valuation} exceeds the limit {MAX_DET_VALUATION}")
-        # the invariants are fixed once the precision exceeds val(det), which
-        # the default precision does: a larger one only costs time and memory
-        prec = args.precision
-        inv, _a, _eps = diagonalize(mat, prec if prec is None else min(prec, default_precision(mat)))
-        cover, in_scope = covering_type(inv, q)
-        print(
-            json.dumps(
-                {
-                    "a": inv.a,
-                    "b": inv.b,
-                    "delta": inv.delta.value,
-                    "cover": cover.value,
-                    "in_scope": in_scope,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-        return 0
-    except PrecisionExhausted as exc:
-        print(f"quadform: undetermined: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"quadform: error: {exc}", file=sys.stderr)
-        return 2
+    return _main("quadform", _quadform, argv)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waldq import campaigns, cli, hecke
-from waldq.campaigns import MAX_DEGREE, MAX_WORKERS
+from waldq.campaigns import MAX_DEGREE, MAX_ISOTROPIC_Q, MAX_WORKERS
 from waldq.cli import (
     MAX_COWEIGHT_WIDTH,
     MAX_DET_VALUATION,
@@ -161,6 +161,24 @@ class TestWaldBasics:
         assert f"wald: error: {field} = " in err
         assert f"exceeds the limit {MAX_DEGREE}" in err
 
+    @pytest.mark.parametrize("q", [53, 1000000007])
+    def test_isotropic_q_past_the_limit_exits_2_before_any_cell(self, capsys, monkeypatch, q):
+        # 53 is the next prime above the limit 43
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(campaigns, "_run_cell", refuse)
+        rc, out, err = run_wald(capsys, "isotropic", "--q", str(q))
+        assert rc == 2 and out == ""
+        assert f"wald: error: isotropic scans q^2 forms in each of q cells: q = {q} " in err
+        assert f"exceeds the limit {MAX_ISOTROPIC_Q}" in err
+
+    def test_isotropic_q_at_the_limit_runs_and_passes(self, capsys):
+        rc, out, err = run_wald(capsys, "isotropic", "--q", str(MAX_ISOTROPIC_Q))
+        assert rc == 0, err
+        lines = parse_ndjson(out)
+        assert lines[-1] == {"cells": MAX_ISOTROPIC_Q, "failed": 0, "pass": True, "type": "summary"}
+
     def test_degree_at_the_limit_is_planned(self):
         cfg = campaigns.SessionConfig(dmax=MAX_DEGREE, mmax=MAX_DEGREE, depth=MAX_DEGREE).validate()
         for name in ("ic-basis", "multone", "cs-matrix", "eigen", "min-orbit", "counts"):
@@ -263,9 +281,7 @@ class TestWaldFuzz:
         accepted = []
 
         def plan(campaign, cfg):
-            # isotropic plans one cell per residue mod q, and nothing bounds q
-            if campaign != "isotropic" or cfg.q < 10**4:
-                real_plan(campaign, cfg)
+            real_plan(campaign, cfg)
             return []
 
         def report(campaign, cfg, rows):
@@ -304,6 +320,99 @@ class TestWaldFuzz:
             assert max(cfg.dmax, cfg.mmax, cfg.depth) <= MAX_DEGREE, (argv, env)
 
 
+#: The subcommand and declared flags of ``hecke`` and ``quadform``.
+FRONT_ENDS = {
+    "hecke": (hecke_main, "convolve", ("--lhs", "--rhs"), ("--q",)),
+    "quadform": (quadform_main, "classify", ("--matrix",), ("--q", "--precision")),
+}
+#: Dominant pairs (lam1 >= lam2) as often as any pair, and text that is not a pair.
+COWEIGHTS = st.one_of(
+    st.tuples(st.integers(-3, 6), st.integers(0, 6)).map(lambda p: f"({p[0] + p[1]},{p[0]})"),
+    st.tuples(st.integers(-3, 8), st.integers(-3, 8)).map(lambda p: f"({p[0]},{p[1]})"),
+    st.sampled_from(["(1,", "1,0,2", "()", "(a,b)", "(1.5,0)"]),
+)
+#: Polynomial records: nonzero ones in O, and any.
+UNIT_POLY = st.fixed_dictionaries(
+    {
+        "offset": st.integers(0, 3),
+        "coeffs": st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2),
+    }
+)
+POLY = st.fixed_dictionaries(
+    {"offset": st.integers(-2, 6), "coeffs": st.lists(st.integers(-4, 4), max_size=4)}
+)
+
+
+def matrix_rows(b11, b12, b21, b22):
+    return json.dumps([[b11, b12], [b21, b22]])
+
+
+#: Symmetric matrices (most of them classifiable), asymmetric ones, and JSON that is not one.
+MATRICES = st.one_of(
+    st.tuples(UNIT_POLY, UNIT_POLY, UNIT_POLY).map(lambda e: matrix_rows(e[0], e[1], e[1], e[2])),
+    st.tuples(POLY, POLY, POLY).map(lambda e: matrix_rows(e[0], e[1], e[1], e[2])),
+    st.tuples(POLY, POLY, POLY, POLY).map(lambda e: matrix_rows(*e)),
+    st.sampled_from(["not json", "[]", "[[1]]", "null", "NaN", '{"offset":0}', "[[1,2],[2,3]]"]),
+)
+#: Odd primes as often as any fuzz value, so that some runs are accepted.
+Q_VALUES = st.one_of(st.sampled_from(["3", "5", "7", "13"]), FUZZ_VALUES)
+#: Values per flag: every declared flag of either program, and two no program declares.
+FLAG_VALUES = {
+    "--q": Q_VALUES,
+    "--lhs": COWEIGHTS,
+    "--rhs": COWEIGHTS,
+    "--matrix": MATRICES,
+    # small precisions leave some classifications undetermined
+    "--precision": st.one_of(st.integers(1, 6).map(str), FUZZ_VALUES),
+    "--kind": FUZZ_VALUES,
+    "--seed": FUZZ_VALUES,
+}
+FLAG_PAIRS = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: FLAG_VALUES[flag].map(lambda value: (flag, value))
+)
+
+
+class TestHeckeQuadformFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prog=st.sampled_from(sorted(FRONT_ENDS)),
+        data=st.data(),
+        env_q=st.one_of(st.none(), Q_VALUES),
+    )
+    def test_any_input_exits_0_1_or_2_and_refuses_undeclared_flags(self, prog, data, env_q):
+        main, command, required, optional = FRONT_ENDS[prog]
+        # each declared flag is given most of the time, so that some runs are accepted
+        pairs = [
+            (flag, data.draw(FLAG_VALUES[flag]))
+            for flag in (*required, *optional)
+            if data.draw(st.sampled_from([True, True, True, False]))
+        ]
+        pairs += data.draw(st.lists(FLAG_PAIRS, max_size=2))
+        pairs = data.draw(st.permutations(pairs))
+        argv = [command, *(x for pair in pairs for x in pair)]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            for var in [v for v in os.environ if v.startswith("WALDQ_")]:
+                mp.delenv(var)
+            if env_q is not None:
+                mp.setenv("WALDQ_Q", env_q)
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+        err = err.getvalue()
+        assert rc in ((0, 1, 2) if prog == "quadform" else (0, 2)), (argv, env_q, err)
+        assert "Traceback" not in err
+        if rc == 0:
+            json.loads(out.getvalue())
+        if rc == 1:
+            assert err.startswith("quadform: undetermined: "), err
+        if any(flag not in (*required, *optional) for flag, _value in pairs):
+            assert rc == 2 and err.startswith(f"usage: {prog} {command} "), (argv, err)
+            assert f"{prog} {command}: error: " in err
+
+
 class TestFormats:
     def test_ndjson_keys_sorted(self, capsys):
         rc, out, _ = run_wald(capsys, "counts", "--dmax", "2")
@@ -339,12 +448,15 @@ class TestFormats:
     @pytest.mark.parametrize(
         "name, reason",
         [
-            pytest.param("missing/report.ndjson", "no such directory", id="missing/report.ndjson"),
+            pytest.param(
+                "missing/report.ndjson", "No such file or directory", id="missing/report.ndjson"
+            ),
             pytest.param(".", "Is a directory", id="."),
+            pytest.param("a" * 300, "File name too long", id="long-name"),
         ],
     )
     def test_out_unwritable_exits_2(self, capsys, monkeypatch, tmp_path, name, reason):
-        # both are refused before the campaign runs
+        # each is refused before the campaign runs, with the OS's reason
         def refuse(*args):
             raise AssertionError("a cell ran")
 
@@ -355,6 +467,16 @@ class TestFormats:
         assert out == ""
         assert f"wald: error: cannot write the report to {target}: {reason}" in err
         assert not (tmp_path / "missing").exists()
+
+    def test_refused_config_keeps_an_existing_report_and_makes_no_new_file(self, capsys, tmp_path):
+        old = tmp_path / "old.ndjson"
+        old.write_text("kept\n")
+        for target in (old, tmp_path / "new.ndjson"):
+            argv = ("stratum-dim", "--dmax", "6", "--mmax", "6", "--out", str(target))
+            rc, out, err = run_wald(capsys, *argv)
+            assert rc == 2 and out == "" and "probe primes" in err
+        assert old.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ndjson"]
 
 
 class TestDeterminism:
@@ -641,6 +763,14 @@ class TestHeckeCli:
         assert captured.out == ""
         assert f"hecke: error: q must be an odd prime, got {q}" in captured.err
 
+    def test_unknown_flag_exits_2_with_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            hecke_main(["convolve", "--q", "5", "--lhs", "(1,0)", "--rhs", "(1,0)", "--kind", "x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: hecke convolve [-h] [--q Q] --lhs LHS --rhs RHS\n")
+        assert "hecke convolve: error: unrecognized arguments: --kind x" in captured.err
+
     def test_env_bad_q_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_Q", "abc")
         rc = hecke_main(["convolve", "--lhs", "(1,0)", "--rhs", "(1,0)"])
@@ -718,6 +848,14 @@ class TestQuadformCli:
         rc = quadform_main(["classify", "--matrix", self.mat_json(3, {}, {0: 1}, {})])
         assert rc == 2
         assert "quadform: error: WALDQ_Q" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_2_with_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            quadform_main(["classify", "--matrix", HYPERBOLIC, "--kind", "x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: quadform classify [-h] [--q Q] --matrix MATRIX")
+        assert "quadform classify: error: unrecognized arguments: --kind x" in captured.err
 
     def test_precision_exhausted_exits_1(self, capsys):
         rc = quadform_main(
