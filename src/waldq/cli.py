@@ -7,10 +7,10 @@ classifies a symmetric matrix over the power-series ring.  Each setting of
 else from its environment variable (``WALDQ_`` and the flag upper-cased, so
 ``--D`` gives ``WALDQ_D``), else from the ``SessionConfig`` default.  Each
 ``wald`` subcommand has a flag for each of its campaign's ``knobs`` and for
-the run settings ``--workers``, ``--out`` and ``--format``.  The three parse
-and fail alike: a flag the subcommand does not declare exits 2 with its usage
-line (the same setting from the environment is a default, and is not
-refused), any other bad input exits 2, and an undetermined ``quadform`` 1.
+the run settings ``--workers``, ``--out`` and ``--format``.  All three exit 2
+on a bad input, a flag the subcommand does not declare included (refused after
+the subcommand's usage line; the same setting from the environment is only a
+default), and 1 on an undetermined ``quadform`` answer.
 """
 
 from __future__ import annotations
