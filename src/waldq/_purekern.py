@@ -21,6 +21,9 @@ the swap, or none) and one pivot step that clears slot 12 (``_mh``,
 ``_t22``, ``_eps_w``); ``sym_diag`` returns its A and eps.
 ``pivot_certs`` is the one form certificate: ``sym_normal_cert`` runs it on
 one form, and the form sweep (``campaigns._shard_certs``) on whole rows.
+Both return None when val(det B) >= prec, read off the pivot step: route and
+step have det +-1 and clear slot 12 mod t^prec, so det B == +-piv t22 mod
+t^prec, 0 exactly when the pivot (least valuation) is or va + vb >= prec.
 """
 
 from __future__ import annotations
@@ -353,25 +356,27 @@ def rescale(q, w, w0, k):
 def sym_diag(q, prec, b11, b12, b22):
     """Diagonalize a symmetric O-matrix under B -> E B E^t, mod t^prec.
 
-    The entries must lie in O (valuation >= 0).  Requires val(det) < prec
-    (returns None otherwise).  Returns (va, vb, w, A, eps) with va >= vb, A
-    unimodular (a product of elementary matrices), eps a unit, and
-    A B A^t eps == diag(t^va, t^vb * w) mod t^prec, where w is a unit
-    polynomial.  q must be odd: the route's e1 += e2 relies on 2 != 0.
-    On the entries mod t^prec, A is the route's move, then the pivot step
-    e2 += mh e1, then the swap that puts the larger exponent first.
+    The entries must lie in O (valuation >= 0).  None when val(det) >= prec,
+    that is when the pivot is 0 mod t^prec or va + vb >= prec (module
+    docstring); else (va, vb, w, A, eps) with va >= vb, A unimodular, eps a
+    unit, and A B A^t eps == diag(t^va, t^vb * w) mod t^prec, w a unit
+    polynomial.  q must be odd: the route's e1 += e2 relies on 2 != 0.  On
+    the entries mod t^prec, A is the route's move, then the pivot step e2 +=
+    mh e1, then the swap that puts the larger exponent first.
     """
-    if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
-        return None  # val(det) >= prec, or det == 0
     p11, p12, p22, (r11, r12, r21, r22) = _to_pivot(
         q, prec, ptrunc(b11, prec), ptrunc(b12, prec), ptrunc(b22, prec)
     )
+    if not p11[1]:
+        return None  # every entry is 0 mod t^prec; pivot cannot invert it
     pv = pivot(q, prec, p11)
     mh = _mh(q, prec, pv, p12)
     va, u22 = _t22(pdot(q, prec, ((p22, PONE), (mh, p12))), prec, prec)
+    if va + pv[2] >= prec:
+        return None  # val(det) >= prec
     eps, w = _eps_w(q, prec, pv, u22)
-    a21 = pdot(q, prec, ((r21, PONE), (mh, r11)))
-    a22 = pdot(q, prec, ((r22, PONE), (mh, r12)))
+    a21 = padd(q, r21, mh) if r11[1] else r21
+    a22 = padd(q, r22, mh) if r12[1] else r22
     return (va, pv[2], w, (a21, a22, r11, r12), eps)
 
 
@@ -423,13 +428,13 @@ def pivot_certs(q, prec, check_prec, pv, e12, others, ns):
 def sym_normal_cert(q, prec, check_prec, b11, b12, b22, ns):
     """Transport a symmetric matrix to its literal normal form and verify.
 
-    Returns (va, vb, issq, ok) or None when val(det) >= prec.  The normal form
-    is diag(t^va, t^vb * w0) with w0 = 1 for square class, w0 = ns otherwise;
-    ok reports whether the certificate A, eps reproduces it mod t^check_prec
-    when multiplied out against the original matrix.  The exact entries take
-    the shared route, and ``pivot_certs`` runs the shared pivot step.
+    Returns (va, vb, issq, ok), or None by ``sym_diag``'s rule for val(det)
+    >= prec.  The normal form is diag(t^va, t^vb * w0), w0 = 1 for square
+    class and ns otherwise; ok reports whether the certificate A, eps gives it
+    mod t^check_prec when multiplied out against the original matrix.  The
+    exact entries take the shared route, ``pivot_certs`` the shared step.
     """
-    if not pdot(q, prec, ((b11, b22), (pneg(q, b12), b12)))[1]:
-        return None  # val(det) >= prec, or det == 0
     p11, p12, p22, _r = _to_pivot(q, prec, b11, b12, b22)
+    if pval(p11) >= prec:
+        return None  # every entry is 0 mod t^prec
     return pivot_certs(q, prec, check_prec, pivot(q, prec, p11), p12, (p22,), ns)[0]

@@ -723,12 +723,9 @@ def _plan_quadform_orbits(cfg):
     i = 0
     while i < 200:
         braw = tuple(_random_poly_raw(rng, q, 3) for _ in range(3))
-        try:
-            b = SymMatrixO(*(_mk_poly(q, r) for r in braw))
-        except ValueError:
-            continue
-        if b.det_valuation > 3:
-            continue
+        b11, b12, b22 = braw
+        if not pdot(q, 4, ((b11, b22), (pneg(q, b12), b12)))[1]:
+            continue  # det B == 0 mod t^4: det B is 0 or val(det B) > 3
         while True:
             araw = tuple(_random_poly_raw(rng, q, 2) for _ in range(4))
             a11, a12, a21, a22 = araw

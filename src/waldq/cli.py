@@ -142,7 +142,7 @@ def _main(prog, run, argv) -> int:
     except PrecisionExhausted as exc:
         print(f"{prog}: undetermined: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # ConfigInvalid and json.JSONDecodeError are ValueErrors
+    except ValueError as exc:  # ConfigInvalid is a ValueError
         print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -221,7 +221,10 @@ def _quadform(argv):
     cls.add_argument("--precision", type=int, default=None)
     args = _parse(parser, sub.choices, argv)
     q = _resolve(args, "q")
-    entries = SymMatrixO._json_entries(q, json.loads(args.matrix))
+    try:
+        entries = SymMatrixO._json_entries(q, json.loads(args.matrix))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--matrix must be JSON rows [[b11,b12],[b12,b22]]: {exc}") from None
     # checked before the exact determinant, whose size grows with the top terms
     top = 2 * MAX_DET_VALUATION + 2
     if any(e.degree() >= top for e in entries):

@@ -53,10 +53,11 @@ class Coweight(NamedTuple):
 
     @classmethod
     def parse(cls, text):
-        parts = text.strip().lstrip("(").rstrip(")").split(",")
-        if len(parts) != 2:
-            raise ValueError(f"cannot parse coweight from {text!r}")
-        return cls(int(parts[0]), int(parts[1]))
+        try:  # two parts, each an integer
+            a1, a2 = map(int, text.strip().lstrip("(").rstrip(")").split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse coweight from {text!r}") from None
+        return cls(a1, a2)
 
 
 class Lattice2:

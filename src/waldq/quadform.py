@@ -171,10 +171,7 @@ class SymMatrixO:
             and all(isinstance(row, list) and len(row) == 2 for row in obj)
         ):
             raise ValueError(f"matrix must be 2x2 rows [[b11,b12],[b12,b22]], got {obj!r}")
-        e11 = LaurentPoly.from_json(q, obj[0][0])
-        e12 = LaurentPoly.from_json(q, obj[0][1])
-        e21 = LaurentPoly.from_json(q, obj[1][0])
-        e22 = LaurentPoly.from_json(q, obj[1][1])
+        (e11, e12), (e21, e22) = [[LaurentPoly.from_json(q, x) for x in row] for row in obj]
         if e12 != e21:
             raise ValueError("matrix is not symmetric")
         return e11, e12, e22
@@ -210,14 +207,11 @@ def diagonalize(b: SymMatrixO, precision: int | None = None):
             f"val(det) = {b.det_valuation} >= working precision {prec}"
         )
     va, vb, w, a_raw, eps_raw = out
-    delta = Delta.SQUARE if legendre(b.q, w[1][0]) == 1 else Delta.NONSQUARE
     q = b.q
-    a_mat = (
-        (LaurentPoly.from_raw(q, a_raw[0]), LaurentPoly.from_raw(q, a_raw[1])),
-        (LaurentPoly.from_raw(q, a_raw[2]), LaurentPoly.from_raw(q, a_raw[3])),
-    )
+    delta = Delta.SQUARE if legendre(q, w[1][0]) == 1 else Delta.NONSQUARE
+    a11, a12, a21, a22 = [LaurentPoly.from_raw(q, r) for r in a_raw]
     eps = LaurentPoly.from_raw(q, eps_raw)
-    return FormInvariant(va, vb, delta), a_mat, eps
+    return FormInvariant(va, vb, delta), ((a11, a12), (a21, a22)), eps
 
 
 def normal_form(inv: FormInvariant, q) -> SymMatrixO:

@@ -771,6 +771,13 @@ class TestHeckeCli:
         assert captured.err.startswith("usage: hecke convolve [-h] [--q Q] --lhs LHS --rhs RHS\n")
         assert "hecke convolve: error: unrecognized arguments: --kind x" in captured.err
 
+    @pytest.mark.parametrize("text", ["(1,", "(1,0,2)", "(a,0)", "()", "(1,,0)"])
+    def test_malformed_coweight_exits_2_naming_it(self, capsys, text):
+        rc = hecke_main(["convolve", "--lhs", "(1,0)", "--rhs", text])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"hecke: error: cannot parse coweight from {text!r}\n"
+
     def test_env_bad_q_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_Q", "abc")
         rc = hecke_main(["convolve", "--lhs", "(1,0)", "--rhs", "(1,0)"])
@@ -840,8 +847,14 @@ class TestQuadformCli:
         assert "quadform: error:" in capsys.readouterr().err
 
     def test_bad_json_exits_2(self, capsys):
-        rc = quadform_main(["classify", "--matrix", "not json"])
-        assert rc == 2
+        for text in ("not json", "[[1,0],[0,1]", ""):
+            rc = quadform_main(["classify", "--matrix", text])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            # names the flag and the expected rows, then the decoder's reason
+            assert captured.err.startswith(
+                "quadform: error: --matrix must be JSON rows [[b11,b12],[b12,b22]]: "
+            ), text
 
     def test_env_bad_q_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_Q", "abc")

@@ -15,14 +15,17 @@ checks ``SymMatrixO``.
 import copy
 import itertools
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import sym_diag_reference, sym_normal_cert_reference
+from waldq import campaigns
 from waldq._purekern import (
     INF,
+    PONE,
     PZERO,
     padd,
     pdot,
@@ -101,9 +104,29 @@ def _cube(q, width):
     return [pnorm(q, 0, [c // q**i % q for i in range(width)]) for c in range(q**width)]
 
 
+# The None paths of both kernels, as (q, prec, check_prec, (b11, b12, b22)):
+# every entry 0 mod t^prec, with terms at and above t^prec; vb < prec <=
+# va + vb (diag-like [[t, t], [t, t + t^2]], det t^3); det exactly 0 with
+# unit entries [[1, 1], [1, 1]]; the e1 += e2 route on [[t^3, t^2], [t^2,
+# t^3]], det t^6 - t^4 == 0 mod t^4
+NONE_CASES = [
+    (3, 2, 2, ((2, (1,)), (3, (1, 2)), (2, (2, 1)))),
+    (5, 3, 3, ((1, (1,)), (1, (1,)), (1, (1, 1)))),
+    (7, 4, 4, ((0, (1,)), (0, (1,)), (0, (1,)))),
+    (7, 4, 4, ((3, (1,)), (2, (1,)), (3, (1,)))),
+]
+
+
+def none_examples(test):
+    for case in NONE_CASES:
+        test = example(case)(test)
+    return test
+
+
 class TestSymKernels:
     @settings(max_examples=800, deadline=None)
     @given(form_cases())
+    @none_examples
     def test_sym_diag_matches_reference(self, case):
         q, prec, _cp, b = case
         assert sym_diag(q, prec, *b) == sym_diag_reference(q, prec, *b)
@@ -115,6 +138,7 @@ class TestSymKernels:
     # agrees with the reference
     @example((3, 5, 6, ((1, (1,)), (2, (1, 1, 1, 2)), (1, (1, 2)))))
     @example((3, 3, 4, ((1, (1, 2, 1)), (0, ()), (1, (1, 2)))))
+    @none_examples
     def test_sym_normal_cert_matches_reference(self, case):
         q, prec, cp, b = case
         ns = least_nonsquare(q)
@@ -197,3 +221,54 @@ class TestSymMatrixO:
         )
         with pytest.raises(ValueError, match="mixed"):
             m.congruent_by(((LaurentPoly.one(3), zero), (zero, one)), one)
+
+
+@st.composite
+def _planner_entries(draw, q):
+    """A raw poly of degree <= 3, as the planner draws; its low terms are
+    often 0, so that val(det) often lies near the limit 3."""
+    off = draw(st.integers(0, 3))
+    return pnorm(q, off, draw(st.lists(st.integers(0, q - 1), max_size=4 - off)))
+
+
+def _planner_triples(q):
+    """Raw triples as the planner draws them, and rank-one ones (a^2 c, a b c,
+    b^2 c for constants a, b), whose det is exactly 0."""
+    entry = _planner_entries(q)
+    const = st.integers(0, q - 1)
+    rank_one = st.builds(
+        lambda a, b, c: tuple(pdot(q, INF, (((0, (x,)), c),)) for x in (a * a, a * b, b * b)),
+        const, const, entry,
+    )
+    return st.one_of(st.tuples(entry, entry, entry), rank_one)
+
+
+class TestQuadformOrbitsPlanner:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keeps_a_triple_iff_symmatrix_builds_with_det_valuation_at_most_3(self, data):
+        # the planner's B draws are replaced by the drawn triples, then by the
+        # unit form diag(1, 1); its invariance cells must keep exactly the
+        # triples that SymMatrixO accepts with val(det) <= 3, in order
+        q = data.draw(st.sampled_from([3, 5, 7, 13]))
+        triples = data.draw(st.lists(_planner_triples(q), min_size=1, max_size=8))
+        unit = (PONE, PZERO, PONE)
+        entries = itertools.chain(itertools.chain(*triples), itertools.cycle(unit))
+        draw = campaigns._random_poly_raw
+
+        def fake_draw(rng, q_, max_deg, unit=False):
+            return next(entries) if max_deg == 3 else draw(rng, q_, max_deg, unit)
+
+        with mock.patch.object(campaigns, "_random_poly_raw", fake_draw):
+            cells = campaigns._plan_quadform_orbits(campaigns.SessionConfig(q=q).validate())
+        kept = [c[3] for c in cells if c[0] is campaigns._cell_quad_invariance]
+
+        def builds(b):
+            try:
+                return SymMatrixO(*(_poly(q, r) for r in b)).det_valuation <= 3
+            except ValueError:
+                return False
+
+        want = [b for b in triples if builds(b)]
+        assert kept[: len(want)] == want
+        assert kept[len(want):] == [unit] * (len(kept) - len(want))
