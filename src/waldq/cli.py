@@ -223,7 +223,7 @@ def _quadform(argv):
     q = _resolve(args, "q")
     try:
         entries = SymMatrixO._json_entries(q, json.loads(args.matrix))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"--matrix must be JSON rows [[b11,b12],[b12,b22]]: {exc}") from None
     # checked before the exact determinant, whose size grows with the top terms
     top = 2 * MAX_DET_VALUATION + 2

@@ -9,7 +9,8 @@ The references are the routes these replaced: ``pmul``/``padd``/``ptrunc``
 chains here, and in ``tests/oracles.py`` a generic ``E T E^t`` update with 24
 products per elementary matrix and the general certificate ``A B A^t eps``
 multiplied out exactly and truncated at the end; ``LaurentPoly`` arithmetic
-checks ``SymMatrixO``.
+checks ``SymMatrixO``.  The ``quadform-orbits`` planner's determinant test on
+raw entries is checked against ``SymMatrixO`` and its ``det_valuation``.
 """
 
 import copy
@@ -28,6 +29,7 @@ from waldq._purekern import (
     PONE,
     PZERO,
     padd,
+    pconstmul,
     pdot,
     pmul,
     pneg,
@@ -237,7 +239,7 @@ def _planner_triples(q):
     entry = _planner_entries(q)
     const = st.integers(0, q - 1)
     rank_one = st.builds(
-        lambda a, b, c: tuple(pdot(q, INF, (((0, (x,)), c),)) for x in (a * a, a * b, b * b)),
+        lambda a, b, c: tuple(pconstmul(q, c, x) for x in (a * a, a * b, b * b)),
         const, const, entry,
     )
     return st.one_of(st.tuples(entry, entry, entry), rank_one)
@@ -252,8 +254,8 @@ class TestQuadformOrbitsPlanner:
         # triples that SymMatrixO accepts with val(det) <= 3, in order
         q = data.draw(st.sampled_from([3, 5, 7, 13]))
         triples = data.draw(st.lists(_planner_triples(q), min_size=1, max_size=8))
-        unit = (PONE, PZERO, PONE)
-        entries = itertools.chain(itertools.chain(*triples), itertools.cycle(unit))
+        diag11 = (PONE, PZERO, PONE)
+        entries = itertools.chain(itertools.chain(*triples), itertools.cycle(diag11))
         draw = campaigns._random_poly_raw
 
         def fake_draw(rng, q_, max_deg, unit=False):
@@ -271,4 +273,4 @@ class TestQuadformOrbitsPlanner:
 
         want = [b for b in triples if builds(b)]
         assert kept[: len(want)] == want
-        assert kept[len(want):] == [unit] * (len(kept) - len(want))
+        assert kept[len(want):] == [diag11] * (len(kept) - len(want))
