@@ -69,8 +69,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: campaigns at ``MAX_DEGREE`` (30) in every degree setting they read (only
 #: ``stratum-dim``'s mmax stays at 5, where its probe primes run out) and
 #: ``isotropic`` at its largest q (``MAX_ISOTROPIC_Q``, 43), then the
-#: form campaign at two primes and criterion 09's exhaustive q=3 sweep (81
-#: shards of 6,561 forms: by far the longest run here).
+#: form campaign at the four primes of ``perfbench``'s ``forms`` workload (5,
+#: 7, 11, 13) and criterion 09's exhaustive q=3 sweep (81 shards of 6,561
+#: forms: by far the longest run here).
 CONFIGS = {
     "stratum-dim": ["stratum-dim"],
     "min-orbit-q7": ["min-orbit", "--q", "7", "--dmax", "7", "--mmax", "3"],
@@ -102,7 +103,7 @@ for _name in ("multone", "cs-matrix", "eigen"):
 CONFIGS["min-orbit-bound"] = ["min-orbit", "--dmax", "30", "--mmax", "30"]
 CONFIGS["stratum-dim-bound"] = ["stratum-dim", "--dmax", "30", "--mmax", "5"]
 CONFIGS["isotropic-bound"] = ["isotropic", "--q", "43"]
-for _q in ("5", "13"):
+for _q in ("5", "7", "11", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]
 

@@ -14,7 +14,9 @@ valuations.
 ``pmul`` is the exact product.  ``pdot(q, prec, pairs)`` is the fused one:
 the sum of the products of raw pairs, truncated below ``t^prec`` (``INF``
 keeps everything) and normalized once.  The form layer (``sym_diag``,
-``pivot_certs``, ``quadform.SymMatrixO``) builds every product with it.
+``pivot_certs``, and ``pcongruent``, the product A B A^t eps behind
+``quadform.SymMatrixO`` and the ``quadform-orbits`` invariance cells) builds
+every product with it.
 
 The form kernels share one route to a diagonal pivot (``route``: e1 += e2,
 the swap, or none) and one pivot step that clears slot 12 (``_mh``,
@@ -164,6 +166,21 @@ def ptrunc(x, k):
     while co and co[-1] == 0:
         co.pop()
     return (xo, tuple(co)) if co else PZERO
+
+
+def pcongruent(q, prec, b11, b12, b22, a11, a12, a21, a22, eps):
+    """(m11, m12, m22) of A B A^t eps mod t^prec, A = ((a11, a12), (a21, a22));
+    ``INF`` keeps every term.  A finite prec is exact mod t^prec when every
+    operand lies in O: a product's terms below t^prec then read only its
+    factors mod t^prec, so each partial product may be truncated there."""
+    x1 = pdot(q, prec, ((a11, b11), (a12, b12)))
+    x2 = pdot(q, prec, ((a11, b12), (a12, b22)))
+    y1 = pdot(q, prec, ((a21, b11), (a22, b12)))
+    y2 = pdot(q, prec, ((a21, b12), (a22, b22)))
+    m11 = pdot(q, prec, ((x1, a11), (x2, a12)))
+    m12 = pdot(q, prec, ((x1, a21), (x2, a22)))
+    m22 = pdot(q, prec, ((y1, a21), (y2, a22)))
+    return tuple(pdot(q, prec, ((m, eps),)) for m in (m11, m12, m22))
 
 
 def pinv_unit(q, x, prec):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import backend
-from ._purekern import STAY, SWAP, pdot, pivot, pivot_certs, pneg, pnorm, pval, route
+from ._purekern import STAY, SWAP, pcongruent, pdot, pivot, pivot_certs, pneg, pnorm, pval, route
 from ._version import __version__
 from .hecke import HeckeElement, convolve, satake_basis, to_satake
 from .lattice import Coweight, Lattice2, _member_count, position_count_formula
@@ -30,7 +30,9 @@ from .quadform import (
     CoveringType,
     Delta,
     FormInvariant,
+    PrecisionExhausted,
     SymMatrixO,
+    _invariant,
     covering_type,
     diagonalize,
     isotropic_line_count,
@@ -411,10 +413,6 @@ def _cell_eigen(cell, q, kind, depth, e1_text, assignment_rows):
     return _row(cell, claim, expected, computed, "random", report["pass"])
 
 
-def _mk_poly(q, raw):
-    return LaurentPoly.from_raw(q, (raw[0], tuple(raw[1])))
-
-
 def _cell_quad_hyperbolic(cell, q):
     b = SymMatrixO(LaurentPoly.zero(q), LaurentPoly.one(q), LaurentPoly.zero(q))
     inv, _a, _eps = diagonalize(b, 6)
@@ -425,12 +423,12 @@ def _cell_quad_hyperbolic(cell, q):
 
 
 def _cell_quad_invariance(cell, q, braw, araw, uraw, prec):
-    b = SymMatrixO(*(_mk_poly(q, r) for r in braw))
-    a11, a12, a21, a22 = (_mk_poly(q, r) for r in araw)
-    u = _mk_poly(q, uraw)
-    moved = b.congruent_by(((a11, a12), (a21, a22)), u)
-    inv0, _a, _e = diagonalize(b, prec)
-    inv1, _a, _e = diagonalize(moved, prec)
+    # sym_diag reads both forms mod t^prec, so B is moved mod t^prec too
+    moved = pcongruent(q, prec, *braw, *araw, uraw)
+    outs = [backend.sym_diag(q, prec, *b) for b in (braw, moved)]
+    if None in outs:
+        raise PrecisionExhausted(f"val(det) >= working precision {prec}")
+    inv0, inv1 = (_invariant(q, out) for out in outs)
     claim = (
         f"diagonal invariant is constant under unit-similitude congruence "
         f"(q={q}, precision {prec})"

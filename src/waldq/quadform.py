@@ -123,21 +123,12 @@ class SymMatrixO:
         return x.raw
 
     def congruent_by(self, a_mat, eps: LaurentPoly) -> "SymMatrixO":
-        """A B A^t eps for a 2x2 matrix A (rows) and a scalar eps."""
-        (a11, a12), (a21, a22) = [[self._raw(x) for x in row] for row in a_mat]
-        eps = self._raw(eps)
-        q, inf = self.q, _pk.INF
-        b11, b12, b22 = self.e11.raw, self.e12.raw, self.e22.raw
-        x1 = _pk.pdot(q, inf, ((a11, b11), (a12, b12)))
-        x2 = _pk.pdot(q, inf, ((a11, b12), (a12, b22)))
-        y1 = _pk.pdot(q, inf, ((a21, b11), (a22, b12)))
-        y2 = _pk.pdot(q, inf, ((a21, b12), (a22, b22)))
-        m11 = _pk.pdot(q, inf, ((x1, a11), (x2, a12)))
-        m12 = _pk.pdot(q, inf, ((x1, a21), (x2, a22)))
-        m22 = _pk.pdot(q, inf, ((y1, a21), (y2, a22)))
-        return SymMatrixO(*(
-            LaurentPoly.from_raw(q, _pk.pdot(q, inf, ((m, eps),))) for m in (m11, m12, m22)
-        ))
+        """A B A^t eps for a 2x2 matrix A (rows) and a scalar eps, LaurentPolys
+        over B's field or ints: ``_purekern.pcongruent`` at ``INF``, exact."""
+        a = [self._raw(x) for row in a_mat for x in row]
+        e = (self.e11.raw, self.e12.raw, self.e22.raw)
+        m = _pk.pcongruent(self.q, _pk.INF, *e, *a, self._raw(eps))
+        return SymMatrixO(*(LaurentPoly.from_raw(self.q, r) for r in m))
 
     def __eq__(self, other):
         return (
@@ -193,6 +184,13 @@ def _precision(b: SymMatrixO, precision) -> int:
     return precision
 
 
+def _invariant(q, out):
+    """The FormInvariant of a ``sym_diag`` result (va, vb, w, A, eps): delta is
+    the Legendre class of w's constant term."""
+    va, vb, w = out[:3]
+    return FormInvariant(va, vb, Delta.SQUARE if legendre(q, w[1][0]) == 1 else Delta.NONSQUARE)
+
+
 def diagonalize(b: SymMatrixO, precision: int | None = None):
     """Invariant and certificate: A B A^t eps == diag(t^a, t^b w) mod t^precision.
 
@@ -206,12 +204,9 @@ def diagonalize(b: SymMatrixO, precision: int | None = None):
         raise PrecisionExhausted(
             f"val(det) = {b.det_valuation} >= working precision {prec}"
         )
-    va, vb, w, a_raw, eps_raw = out
     q = b.q
-    delta = Delta.SQUARE if legendre(q, w[1][0]) == 1 else Delta.NONSQUARE
-    a11, a12, a21, a22 = [LaurentPoly.from_raw(q, r) for r in a_raw]
-    eps = LaurentPoly.from_raw(q, eps_raw)
-    return FormInvariant(va, vb, delta), ((a11, a12), (a21, a22)), eps
+    a11, a12, a21, a22 = [LaurentPoly.from_raw(q, r) for r in out[3]]
+    return _invariant(q, out), ((a11, a12), (a21, a22)), LaurentPoly.from_raw(q, out[4])
 
 
 def normal_form(inv: FormInvariant, q) -> SymMatrixO:

@@ -486,6 +486,22 @@ def sym_normal_cert_reference(q, prec, check_prec, b11, b12, b22, ns):
     return (va, vb, issq, ok)
 
 
+def closed_form_invariant(q, b11, b12, b22):
+    """(va, vb, delta) of a nondegenerate symmetric O-matrix, q odd, read off
+    its entries alone: vb is the least entry valuation, va = val(det) - vb,
+    and delta is the Legendre symbol (+1 or -1) of det's leading coefficient,
+    since det(A B A^t eps) is det B times a square.  The determinant is taken
+    exactly in dict arithmetic; nothing here routes or pivots."""
+    f11, f12, f22 = (dict_from_raw(b) for b in (b11, b12, b22))
+    det = dict_add(q, dict_mul(q, f11, f22), dict_mul(q, {0: q - 1}, dict_mul(q, f12, f12)))
+    if not det:
+        raise ValueError("determinant is zero")
+    vb = min(min(f) for f in (f11, f12, f22) if f)
+    vdet = min(det)
+    delta = 1 if pow(det[vdet], (q - 1) // 2, q) == 1 else -1
+    return vdet - vb, vb, delta
+
+
 # -- exhaustive form sweep -----------------------------------------------------
 
 

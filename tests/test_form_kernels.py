@@ -4,13 +4,21 @@
 ``t^prec``.  ``sym_diag`` and ``sym_normal_cert`` take the kernel's shared
 route to a diagonal pivot and its shared pivot step, both built on it;
 ``sym_normal_cert`` verifies its certificate mod ``t^check_prec`` with it, and
-``SymMatrixO`` computes its determinant once and ``congruent_by`` on raw pairs.
+``SymMatrixO`` computes its determinant once.  ``pcongruent`` is the one
+product A B A^t eps: exact at ``INF`` behind ``SymMatrixO.congruent_by``, and
+mod ``t^prec`` in the ``quadform-orbits`` invariance cells, which move and
+classify raw entries.
 The references are the routes these replaced: ``pmul``/``padd``/``ptrunc``
 chains here, and in ``tests/oracles.py`` a generic ``E T E^t`` update with 24
 products per elementary matrix and the general certificate ``A B A^t eps``
 multiplied out exactly and truncated at the end; ``LaurentPoly`` arithmetic
-checks ``SymMatrixO``.  The ``quadform-orbits`` planner's determinant test on
-raw entries is checked against ``SymMatrixO`` and its ``det_valuation``.
+checks ``congruent_by``, and a finite-prec ``pcongruent`` is checked against
+its exact product truncated.  The invariance cells' two invariants are checked
+against ``oracles.closed_form_invariant``, which reads valuations and one
+Legendre symbol off the entries, and a kernel refusal (val(det) >= prec) must
+raise ``PrecisionExhausted``, never pass.  The ``quadform-orbits`` planner's
+determinant test on raw entries is checked against ``SymMatrixO`` and its
+``det_valuation``.
 """
 
 import copy
@@ -22,13 +30,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import sym_diag_reference, sym_normal_cert_reference
-from waldq import campaigns
+from oracles import closed_form_invariant, sym_diag_reference, sym_normal_cert_reference
+from waldq import backend, campaigns
 from waldq._purekern import (
     INF,
     PONE,
     PZERO,
     padd,
+    pcongruent,
     pconstmul,
     pdot,
     pmul,
@@ -38,7 +47,8 @@ from waldq._purekern import (
     sym_diag,
     sym_normal_cert,
 )
-from waldq.quadform import SymMatrixO, least_nonsquare
+from waldq.cli import wald_main
+from waldq.quadform import PrecisionExhausted, SymMatrixO, least_nonsquare
 from waldq.series import LaurentPoly
 
 QS = st.sampled_from([3, 5, 7])
@@ -274,3 +284,78 @@ class TestQuadformOrbitsPlanner:
         want = [b for b in triples if builds(b)]
         assert kept[: len(want)] == want
         assert kept[len(want):] == [diag11] * (len(kept) - len(want))
+
+
+class TestPcongruent:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_finite_prec_is_the_exact_product_truncated(self, data):
+        # operands in O: each partial product may be truncated at prec
+        q = data.draw(st.sampled_from([3, 5, 7, 13]))
+        ops = [data.draw(o_entries(q)) for _ in range(8)]
+        prec = data.draw(st.integers(1, 10))
+        exact = pcongruent(q, INF, *ops)
+        assert pcongruent(q, prec, *ops) == tuple(ptrunc(m, prec) for m in exact)
+
+
+def _invariance_cells(q, seed):
+    cfg = campaigns.SessionConfig(q=q, seed=seed).validate()
+    cells = campaigns._plan_quadform_orbits(cfg)
+    return [c for c in cells if c[0] is campaigns._cell_quad_invariance]
+
+
+# B = [[t, t], [t, t + t^2]] has det t^3, so the kernel refuses it at prec 3
+SHALLOW = (
+    campaigns._cell_quad_invariance, "invar-x", 5,
+    ((1, (1,)), (1, (1,)), (1, (1, 1))), (PONE, PZERO, PZERO, PONE), PONE, 3,
+)
+
+
+class TestInvarianceCell:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_both_invariants_are_the_closed_form(self, q, seed):
+        cells = _invariance_cells(q, seed)
+        assert len(cells) == 200
+        for payload in cells:
+            _f, _name, _q, braw, araw, uraw, prec = payload
+            va, vb, delta = closed_form_invariant(q, *braw)
+            moved = pcongruent(q, prec, *braw, *araw, uraw)
+            assert closed_form_invariant(q, *moved) == (va, vb, delta)
+            want = f"({va},{vb},{'Square' if delta == 1 else 'NonSquare'})"
+            row = campaigns._run_cell(payload)
+            assert (row["expected"], row["computed"], row["pass"]) == (want, want, True)
+
+    def test_val_det_at_least_prec_raises(self):
+        with pytest.raises(PrecisionExhausted, match="working precision 3"):
+            campaigns._run_cell(SHALLOW)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_kernel_none_on_either_form_is_never_a_pass(self, which):
+        payload = _invariance_cells(5, 0)[0]
+        real = backend.sym_diag
+        calls = []
+
+        def fake(*args):
+            calls.append(args)
+            return None if len(calls) == which + 1 else real(*args)
+
+        with mock.patch.object(backend, "sym_diag", fake):
+            with pytest.raises(PrecisionExhausted):
+                campaigns._run_cell(payload)
+        assert len(calls) == 2
+
+    def test_the_campaign_reports_it_undetermined(self, capsys):
+        # the refusal surfaces as exit 1 with no report, not as a row
+        braw = _invariance_cells(5, 0)[0][3]
+        real = backend.sym_diag
+
+        def fake(q, prec, *b):
+            return None if b == braw else real(q, prec, *b)
+
+        with mock.patch.object(backend, "sym_diag", fake):
+            code = wald_main(["quadform-orbits", "--q", "5", "--workers", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "wald: undetermined: val(det) >= working precision 6\n"
