@@ -304,13 +304,6 @@ def _invariance_cells(q, seed):
     return [c for c in cells if c[0] is campaigns._cell_quad_invariance]
 
 
-# B = [[t, t], [t, t + t^2]] has det t^3, so the kernel refuses it at prec 3
-SHALLOW = (
-    campaigns._cell_quad_invariance, "invar-x", 5,
-    ((1, (1,)), (1, (1,)), (1, (1, 1))), (PONE, PZERO, PZERO, PONE), PONE, 3,
-)
-
-
 class TestInvarianceCell:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
@@ -327,8 +320,12 @@ class TestInvarianceCell:
             assert (row["expected"], row["computed"], row["pass"]) == (want, want, True)
 
     def test_val_det_at_least_prec_raises(self):
+        # B = [[t, t], [t, t + t^2]] has det t^3, so the kernel refuses it at prec 3
+        braw = ((1, (1,)), (1, (1,)), (1, (1, 1)))
+        ident = (PONE, PZERO, PZERO, PONE)
+        payload = (campaigns._cell_quad_invariance, "invar-x", 5, braw, ident, PONE, 3)
         with pytest.raises(PrecisionExhausted, match="working precision 3"):
-            campaigns._run_cell(SHALLOW)
+            campaigns._run_cell(payload)
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_a_kernel_none_on_either_form_is_never_a_pass(self, which):
