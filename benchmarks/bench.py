@@ -32,9 +32,9 @@ The entry ``tier1`` runs only when named (``--only tier1``): it times
 TREE's tier-1 suite (``python -m pytest -q`` in TREE, on the same
 ``PYTHONPATH``) in two parts, run one after the other: the form-sweep tests
 of ``SWEEP_TESTS`` and the rest.  Per part it records the median and every
-wall time, the number of tests passed and pytest's exit code of every run
-(0 when all passed; a failing test is recorded, not fatal), and the median
-total wall time.  The two trees' suites may differ, so no bytes are
+wall time, the number of tests passed in the first run and in every run,
+and pytest's exit code of every run (0 when all passed; a failing test is
+recorded, not fatal), and the median total wall time.  The two trees' suites may differ, so no bytes are
 compared there.
 
 Entries recorded by separate invocations differ by the host's drift in speed
@@ -248,6 +248,7 @@ def measure_tier1(trees, repeat):
                 "wall_s": statistics.median(walls),
                 "wall_s_runs": walls,
                 "passed": tree_runs[0][part][1],
+                "passed_runs": [run[part][1] for run in tree_runs],
                 "exit_codes": [run[part][2] for run in tree_runs],
             }
         total = statistics.median(sum(run[p][0] for p in TIER1_PARTS) for run in tree_runs)

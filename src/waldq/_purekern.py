@@ -26,6 +26,8 @@ one form, and the form sweep (``campaigns._shard_certs``) on whole rows.
 Both return None when val(det B) >= prec, read off the pivot step: route and
 step have det +-1 and clear slot 12 mod t^prec, so det B == +-piv t22 mod
 t^prec, 0 exactly when the pivot (least valuation) is or va + vb >= prec.
+The sweep works at prec = vmax + 1, so this None is the only test by which
+it skips the forms with val(det) > vmax.
 """
 
 from __future__ import annotations

@@ -463,22 +463,20 @@ def _cell_quad_grid(cell, q, a, bexp, delta_name):
     return _row(cell, claim, expected, computed, "formula", ok)
 
 
-def _shard_certs(q, shard, width, vmax, prec, check_prec):
+def _shard_certs(q, shard, width, prec, check_prec):
     """Per e12 of one sweep shard, in code order: the results for each e22.
 
     The shard fixes the coefficient code of e11; e12 and e22 range over all
     q**width codes (code c stands for the polynomial whose coefficients are
-    c's base-q digits; width <= prec).  A form whose determinant valuation
-    exceeds vmax (< prec) gets None, and every other one what
-    ``sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)`` returns.
-    val(det) > vmax exactly when e11 e22 and e12^2 agree mod t^(vmax+1), and
-    both truncated products are tabulated once per shard, so that is tested
-    before any certificate.
+    c's base-q digits; width <= prec).  Each form gets what
+    ``sym_normal_cert(q, prec, check_prec, e11, e12, e22, ns)`` returns:
+    None exactly when val(det) >= prec, read off the pivot step.
 
-    ``_purekern.route`` sorts the forms.  One it leaves on e11 is certified
-    by ``_purekern.pivot_certs`` with its whole (e11, e12) row; one it swaps
-    by the same routine on [[e22, e12], [e12, e11]], as ``sym_normal_cert``
-    does; the rest (e1 += e2) go through ``backend.sym_normal_cert``.
+    ``_purekern.route`` sorts the forms.  One it leaves on a nonzero e11 is
+    certified by ``_purekern.pivot_certs`` with its whole (e11, e12) row; one
+    it swaps by the same routine on [[e22, e12], [e12, e11]], as
+    ``sym_normal_cert`` does; the rest (e1 += e2, and the zero form) go
+    through ``backend.sym_normal_cert``.
     """
     ns = least_nonsquare(q)
     cert = backend.sym_normal_cert
@@ -486,16 +484,12 @@ def _shard_certs(q, shard, width, vmax, prec, check_prec):
     vals = [pval(p) for p in polys]
     pivots = [pivot(q, prec, p) if p[1] else None for p in polys]
     e11, v11 = polys[shard], vals[shard]
-    heads = [pdot(q, vmax + 1, ((e11, e22),)) for e22 in polys]
     for e12, v12 in zip(polys, vals):
-        square = pdot(q, vmax + 1, ((e12, e12),))
         out = [None] * len(polys)
         row = []
-        for j, (e22, v22, head) in enumerate(zip(polys, vals, heads)):
-            if head == square:
-                continue
+        for j, (e22, v22) in enumerate(zip(polys, vals)):
             r = route(v11, v12, v22)
-            if r == STAY:
+            if r == STAY and e11[1]:
                 row.append(j)
             elif r == SWAP:
                 (out[j],) = pivot_certs(q, prec, check_prec, pivots[j], e12, (e11,), ns)
@@ -508,15 +502,16 @@ def _shard_certs(q, shard, width, vmax, prec, check_prec):
         yield out
 
 
-def _cell_quad_exhaustive(cell, q, shard, width, vmax, prec, check_prec):
+def _cell_quad_exhaustive(cell, q, shard, width, vmax, check_prec):
     """Certify every truncated symmetric form in one shard of the full cube.
 
     Forms whose determinant valuation exceeds vmax are undetermined at this
     truncation and are skipped (the certificate needs val(det) strictly
-    inside the data); ``_shard_certs`` certifies the others.
+    inside the data).  ``_shard_certs`` works at precision vmax + 1, so its
+    pivot step both finds them and certifies the others.
     """
     n_all = n_skip = n_ok = 0
-    for certs in _shard_certs(q, shard, width, vmax, prec, check_prec):
+    for certs in _shard_certs(q, shard, width, vmax + 1, check_prec):
         for r in certs:
             n_all += 1
             if r is None:
@@ -737,7 +732,7 @@ def _plan_quadform_orbits(cfg):
         width = 4
         for shard in range(q ** width):
             cells.append(
-                (_cell_quad_exhaustive, f"exhaustive-{shard:02d}", q, shard, width, 3, 8, 4)
+                (_cell_quad_exhaustive, f"exhaustive-{shard:02d}", q, shard, width, 3, 4)
             )
     return cells
 

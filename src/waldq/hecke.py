@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from . import backend
 from ._purekern import INF, PZERO
-from .lattice import Coweight, _member_histogram
+from .lattice import Coweight, _dominant, _member_histogram
 from .scalars import LaurentScalar, _add_scaled, _product_triples
 from .torus import chi_c
 
@@ -144,13 +144,7 @@ class HeckeElement(_FiniteSum):
 
     __slots__ = ()
 
-    @staticmethod
-    def _key(cw):
-        if type(cw) is not Coweight:
-            cw = Coweight(*cw)
-        if cw.a1 < cw.a2:
-            raise ValueError(f"basis index {cw} is not dominant")
-        return cw
+    _key = staticmethod(_dominant)
 
     def _space(self):
         return (self.q,)
@@ -262,16 +256,17 @@ def _satake_cached(q, lam):
 
 
 def satake_basis(q, lam) -> HeckeElement:
-    """The self-dual basis element attached to the orbit closure of lam.
+    """The basis element A(lam) of the basis whose Pieri rule has coefficient 1.
 
     Characterized by: the minuscule and central cases are single basis terms,
-    and the product rule with the minuscule generator has multiplicity-free
-    upper term (the two-step recursion below).  All coefficients come out as
-    nonnegative integers.
+    and A(1,0) * A(d,0) = A(d+1,0) + A(d,1) (the two-step recursion of
+    ``_satake_cached``).  All coefficients come out as nonnegative integers.
+    A is not the orbit-closure basis C, whose C(lam) is the indicator of the
+    closure, the sum of T_mu over dominant mu <= lam of the same total:
+    A(2,0) = T(2,0) + q T(1,1), while C(2,0) = T(2,0) + T(1,1).  C obeys the
+    same recursion with q T(1,1) in place of T(1,1), so A equals C at q = 1.
     """
-    lam = Coweight(*lam)
-    if not lam.is_dominant():
-        raise ValueError(f"coweight {lam} is not dominant")
+    lam = _dominant(lam)
     return _satake_cached(q, (lam.a1, lam.a2))
 
 
@@ -302,9 +297,7 @@ def schur_gl2(lam, e1, e2) -> Fraction:
     (n1*d2)^i (n2*d1)^(n-i) over (d1*d2)^n, and (e1*e2)^lam2 is
     (n1*n2)^lam2 over (d1*d2)^lam2, so one Fraction is built at the end.
     """
-    lam = Coweight(*lam)
-    if not lam.is_dominant():
-        raise ValueError(f"coweight {lam} is not dominant")
+    lam = _dominant(lam)
     e1 = Fraction(e1)
     e2 = Fraction(e2)
     if e1 == 0 or e2 == 0:

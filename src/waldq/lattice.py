@@ -184,12 +184,19 @@ def relative_position(l1: Lattice2, l2: Lattice2) -> Coweight:
     return Coweight(*r)
 
 
+def _dominant(lam):
+    """lam as a Coweight, checked: both entries ints (not bool) and a1 >= a2."""
+    cw = lam if type(lam) is Coweight else Coweight(*lam)
+    if type(cw.a1) is not int or type(cw.a2) is not int:
+        raise ValueError(f"coweight entries must be integers, got {lam!r}")
+    if cw.a1 < cw.a2:
+        raise ValueError(f"coweight {cw} is not dominant")
+    return cw
+
+
 def _shifted(triple, lam):
     """(a, b, c, n): the triple of t^lam2 * L and the colength lam1 - lam2."""
-    if type(lam.a1) is not int or type(lam.a2) is not int:
-        raise ValueError(f"coweight entries must be integers, got {lam!r}")
-    if not lam.is_dominant():
-        raise ValueError(f"coweight {lam} is not dominant")
+    lam = _dominant(lam)
     a, b, c = triple
     return a + lam.a2, b + lam.a2, ptrunc(pshift(c, lam.a2), a + lam.a2), lam.a1 - lam.a2
 
@@ -256,7 +263,7 @@ def _member_histogram(q, triple, lam) -> Counter:
 
 def _members(lat, lam, exact):
     """The rows of _raw_members as sorted lattices; only s = 0 rows if exact."""
-    rows = _raw_members(lat.q, lat.triple, Coweight(*lam))
+    rows = _raw_members(lat.q, lat.triple, lam)
     out = [Lattice2.from_triple(lat.q, a2, b2, c2) for a2, b2, c2, s in rows if s == 0 or not exact]
     return sorted(out, key=lambda l: l.sort_key)
 
@@ -265,7 +272,7 @@ def _member_count(lat, lam, exact):
     """The number of rows of _raw_members, or of its s = 0 rows if exact: the
     size of _members, counted as the sublattice_rows kernel yields the rows,
     without a lattice and without holding a row."""
-    rows = backend.sublattice_rows(lat.q, *_shifted(lat.triple, Coweight(*lam)))
+    rows = backend.sublattice_rows(lat.q, *_shifted(lat.triple, lam))
     if exact:
         return sum(1 for row in rows if row[3] == 0)
     return sum(1 for _row in rows)

@@ -88,17 +88,22 @@ def test_tier1_runs_only_when_named(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "REPO", tmp_path)
     monkeypatch.setattr(bench, "measure", measure)
-    monkeypatch.setattr(bench, "run_tier1", lambda tree: {p: (1.0, 3, 1) for p in bench.TIER1_PARTS})
+    # the second run passes one test fewer: passed_runs shows it
+    counts = iter([3, 2])
+    monkeypatch.setattr(
+        bench, "run_tier1", lambda tree: dict.fromkeys(bench.TIER1_PARTS, (1.0, next(counts), 1))
+    )
     monkeypatch.setattr(bench.compileall, "compile_dir", lambda *args, **kwargs: True)
     argv = ["bench.py", "--label", "t", "--tree", str(tmp_path), "--commit", "abc"]
     monkeypatch.setattr(sys, "argv", [*argv, "--entry", "full"])
     bench.main()
-    monkeypatch.setattr(sys, "argv", [*argv, "--entry", "suite", "--only", "tier1"])
+    monkeypatch.setattr(sys, "argv", [*argv, "--entry", "suite", "--only", "tier1", "--repeat", "2"])
     bench.main()
     assert asked == [list(bench.CONFIGS), []]
     data = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert data["full"]["configs"] == {}
     tier1 = data["suite"]["configs"]["tier1"]
     for part in bench.TIER1_PARTS:
-        assert tier1[part]["exit_codes"] == [1]
+        assert tier1[part]["exit_codes"] == [1, 1]
         assert tier1[part]["passed"] == 3
+        assert tier1[part]["passed_runs"] == [3, 2]

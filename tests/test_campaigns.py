@@ -101,32 +101,45 @@ def test_boolean_fields_are_config_invalid(field, flag):
     [(3, range(27)), (4, (0, 5, 27))],
 )
 def test_exhaustive_cell_matches_certify_first_loop(width, shards):
-    # val(det) <= vmax is tested before certifying; the counts, n_skip
-    # included, are those of certifying every form first
+    # the cell works at precision vmax + 1 = 4: form by form, the zero form
+    # included, that gives what certifying every form first at precision 8
+    # gives once val(det) > 3 is skipped, and so do the counts, n_skip included
     for shard in shards:
-        row = campaigns._cell_quad_exhaustive("x", 3, shard, width, 3, 8, 4)
+        got = [r for row in campaigns._shard_certs(3, shard, width, 4, 4) for r in row]
+        assert got == oracles.quad_shard_certs(3, shard, width, 3, 8, 4), shard
+        row = campaigns._cell_quad_exhaustive("x", 3, shard, width, 3, 4)
         n_ok, checked, n_skip = oracles.quad_exhaustive_counts(3, shard, width, 3, 8, 4)
         assert row["computed"] == f"{n_ok}/{checked} certified, {n_skip} undetermined"
         assert row["expected"] == f"{checked}/{checked} certified, {n_skip} undetermined"
 
 
+#: (q, width, shards, prec, check_prec) for the sweep loop's form-by-form diff
+SHARD_CASES = [
+    # every form of the width-3 cube that has a certificate at all
+    (3, 3, range(27), 8, 4),
+    # the sweep's shards whose first entry is 0, t, 2 + t, t^2, t^3 and
+    # 1 + t + t^2 + t^3: val e11 = 0..3 and both pivot routes, at a higher
+    # working precision here and at the campaign's precisions last
+    (3, 4, (0, 3, 5, 9, 27, 40), 8, 4),
+    # check precisions below, at and above the precision: above it the
+    # certificate often fails, and ok must still agree
+    *((3, 2, range(9), prec, cp) for prec in (2, 4) for cp in (1, prec, prec + 2)),
+    (5, 2, (0, 1, 5, 7), 3, 4),
+    (3, 4, (0, 3, 5, 9, 27, 40), 4, 4),
+]
+
+
 @pytest.mark.parametrize(
-    "q, width, shards, vmax, prec, check_prec",
+    "q, width, shards, prec, check_prec",
+    # the ids name the oracle's vmax = prec - 1 before prec
     [
-        # every form of the width-3 cube that has a certificate at all
-        (3, 3, range(27), 7, 8, 4),
-        # the sweep's shards whose first entry is 0, t, 2 + t, t^2, t^3 and
-        # 1 + t + t^2 + t^3: val e11 = 0..3 and both pivot routes
-        (3, 4, (0, 3, 5, 9, 27, 40), 3, 8, 4),
-        # check precisions below, at and above the precision: above it the
-        # certificate often fails, and ok must still agree
-        *((3, 2, range(9), prec - 1, prec, cp) for prec in (2, 4) for cp in (1, prec, prec + 2)),
-        (5, 2, (0, 1, 5, 7), 2, 3, 4),
+        pytest.param(*c, id=f"{c[0]}-{c[1]}-shards{i}-{c[3] - 1}-{c[3]}-{c[4]}")
+        for i, c in enumerate(SHARD_CASES)
     ],
 )
-def test_shard_certs_match_sym_normal_cert(q, width, shards, vmax, prec, check_prec):
+def test_shard_certs_match_sym_normal_cert(q, width, shards, prec, check_prec):
     # the hoisted sweep loop against the per-form reference certificate,
     # form by form: a count alone would not see a check that always passes
     for shard in shards:
-        got = [r for row in campaigns._shard_certs(q, shard, width, vmax, prec, check_prec) for r in row]
-        assert got == oracles.quad_shard_certs(q, shard, width, vmax, prec, check_prec), shard
+        got = [r for row in campaigns._shard_certs(q, shard, width, prec, check_prec) for r in row]
+        assert got == oracles.quad_shard_certs(q, shard, width, prec - 1, prec, check_prec), shard

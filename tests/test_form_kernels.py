@@ -158,14 +158,16 @@ class TestSymKernels:
         assert got == sym_normal_cert_reference(q, prec, cp, *b, ns)
 
     def test_whole_q3_width3_cube(self):
-        # the exhaustive campaign's precisions (8, check 4) on every form
+        # the exhaustive campaign's precisions (4, check 4), and a higher
+        # working precision (8, check 4), on every form
         q, ns = 3, least_nonsquare(3)
         polys = _cube(q, 3)
         for b in itertools.product(polys, repeat=3):
             assert sym_diag(q, 8, *b) == sym_diag_reference(q, 8, *b)
-            assert sym_normal_cert(q, 8, 4, *b, ns) == sym_normal_cert_reference(
-                q, 8, 4, *b, ns
-            )
+            for prec in (4, 8):
+                assert sym_normal_cert(q, prec, 4, *b, ns) == sym_normal_cert_reference(
+                    q, prec, 4, *b, ns
+                )
 
 
 def _poly(q, raw):

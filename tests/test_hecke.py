@@ -35,6 +35,34 @@ def rand_element(rng, q, npool):
     return h
 
 
+# every entry point that takes a coweight checks it the same way: ints (not
+# bool) and dominant, else a ValueError; the lattice side (_shifted) is
+# covered in test_lattice
+COWEIGHT_ENTRY_POINTS = {
+    "basis": lambda lam: HeckeElement.basis(3, lam),
+    "terms": lambda lam: HeckeElement(3, {lam: 1}),
+    "satake_basis": lambda lam: satake_basis(3, lam),
+    "schur_gl2": lambda lam: schur_gl2(lam, 2, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COWEIGHT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ((1.5, 0), "must be integers"),
+        ((True, 0), "must be integers"),
+        (Coweight(2, False), "must be integers"),
+        (("2", 0), "must be integers"),
+        ((0, 1), "not dominant"),
+        (Coweight(-1, 0), "not dominant"),
+    ],
+)
+def test_coweight_entry_points_check_alike(entry, lam, message):
+    with pytest.raises(ValueError, match=message):
+        COWEIGHT_ENTRY_POINTS[entry](lam)
+
+
 class TestElement:
     def test_constructors_and_support(self):
         q = 3
