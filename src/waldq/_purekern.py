@@ -23,11 +23,10 @@ the swap, or none) and one pivot step that clears slot 12 (``_mh``,
 ``_t22``, ``_eps_w``); ``sym_diag`` returns its A and eps.
 ``pivot_certs`` is the one form certificate: ``sym_normal_cert`` runs it on
 one form, and the form sweep (``campaigns._shard_certs``) on whole rows.
-Both return None when val(det B) >= prec, read off the pivot step: route and
-step have det +-1 and clear slot 12 mod t^prec, so det B == +-piv t22 mod
-t^prec, 0 exactly when the pivot (least valuation) is or va + vb >= prec.
-The sweep works at prec = vmax + 1, so this None is the only test by which
-it skips the forms with val(det) > vmax.
+Both return None when val(det B) >= prec, read off the pivot step (the sweep
+skips val(det) > vmax only so, at prec = vmax + 1): route and step have det
++-1 and clear slot 12 mod t^prec, so det B == +-piv t22 mod t^prec, 0
+exactly when the pivot (least valuation) is or va + vb >= prec.
 """
 
 from __future__ import annotations

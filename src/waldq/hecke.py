@@ -256,15 +256,13 @@ def _satake_cached(q, lam):
 
 
 def satake_basis(q, lam) -> HeckeElement:
-    """The basis element A(lam) of the basis whose Pieri rule has coefficient 1.
+    """A(lam), of the basis A whose Pieri rule has coefficient 1.
 
-    Characterized by: the minuscule and central cases are single basis terms,
-    and A(1,0) * A(d,0) = A(d+1,0) + A(d,1) (the two-step recursion of
-    ``_satake_cached``).  All coefficients come out as nonnegative integers.
-    A is not the orbit-closure basis C, whose C(lam) is the indicator of the
-    closure, the sum of T_mu over dominant mu <= lam of the same total:
-    A(2,0) = T(2,0) + q T(1,1), while C(2,0) = T(2,0) + T(1,1).  C obeys the
-    same recursion with q T(1,1) in place of T(1,1), so A equals C at q = 1.
+    Minuscule and central A are single basis terms, and A(1,0) * A(d,0) =
+    A(d+1,0) + A(d,1) (``_satake_cached``); all coefficients are nonnegative
+    integers.  A is not the orbit-closure basis C (C(lam) is the sum of T_mu
+    over dominant mu <= lam of the same total): A(2,0) = T(2,0) + q T(1,1),
+    C(2,0) = T(2,0) + T(1,1).  C's recursion has q T(1,1), so A = C at q = 1.
     """
     lam = _dominant(lam)
     return _satake_cached(q, (lam.a1, lam.a2))

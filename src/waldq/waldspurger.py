@@ -252,10 +252,7 @@ class WaldModel:
         )
 
     def ic_basis(self, d) -> WaldFunction:
-        """Action of the degree-d basis element A(d,0) on the delta at 0.
-
-        A is ``hecke.satake_basis``: the basis whose Pieri rule has
-        coefficient 1, equal to the orbit-closure basis at q = 1.
+        """Action of A(d,0) (``hecke.satake_basis``) on the delta at 0.
 
         Supported on {0..d}; the value at m sums ``kind.closed_orbit_count(d,
         m)`` character monomials, a count from the torus per-kind table.
