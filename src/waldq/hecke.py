@@ -151,7 +151,7 @@ class HeckeElement(_FiniteSum):
 
     @classmethod
     def basis(cls, q, lam) -> "HeckeElement":
-        return cls(q, [(Coweight(*lam), 1)])
+        return cls(q, [(lam, 1)])
 
     @classmethod
     def unit(cls, q) -> "HeckeElement":

@@ -1,4 +1,4 @@
-"""Spherical Hecke algebra: convolution tables, self-dual basis, characters."""
+"""Spherical Hecke algebra: convolution tables, the satake_basis family, characters."""
 
 from fractions import Fraction
 
