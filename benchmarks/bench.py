@@ -14,12 +14,11 @@ pays for compiling stale or missing ``.pyc`` files.
 Per config the entry records the median and every wall time, the median and
 every ``run_s`` (the time the child spends inside ``wald_main``, without
 interpreter start and ``import waldq``, which are most of a short run), the
-peak RSS
-(the child's ``ru_maxrss``, as ``RUSAGE_CHILDREN`` counts it, read with
-``os.wait4`` so that each child is measured on its own), the SHA-256 of the
-report and the backend named in its header.  The entry also names the
-commit, Python, the machine and ``WALDQ_WORKERS`` (which the children
-inherit; null when unset), so an entry measured with a pool says so.  It is
+peak RSS (of the child or of a pool worker it started, whichever is larger;
+see ``RUN_WALD``), the SHA-256 of the report and the backend named in its
+header.  The entry also names the commit, Python, the machine and
+``WALDQ_WORKERS`` (which the children inherit; null when unset), so an
+entry measured with a pool says so.  It is
 stored under its name in ``BENCH_<label>.json`` at the repository root;
 other entries in that file are kept.  ``--only NAME ...`` runs just the
 named configs (an unknown name exits 2), so a change that cannot touch the
@@ -34,8 +33,10 @@ TREE's tier-1 suite (``python -m pytest -q`` in TREE, on the same
 of ``SWEEP_TESTS`` and the rest.  Per part it records the median and every
 wall time, the number of tests passed in the first run and in every run,
 and pytest's exit code of every run (0 when all passed; a failing test is
-recorded, not fatal), and the median total wall time.  The two trees' suites may differ, so no bytes are
-compared there.
+recorded, not fatal), and the median total wall time.  A part that selects
+no test in a tree (pytest exits 4 or 5, as when a ``SWEEP_TESTS`` id is not
+in that tree) exits 2 and names the tree, the part and the exit code.  The
+two trees' suites may differ, so no bytes are compared there.
 
 Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
@@ -127,13 +128,31 @@ TIER1_PARTS = {
     "rest": [arg for test in SWEEP_TESTS for arg in ("--deselect", test)],
 }
 
-#: Runs wald_main and writes the seconds spent inside it as the last line of
-#: standard error.
-RUN_WALD = (
-    "import sys, time; from waldq.cli import wald_main; t = time.perf_counter(); "
-    "code = wald_main(sys.argv[1:]); print(time.perf_counter() - t, file=sys.stderr); "
-    "sys.exit(code)"
-)
+#: pytest's exit codes when a part selects no test: 4 (a node id that is not
+#: there is a usage error) and 5 (no tests collected).
+SELECTED_NOTHING = (4, 5)
+
+#: Runs wald_main and writes the seconds spent inside it, then the peak RSS in
+#: kB when ``/proc`` has it, as the last line of standard error.  A child's
+#: ``ru_maxrss`` starts at the RSS of the process that forked it, so
+#: ``os.wait4`` reads bench.py's own RSS whenever that is the larger.  The
+#: child's ``VmHWM`` counts only its memory after exec; the pool workers it
+#: forked count through their ``ru_maxrss``.
+RUN_WALD = """\
+import os, sys, time
+from waldq.cli import wald_main
+t = time.perf_counter()
+code = wald_main(sys.argv[1:])
+run_s = time.perf_counter() - t
+peak_kb = ""
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    import resource
+    peak_kb = max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(run_s, peak_kb, file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def run_once(tree, argv):
@@ -149,8 +168,12 @@ def run_once(tree, argv):
         child.returncode = code = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        run_s = float(err.read().split()[-1]) if code == 0 else None
-        return wall, run_s, usage.ru_maxrss / 1024.0, out.read(), code
+        run_s, peak_kb = None, usage.ru_maxrss
+        if code == 0:
+            last = err.read().splitlines()[-1].split()
+            run_s = float(last[0])
+            peak_kb = int(last[1]) if len(last) > 1 else peak_kb
+        return wall, run_s, peak_kb / 1024.0, out.read(), code
 
 
 def run_tier1(tree):
@@ -237,7 +260,16 @@ def measure_tier1(trees, repeat):
     for r in range(repeat):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
         for i in order:
-            runs[i].append(run_tier1(trees[i]))
+            run = run_tier1(trees[i])
+            for part, (_wall, _passed, code) in run.items():
+                if code in SELECTED_NOTHING:
+                    print(
+                        f"{TIER1}: the {part} part selects no test in {trees[i]}: "
+                        f"pytest exited {code}",
+                        file=sys.stderr,
+                    )
+                    raise SystemExit(2)
+            runs[i].append(run)
     results = []
     for tree_runs in runs:
         out = {}

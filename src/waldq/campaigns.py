@@ -6,7 +6,10 @@ instance — and reports expected vs computed.  Cells are planned up front as
 picklable payloads so a campaign can fan out over a process pool; all random
 draws happen during planning from a single seeded generator, which makes the
 report a pure function of (campaign, config): worker count and output path
-never influence a single byte of it.
+never influence a single byte of it.  Most runs start no pool, so the pool's
+modules (``concurrent.futures`` and ``multiprocessing``) load only when one
+starts: the first pool in a process pays that import on top of its start and
+join.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import io
 import json
 import os
 import random
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -53,7 +56,9 @@ class ConfigInvalid(ValueError):
 MAX_WORKERS = 64
 
 #: Seconds of cells run in the calling process before the cells left go to a
-#: pool: about what starting and joining a two-process pool costs.
+#: pool: about what starting and joining a two-process pool costs.  The first
+#: pool in a process also pays for importing the pool's modules, about as long
+#: again.
 POOL_AFTER_S = 0.02
 
 #: The largest ``dmax``, ``mmax`` and ``depth`` any campaign accepts.  The
@@ -826,7 +831,7 @@ def run_campaign(name, cfg: SessionConfig) -> dict:
     Cells run in plan order in this process.  When more than one worker may
     run, the cells left once ``POOL_AFTER_S`` seconds have passed go to one
     pool of at most that many workers, cores and cells left; a campaign that
-    ends sooner starts no pool at all.
+    ends sooner starts no pool at all, and imports none of the pool's modules.
     """
     cfg = cfg.validate()
     cells = plan(name, cfg)
@@ -840,11 +845,24 @@ def run_campaign(name, cfg: SessionConfig) -> dict:
     left = cells[len(rows):]
     workers = min(cap, len(left))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the module attribute, so that a replaced pool class is the one used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             rows += pool.map(_run_cell, left, chunksize=1)
     else:
         rows += map(_run_cell, left)
     return _report(name, cfg, rows)
+
+
+def __getattr__(name):
+    # PEP 562: ``ProcessPoolExecutor`` is imported on its first use, then kept
+    # in the module's globals like any other name
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def single_eigen_report(cfg: SessionConfig, e1_text, assignment_rows) -> dict:

@@ -1,4 +1,5 @@
-"""benchmarks/bench.py: refused arguments, and its tier1 entry (parts, run only when named)."""
+"""benchmarks/bench.py: refused arguments, and its tier1 entry (parts, run only when named,
+a part that selects nothing)."""
 
 import importlib.util
 import json
@@ -6,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -107,3 +110,34 @@ def test_tier1_runs_only_when_named(tmp_path, monkeypatch):
         assert tier1[part]["exit_codes"] == [1, 1]
         assert tier1[part]["passed"] == 3
         assert tier1[part]["passed_runs"] == [3, 2]
+
+
+@pytest.mark.parametrize("part, code", [("sweep", 4), ("rest", 5)])
+def test_tier1_part_that_selects_nothing_exits_2(tmp_path, monkeypatch, capsys, part, code):
+    # the second tree's part selects no test; the first tree's suite passes
+    bench = load_bench()
+    old, new = tmp_path / "old", tmp_path / "new"
+
+    def run(cmd, cwd, **kwargs):
+        rest = "--deselect" in cmd
+        if cwd == new and rest == (part == "rest"):
+            return subprocess.CompletedProcess(cmd, code, "no tests ran in 0.01s\n", "")
+        return subprocess.CompletedProcess(cmd, 0, "3 passed in 0.01s\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    with pytest.raises(SystemExit) as exc:
+        bench.measure_tier1([old, new], 1)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"the {part} part selects no test in {new}: pytest exited {code}" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_peak_rss_is_the_childs_own():
+    # a forked child's ru_maxrss starts at the RSS of its parent: the 48 MB
+    # held here must not show in the child's figure
+    bench = load_bench()
+    held = b"\1" * (48 << 20)
+    wall, run_s, peak_mb, report, code = bench.run_once(REPO, ["counts", "--q", "3", "--dmax", "2"])
+    assert code == 0 and run_s is not None
+    assert 0 < peak_mb < len(held) / 2**20

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -576,6 +578,79 @@ class TestDeterminism:
         claims1 = [l["claim"] for l in parse_ndjson(out1) if l["type"] == "cell"]
         claims2 = [l["claim"] for l in parse_ndjson(out2) if l["type"] == "cell"]
         assert claims1 != claims2
+
+
+#: A campaign whose 12 cells end well inside POOL_AFTER_S.
+SMALL_MIN_ORBIT = ["min-orbit", "--q", "3", "--dmax", "3", "--mmax", "2"]
+
+#: Imports waldq and runs two campaigns that start no pool, the second with
+#: two workers but cells that end inside POOL_AFTER_S; the pool's modules
+#: must stay unloaded throughout.
+NO_POOL_SCRIPT = f"""
+import contextlib, io, sys
+import waldq, waldq.cli
+
+def pool_modules():
+    return [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+
+assert not pool_modules(), pool_modules()
+for argv in (["counts", "--q", "3", "--dmax", "2"], {SMALL_MIN_ORBIT!r} + ["--workers", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert waldq.cli.wald_main(argv) == 0, argv
+    assert not pool_modules(), (argv, pool_modules())
+"""
+
+#: The tracer's pattern: read campaigns.ProcessPoolExecutor, subclass it and
+#: assign the subclass back; with POOL_AFTER_S at 0 a two-worker run must
+#: build its pool from the subclass and print the one-worker run's bytes.
+SUBCLASSED_POOL_SCRIPT = f"""
+import concurrent.futures, contextlib, io
+from waldq import campaigns
+from waldq.cli import wald_main
+
+assert campaigns.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+built = []
+
+class RecordingPool(campaigns.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        built.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+campaigns.ProcessPoolExecutor = RecordingPool
+campaigns.POOL_AFTER_S = 0
+
+def report(workers):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert wald_main({SMALL_MIN_ORBIT!r} + ["--workers", workers]) == 0, workers
+    return out.getvalue()
+
+one = report("1")
+assert built == [], built
+two = report("2")
+assert built == [2], built
+assert one == two
+"""
+
+
+def run_fresh(script):
+    """Run SCRIPT in a fresh interpreter that imports this waldq and no WALDQ_ setting."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(campaigns.__file__)))
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": root}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+
+
+class TestPoolImport:
+    def test_run_without_a_pool_loads_none(self):
+        out = run_fresh(NO_POOL_SCRIPT)
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a two-worker pool needs two cores")
+    def test_subclassed_pool_class_is_the_one_built(self):
+        out = run_fresh(SUBCLASSED_POOL_SCRIPT)
+        assert out.returncode == 0, out.stderr
 
 
 class TestEnvOverrides:
