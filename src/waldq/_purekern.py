@@ -188,13 +188,16 @@ def pinv_unit(q, x, prec):
     """Inverse of a valuation-0 unit modulo t^prec (prec >= 1)."""
     xc = x[1]
     u0 = pow(xc[0], q - 2, q)
-    out = [u0] + [0] * (prec - 1)
+    out = [u0]
     for n in range(1, prec):
         s = 0
-        for i in range(1, min(n, len(xc) - 1) + 1):
+        for i in range(1, min(n + 1, len(xc))):
             s += xc[i] * out[n - i]
-        out[n] = (-u0 * s) % q
-    return pnorm(q, 0, out)
+        out.append(-u0 * s % q)
+    # out[0] is a unit and every digit is reduced: only trailing zeros go
+    while not out[-1]:
+        out.pop()
+    return (0, tuple(out))
 
 
 def psqrt_unit(q, x, prec):

@@ -701,12 +701,40 @@ def _plan_eigen(cfg):
 
 
 def _random_poly_raw(rng, q, max_deg, unit=False):
-    """Raw (offset, coeffs) data for a random polynomial, possibly forced unit."""
-    deg = rng.randint(0, max_deg)
-    coeffs = [rng.randrange(q) for _ in range(deg + 1)]
+    """Raw (offset, coeffs) data for a random polynomial, possibly forced unit.
+
+    Each value below n is drawn by Random's own rejection loop: getrandbits
+    of n's bit length, again while it is >= n.  So the draws, and the state
+    ``rng`` is left in, are those of ``randint(0, max_deg)``, ``randrange(q)``
+    per coefficient and, for a unit, ``randrange(1, q)``, without their
+    argument checks.
+    """
+    bits = rng.getrandbits
+    n = max_deg + 1
+    k = n.bit_length()
+    deg = bits(k)
+    while deg >= n:
+        deg = bits(k)
+    k = q.bit_length()
+    coeffs = []
+    for _ in range(deg + 1):
+        c = bits(k)
+        while c >= q:
+            c = bits(k)
+        coeffs.append(c)
     if unit:
-        coeffs[0] = rng.randrange(1, q)
+        n = q - 1
+        k = n.bit_length()
+        c = bits(k)
+        while c >= n:
+            c = bits(k)
+        coeffs[0] = 1 + c
     return pnorm(q, 0, coeffs)
+
+
+def _const(p):
+    """Constant term of a raw polynomial with offset >= 0."""
+    return p[1][0] if p[1] and not p[0] else 0
 
 
 def _plan_quadform_orbits(cfg):
@@ -726,9 +754,9 @@ def _plan_quadform_orbits(cfg):
             continue  # det B == 0 mod t^4: det B is 0 or val(det B) > 3
         while True:
             araw = tuple(_random_poly_raw(rng, q, 2) for _ in range(4))
-            a11, a12, a21, a22 = araw
+            c11, c12, c21, c22 = map(_const, araw)
             # A is unimodular iff det A has a nonzero constant term
-            if pdot(q, 1, ((a11, a22), (pneg(q, a12), a21)))[1]:
+            if (c11 * c22 - c12 * c21) % q:
                 break
         uraw = _random_poly_raw(rng, q, 2, unit=True)
         cells.append((_cell_quad_invariance, f"invar-{i:03d}", q, braw, araw, uraw, 6))
@@ -872,8 +900,9 @@ def single_eigen_report(cfg: SessionConfig, e1_text, assignment_rows) -> dict:
     return _report("eigen", cfg, [row])
 
 
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: One encoder for every report line; ``json.dumps`` with these arguments
+#: would build a new one per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def render_report(report, fmt="ndjson") -> str:

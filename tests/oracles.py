@@ -502,6 +502,16 @@ def closed_form_invariant(q, b11, b12, b22):
     return vdet - vb, vb, delta
 
 
+def random_poly_raw_reference(rng, q, max_deg, unit=False):
+    """The ``quadform-orbits`` planner's random entry, drawn through
+    ``randint`` and ``randrange``."""
+    deg = rng.randint(0, max_deg)
+    coeffs = [rng.randrange(q) for _ in range(deg + 1)]
+    if unit:
+        coeffs[0] = rng.randrange(1, q)
+    return pnorm(q, 0, coeffs)
+
+
 # -- exhaustive form sweep -----------------------------------------------------
 
 

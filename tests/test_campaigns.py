@@ -1,6 +1,7 @@
 """The campaign table: names, planners and picklable cell payloads."""
 
 import dataclasses
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -143,3 +144,25 @@ def test_shard_certs_match_sym_normal_cert(q, width, shards, prec, check_prec):
     for shard in shards:
         got = [r for row in campaigns._shard_certs(q, shard, width, prec, check_prec) for r in row]
         assert got == oracles.quad_shard_certs(q, shard, width, prec - 1, prec, check_prec), shard
+
+
+#: SHA-256 of ``render_report(run_campaign("quadform-orbits", ...))`` by
+#: (q, seed).  The report names each random form's invariants only, so these
+#: pin the planner's draws, the form kernels and the renderer together.
+QUADFORM_REPORT_SHA256 = {
+    (5, 0): "973f6d61c458822a189b9506f217eaf7bd539d6569820519971669cc20014660",
+    (5, 1): "e3a045ae0114be449f751e15fc8772cac83b8173f868375eb58a8ae74e1b5ca5",
+    (7, 0): "89185c719e62b4c557ed80f81e3bfbbcfd99517f96ec2f7bb21537612d459083",
+    (7, 1): "84a06aaa9a9c5c50f16cf93eb8284546fe7bfb935115376cf4b492dd09d3cbab",
+    (11, 0): "e6e5b601f074ac5c6723417f5ebb3385cce1d2d520af002a457e862f2f9e2a00",
+    (11, 1): "8415edb2b42e438dc016b04a63116594e8c5518ebd8aa01e25b3a68da9fecf9e",
+    (13, 0): "bc9ae412ee5ce737e6de49a07a2190c83876c31c7c460270d8372a9bc67f630d",
+    (13, 1): "80abc9d4c135fec377f79b7bfb6d287061c4c56b70095c9f1ca84da40a395656",
+}
+
+
+@pytest.mark.parametrize("q, seed", sorted(QUADFORM_REPORT_SHA256))
+def test_quadform_orbits_report_bytes_are_pinned(q, seed):
+    report = campaigns.run_campaign("quadform-orbits", SessionConfig(q=q, seed=seed))
+    digest = hashlib.sha256(campaigns.render_report(report).encode()).hexdigest()
+    assert digest == QUADFORM_REPORT_SHA256[q, seed]

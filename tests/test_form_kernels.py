@@ -24,13 +24,19 @@ determinant test on raw entries is checked against ``SymMatrixO`` and its
 import copy
 import itertools
 import pickle
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_form_invariant, sym_diag_reference, sym_normal_cert_reference
+from oracles import (
+    closed_form_invariant,
+    random_poly_raw_reference,
+    sym_diag_reference,
+    sym_normal_cert_reference,
+)
 from waldq import backend, campaigns
 from waldq._purekern import (
     INF,
@@ -40,6 +46,7 @@ from waldq._purekern import (
     pcongruent,
     pconstmul,
     pdot,
+    pinv_unit,
     pmul,
     pneg,
     pnorm,
@@ -286,6 +293,43 @@ class TestQuadformOrbitsPlanner:
         want = [b for b in triples if builds(b)]
         assert kept[: len(want)] == want
         assert kept[len(want):] == [diag11] * (len(kept) - len(want))
+
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("max_deg", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 43, 10007])
+    def test_draws_are_randint_and_randrange(self, q, max_deg, unit):
+        # the getrandbits draw takes the same values, and leaves the generator
+        # in the same state, as the randint/randrange body it replaced
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = campaigns._random_poly_raw(rng, q, max_deg, unit)
+            assert got == random_poly_raw_reference(ref, q, max_deg, unit)
+            assert rng.getstate() == ref.getstate()
+
+
+@st.composite
+def unit_cases(draw):
+    """A valuation-0 unit of 1-8 coefficients and a prec of 1-10: some units
+    are longer than prec, and some inverses end in zeros below t^prec."""
+    q = draw(st.sampled_from([3, 5, 7, 13]))
+    co = [draw(st.integers(1, q - 1))] + draw(st.lists(st.integers(0, q - 1), max_size=7))
+    return q, pnorm(q, 0, co), draw(st.integers(1, 10))
+
+
+class TestPinvUnit:
+    @settings(max_examples=500, deadline=None)
+    @given(unit_cases())
+    def test_inverse_mod_t_prec_and_normalized(self, case):
+        q, x, prec = case
+        inv = pinv_unit(q, x, prec)
+        assert ptrunc(pmul(q, x, inv), prec) == PONE
+        off, co = inv
+        assert off == 0 and co[-1] != 0
+        assert all(0 <= c < q for c in co)
+
+    def test_trailing_zeros_are_trimmed(self):
+        # 1 / (1 + t^2) = 1 - t^2 + ..., so mod t^2 the inverse is 1
+        assert pinv_unit(3, (0, (1, 0, 1)), 2) == (0, (1,))
 
 
 class TestPcongruent:
