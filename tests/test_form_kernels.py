@@ -18,7 +18,9 @@ against ``oracles.closed_form_invariant``, which reads valuations and one
 Legendre symbol off the entries, and a kernel refusal (val(det) >= prec) must
 raise ``PrecisionExhausted``, never pass.  The ``quadform-orbits`` planner's
 determinant test on raw entries is checked against ``SymMatrixO`` and its
-``det_valuation``.
+``det_valuation``, and its ``getrandbits`` draws against the
+``randint``/``randrange`` body in ``tests/oracles.py``.  ``pinv_unit``, which
+``sym_diag`` calls twice, is checked against its defining product.
 """
 
 import copy
@@ -298,8 +300,8 @@ class TestQuadformOrbitsPlanner:
     @pytest.mark.parametrize("max_deg", [0, 1, 2, 3])
     @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 43, 10007])
     def test_draws_are_randint_and_randrange(self, q, max_deg, unit):
-        # the getrandbits draw takes the same values, and leaves the generator
-        # in the same state, as the randint/randrange body it replaced
+        # the getrandbits draw takes the values, and leaves the generator in
+        # the state, of the randint/randrange reference
         for seed in range(200):
             rng, ref = random.Random(seed), random.Random(seed)
             got = campaigns._random_poly_raw(rng, q, max_deg, unit)
