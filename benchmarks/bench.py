@@ -29,14 +29,16 @@ names its commit.  Nothing here asserts a timing.
 
 The entry ``tier1`` runs only when named (``--only tier1``): it times
 TREE's tier-1 suite (``python -m pytest -q`` in TREE, on the same
-``PYTHONPATH``) in two parts, run one after the other: the form-sweep tests
-of ``SWEEP_TESTS`` and the rest.  Per part it records the median and every
+``PYTHONPATH``) in two parts, run one after the other: the form-sweep tests,
+which carry the pytest marker ``sweep`` (``-m sweep``), and the rest
+(``-m "not sweep"``).  Per part it records the median and every
 wall time, the number of tests passed in the first run and in every run,
 and pytest's exit code of every run (0 when all passed; a failing test is
 recorded, not fatal), and the median total wall time.  A part that selects
-no test in a tree (pytest exits 4 or 5, as when a ``SWEEP_TESTS`` id is not
-in that tree) exits 2 and names the tree, the part and the exit code.  The
-two trees' suites may differ, so no bytes are compared there.
+no test in a tree (pytest exits 4 or 5, as the sweep part does in a tree
+whose tests carry no ``sweep`` marker) exits 2 and names the tree, the part
+and the exit code.  The two trees' suites may differ, so no bytes are
+compared there.
 
 Entries recorded by separate invocations differ by the host's drift in speed
 as much as by the code.  ``--against OTHER`` measures OTHER in the same
@@ -108,28 +110,17 @@ for _q in ("5", "7", "11", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]
 
-#: The form-sweep tests of the tier-1 suite, as pytest node ids (an id without
-#: parameters selects all its cases): criterion 09's full q=3 sweep and the
-#: diffs of the sweep's certificates against the reference.  They take most of
-#: the suite's time, so the ``tier1`` entry times them apart from the rest.
-SWEEP_TESTS = (
-    "tests/test_acceptance.py::test_criterion_09_quadform_invariants",
-    "tests/test_campaigns.py::test_exhaustive_cell_matches_certify_first_loop",
-    "tests/test_campaigns.py::test_shard_certs_match_sym_normal_cert",
-    "tests/test_form_kernels.py::TestSymKernels::test_whole_q3_width3_cube",
-)
-
 #: The name of the entry that times the tier-1 suite.
 TIER1 = "tier1"
 
-#: The pytest arguments of the two parts of the ``tier1`` entry.
-TIER1_PARTS = {
-    "sweep": list(SWEEP_TESTS),
-    "rest": [arg for test in SWEEP_TESTS for arg in ("--deselect", test)],
-}
+#: The pytest arguments of the two parts of the ``tier1`` entry.  The
+#: form-sweep tests (criterion 09's full q=3 sweep and the diffs of the
+#: sweep's certificates against the reference) take most of the suite's time,
+#: so they carry the marker ``sweep`` and are timed apart from the rest.
+TIER1_PARTS = {"sweep": ["-m", "sweep"], "rest": ["-m", "not sweep"]}
 
-#: pytest's exit codes when a part selects no test: 4 (a node id that is not
-#: there is a usage error) and 5 (no tests collected).
+#: pytest's exit codes when a part selects no test: 4 (a usage error) and 5
+#: (no tests collected, as when no test carries the marker).
 SELECTED_NOTHING = (4, 5)
 
 #: Runs wald_main and writes the seconds spent inside it, then the peak RSS in

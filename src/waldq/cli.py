@@ -53,6 +53,14 @@ MAX_DET_VALUATION = 10**5
 # for (500,0) * (500,0), and 20 s and 657 MB at width 2000.
 MAX_COWEIGHT_WIDTH = 500
 
+# A single ``wald eigen`` run refuses a value (``--e1``, ``--alpha``, ...)
+# whose text spells a numerator or denominator with more digits, a decimal
+# exponent counting as its zeros; checked before the Fraction is built, which
+# alone took 8.3 s for "1e10000000".  At --D 30 with every value at the bound
+# a run takes 1.4-1.9 s, as long as the batch ``eigen --D 30``; at 100 digits
+# it took 3-4 s, at 1000 digits 62 s.
+MAX_RATIONAL_DIGITS = 50
+
 
 #: One row per SessionConfig field: its flags, then the rest of its
 #: ``add_argument`` call.  A flag has no parser default, so one that was given
@@ -107,14 +115,23 @@ def _program(prog, description, **opts):
     return parser, parser.add_subparsers(dest="command", required=True, **opts)
 
 
-def _build_wald_parser():
+def _build_wald_parser(argv):
+    """The ``wald`` parser, with the flags of the subcommand that ARGV names only.
+
+    Every subcommand is registered with its help; the one named by the first
+    argument that does not start with ``-`` also gets its flags, so a run
+    builds no other subcommand's.
+    """
     parser, sub = _program(
         "wald", "Batch verification campaigns for lattice-orbit combinatorics.", metavar="CAMPAIGN"
     )
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     for campaign in CAMPAIGN_TABLE:
         name = campaign.name
         p = sub.add_parser(name, aliases=campaign.aliases, help=campaign.help)
         p.set_defaults(command=name)
+        if named not in (name, *campaign.aliases):
+            continue
         _add_settings(p, (*campaign.knobs, "workers", "out", "fmt"))
         if name == "ic-basis":
             p.add_argument(
@@ -147,10 +164,35 @@ def _main(prog, run, argv) -> int:
         return 2
 
 
+def _check_digits(flag, text):
+    """Refuse TEXT when it spells a numerator or denominator past MAX_RATIONAL_DIGITS."""
+    num, _slash, den = text.partition("/")
+    mantissa, _e, exp = num.lower().partition("e")
+    whole, _dot, frac = mantissa.partition(".")
+    shift = -len(frac)  # the value is int(whole + frac) * 10**shift / den
+    if len(exp) > len(str(MAX_RATIONAL_DIGITS)) + 2:
+        # longer than a sign and one digit more than the bound has: past it
+        shift = MAX_RATIONAL_DIGITS + 1
+    elif exp:
+        try:
+            shift += int(exp)
+        except ValueError:
+            return  # not a rational: Fraction refuses it
+    top = sum(ch.isdigit() for ch in whole + frac) + max(shift, 0)
+    bottom = (sum(ch.isdigit() for ch in den) or 1) + max(-shift, 0)
+    if max(top, bottom) > MAX_RATIONAL_DIGITS:
+        raise ConfigInvalid(
+            f"{flag} has a numerator or denominator of more than {MAX_RATIONAL_DIGITS} digits"
+        )
+
+
 def _single_eigen(cfg, args):
     if args.e1 is None:
         raise ConfigInvalid("--alpha/--beta/--gamma apply only to a single eigen run with --e1")
     given = {n: getattr(args, n) for n in VARS if getattr(args, n) is not None}
+    _check_digits("--e1", args.e1)
+    for name, text in given.items():
+        _check_digits(f"--{name}", text)
     try:
         values = {name: Fraction(text) for name, text in given.items()}
         Fraction(args.e1)
@@ -180,7 +222,9 @@ def _emit(report, cfg) -> int:
 
 
 def _wald(argv):
-    args = _parse(*_build_wald_parser(), argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(*_build_wald_parser(argv), argv)
     cfg = SessionConfig(**{f: _resolve(args, f) for f in _SETTINGS}).validate()
     if cfg.out:
         new = not os.path.lexists(cfg.out)

@@ -7,6 +7,8 @@ sure the advertised volume of work actually ran.
 
 import time
 
+import pytest
+
 from waldq.campaigns import SessionConfig, run_campaign
 from waldq.hecke import HeckeElement
 from waldq.lattice import Coweight
@@ -116,6 +118,7 @@ def test_criterion_08_eigenfunction_window():
     record(8, "truncated eigenfunction window checks at depth 6", ok)
 
 
+@pytest.mark.sweep
 def test_criterion_09_quadform_invariants():
     report = run("quadform-orbits", q=3)
     ok = report["summary"]["pass"]

@@ -61,17 +61,23 @@ def times(x, y):
 
 
 def act_reference(model, h, f):
-    """Sum over terms, target orbits and transition rows of chi * coeff * f[m1]."""
+    """Sum over terms, target orbits and transition rows of chi * coeff * f[m1].
+
+    The mirror convention acts by the dual coweight (-lam2, -lam1).  Every
+    target orbit from 0 to twice the width past f's support is visited, wider
+    than any row can reach, so a window that ``act`` cuts too short shows.
+    """
     q, kind = model.q, model.kind
     if h.is_zero() or f.is_zero():
         return WaldFunction(q, kind, {})
-    mlo, mhi = min(f.values), max(f.values)
+    mhi = max(f.values)
     values = []
-    for lam, coeff in h.terms.items():
-        eff = model._effective(lam)
-        width = eff.a1 - eff.a2
-        for m0 in range(max(0, mlo - width), mhi + width + 1):
-            for m1, exps, count in _transitions(q, kind.value, m0, (eff.a1, eff.a2)):
+    for (lam1, lam2), coeff in h.terms.items():
+        if model.convention == "mirror":
+            lam1, lam2 = -lam2, -lam1
+        width = lam1 - lam2
+        for m0 in range(mhi + 2 * width + 2):
+            for m1, exps, count in _transitions(q, kind.value, m0, (lam1, lam2)):
                 fv = f.values.get(m1)
                 if fv is not None:
                     chi = LaurentScalar.monomial(q, EXPS3[kind](exps), count)

@@ -95,11 +95,13 @@ def test_boolean_fields_are_config_invalid(field, flag):
         SessionConfig(**{field: flag}).validate()
 
 
+@pytest.mark.sweep
 @pytest.mark.parametrize(
     "width, shards",
     # the whole width-3 cube, and the q=3 sweep's shards whose first entry
-    # is 0, the unit 2 + t and t^3
-    [(3, range(27)), (4, (0, 5, 27))],
+    # is 0, t, 2 + t, t^2, t^3 and 1 + t + t^2 + t^3: val e11 = 0..3 and
+    # both pivot routes
+    [(3, range(27)), (4, (0, 3, 5, 9, 27, 40))],
 )
 def test_exhaustive_cell_matches_certify_first_loop(width, shards):
     # the cell works at precision vmax + 1 = 4: form by form, the zero form
@@ -118,18 +120,17 @@ def test_exhaustive_cell_matches_certify_first_loop(width, shards):
 SHARD_CASES = [
     # every form of the width-3 cube that has a certificate at all
     (3, 3, range(27), 8, 4),
-    # the sweep's shards whose first entry is 0, t, 2 + t, t^2, t^3 and
-    # 1 + t + t^2 + t^3: val e11 = 0..3 and both pivot routes, at a higher
-    # working precision here and at the campaign's precisions last
+    # the width-4 shards of test_exhaustive_cell_matches_certify_first_loop,
+    # which checks them at the campaign's precisions, at a higher one
     (3, 4, (0, 3, 5, 9, 27, 40), 8, 4),
     # check precisions below, at and above the precision: above it the
     # certificate often fails, and ok must still agree
     *((3, 2, range(9), prec, cp) for prec in (2, 4) for cp in (1, prec, prec + 2)),
     (5, 2, (0, 1, 5, 7), 3, 4),
-    (3, 4, (0, 3, 5, 9, 27, 40), 4, 4),
 ]
 
 
+@pytest.mark.sweep
 @pytest.mark.parametrize(
     "q, width, shards, prec, check_prec",
     # the ids name the oracle's vmax = prec - 1 before prec
@@ -166,3 +167,4 @@ def test_quadform_orbits_report_bytes_are_pinned(q, seed):
     report = campaigns.run_campaign("quadform-orbits", SessionConfig(q=q, seed=seed))
     digest = hashlib.sha256(campaigns.render_report(report).encode()).hexdigest()
     assert digest == QUADFORM_REPORT_SHA256[q, seed]
+

@@ -19,6 +19,7 @@ from waldq.campaigns import MAX_DEGREE, MAX_ISOTROPIC_Q, MAX_WORKERS
 from waldq.cli import (
     MAX_COWEIGHT_WIDTH,
     MAX_DET_VALUATION,
+    MAX_RATIONAL_DIGITS,
     hecke_main,
     quadform_main,
     wald_main,
@@ -233,6 +234,24 @@ class TestWaldBasics:
         text = capsys.readouterr().out
         listed = set(re.findall(r"(?:^  |, )(--?[\w-]+)", text.split("options:")[1], re.M))
         assert listed == {"-h", "--help", *declared_flags(campaign)}
+
+    def test_only_the_named_subcommand_gets_its_flags(self, capsys, monkeypatch):
+        # the first argument that is not a flag names it, by name or alias
+        for argv, named in (
+            (["counts", "--q", "5"], "counts"),
+            (["verify-min-orbit"], "min-orbit"),
+            (["--help"], None),
+        ):
+            _parser, subparsers = cli._build_wald_parser(argv)
+            assert set(subparsers) == {*campaigns.CAMPAIGNS, "verify-min-orbit"}
+            for name, sub in subparsers.items():
+                flags = {flag for action in sub._actions for flag in action.option_strings}
+                owner = "min-orbit" if name == "verify-min-orbit" else name
+                assert (flags > {"-h", "--help"}) == (owner == named), (argv, name)
+        # wald_main() reads its arguments from sys.argv
+        monkeypatch.setattr(sys, "argv", ["wald", "counts", "--q", "3", "--dmax", "1"])
+        assert wald_main() == 0
+        assert parse_ndjson(capsys.readouterr().out)[0]["dmax"] == 1
 
     def test_env_knobs_a_campaign_ignores_stay_silent(self, capsys, monkeypatch):
         monkeypatch.setenv("WALDQ_DMAX", "2")
@@ -776,6 +795,28 @@ class TestSingleEigen:
             )
             assert rc == 2
             assert "eigen parameters must be rationals like 5 or 7/2" in err
+
+    def test_huge_exponent_exits_2_at_once(self, capsys):
+        # Fraction("1e100000") alone would build a 100,001-digit integer
+        start = time.perf_counter()
+        rc, out, err = run_wald(capsys, "eigen", "--e1", "1e100000", "--alpha", "1", "--beta", "1")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        limit = f"of more than {MAX_RATIONAL_DIGITS} digits"
+        assert f"wald: error: --e1 has a numerator or denominator {limit}" in err
+
+    @pytest.mark.parametrize("flag", ["--e1", "--alpha", "--beta"])
+    def test_values_at_the_digit_bound_run(self, capsys, flag):
+        n = MAX_RATIONAL_DIGITS
+        at = {"--e1": "9" * n, "--alpha": "1" * n + "/" + "7" * n, "--beta": f"1e{n - 1}"}
+        rc, out, err = run_wald(capsys, "eigen", "--D", "3", *(x for kv in at.items() for x in kv))
+        assert rc == 0, err
+        # one digit more, in the numerator or the denominator, is refused
+        for past in ("9" * (n + 1), "1/" + "7" * (n + 1), f"1e{n}", f"1e-{n}", f".{'0' * (n - 1)}1"):
+            argv = (x for kv in {**at, flag: past}.items() for x in kv)
+            rc, out, err = run_wald(capsys, "eigen", "--D", "3", *argv)
+            assert rc == 2 and out == "", past
+            assert f"{flag} has a numerator or denominator of more than {n} digits" in err
 
     def test_wrong_kind_params_exit_2(self, capsys):
         rc, _, err = run_wald(

@@ -166,6 +166,7 @@ class TestSymKernels:
         got = sym_normal_cert(q, prec, cp, *b, ns)
         assert got == sym_normal_cert_reference(q, prec, cp, *b, ns)
 
+    @pytest.mark.sweep
     def test_whole_q3_width3_cube(self):
         # the exhaustive campaign's precisions (4, check 4), and a higher
         # working precision (8, check 4), on every form
