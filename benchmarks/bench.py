@@ -36,8 +36,8 @@ wall time, the number of tests passed in the first run and in every run,
 and pytest's exit code of every run (0 when all passed; a failing test is
 recorded, not fatal), and the median total wall time.  A part that selects
 no test in a tree (pytest exits 4 or 5, as the sweep part does in a tree
-whose tests carry no ``sweep`` marker) exits 2 and names the tree, the part
-and the exit code.  The two trees' suites may differ, so no bytes are
+whose tests carry no ``sweep`` marker) exits 2 as soon as it has run, and
+names the tree, the part and the exit code.  The two trees' suites may differ, so no bytes are
 compared there.
 
 Entries recorded by separate invocations differ by the host's drift in speed
@@ -168,7 +168,10 @@ def run_once(tree, argv):
 
 
 def run_tier1(tree):
-    """Per part of the tier-1 suite: (wall s, tests passed, exit code) of one run."""
+    """Per part of the tier-1 suite: (wall s, tests passed, exit code) of one run.
+
+    A part that selects no test exits 2 as soon as it has run.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = {}
     for part, args in TIER1_PARTS.items():
@@ -176,6 +179,13 @@ def run_tier1(tree):
         start = time.perf_counter()
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
         wall = time.perf_counter() - start
+        if done.returncode in SELECTED_NOTHING:
+            print(
+                f"{TIER1}: the {part} part selects no test in {tree}: "
+                f"pytest exited {done.returncode}",
+                file=sys.stderr,
+            )
+            raise SystemExit(2)
         passed = re.findall(r"(\d+) passed", done.stdout)  # the summary line is last
         out[part] = (wall, int(passed[-1]) if passed else 0, done.returncode)
     return out
@@ -251,16 +261,7 @@ def measure_tier1(trees, repeat):
     for r in range(repeat):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
         for i in order:
-            run = run_tier1(trees[i])
-            for part, (_wall, _passed, code) in run.items():
-                if code in SELECTED_NOTHING:
-                    print(
-                        f"{TIER1}: the {part} part selects no test in {trees[i]}: "
-                        f"pytest exited {code}",
-                        file=sys.stderr,
-                    )
-                    raise SystemExit(2)
-            runs[i].append(run)
+            runs[i].append(run_tier1(trees[i]))
     results = []
     for tree_runs in runs:
         out = {}

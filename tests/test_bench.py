@@ -90,9 +90,11 @@ def test_tier1_part_that_selects_nothing_exits_2(tmp_path, monkeypatch, capsys, 
     # the second tree's part selects no test; the first tree's suite passes
     bench = load_bench()
     old, new = tmp_path / "old", tmp_path / "new"
+    ran = []
 
     def run(cmd, cwd, **kwargs):
         rest = "not sweep" in cmd
+        ran.append((cwd, rest))
         if cwd == new and rest == (part == "rest"):
             return subprocess.CompletedProcess(cmd, code, "no tests ran in 0.01s\n", "")
         return subprocess.CompletedProcess(cmd, 0, "3 passed in 0.01s\n", "")
@@ -103,6 +105,8 @@ def test_tier1_part_that_selects_nothing_exits_2(tmp_path, monkeypatch, capsys, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"the {part} part selects no test in {new}: pytest exited {code}" in err
+    # it exits as soon as that part has run
+    assert ran[-1] == (new, part == "rest")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
