@@ -71,8 +71,10 @@ REPO = Path(__file__).resolve().parent.parent
 #: 1,948,717), then the
 #: campaigns at ``MAX_DEGREE`` (30) in every degree setting they read (only
 #: ``stratum-dim``'s mmax stays at 5, where its probe primes run out) and
-#: ``isotropic`` at its largest q (``MAX_ISOTROPIC_Q``, 43), then the
-#: form campaign at the four primes of ``perfbench``'s ``forms`` workload (5,
+#: ``isotropic`` at its largest q (``MAX_ISOTROPIC_Q``, 43), then a single
+#: ``eigen --D 30`` run whose ``--e1``, ``--alpha`` and ``--beta`` each have
+#: a numerator and a denominator of ``cli.MAX_RATIONAL_DIGITS`` (50) digits,
+#: then the form campaign at the four primes of ``perfbench``'s ``forms`` workload (5,
 #: 7, 11, 13) and criterion 09's exhaustive q=3 sweep (81 shards of 6,561
 #: forms: by far the longest run here).
 CONFIGS = {
@@ -106,6 +108,15 @@ for _name in ("multone", "cs-matrix", "eigen"):
 CONFIGS["min-orbit-bound"] = ["min-orbit", "--dmax", "30", "--mmax", "30"]
 CONFIGS["stratum-dim-bound"] = ["stratum-dim", "--dmax", "30", "--mmax", "5"]
 CONFIGS["isotropic-bound"] = ["isotropic", "--q", "43"]
+CONFIGS["eigen-digits-bound"] = [
+    "eigen", "--D", "30",
+    "--e1", "31415926535897932384626433832795028841971693993751/"
+    "27182818284590452353602874713526624977572470936999",
+    "--alpha", "14142135623730950488016887242096980785696718753769/"
+    "17320508075688772935274463415058723669428052538104",
+    "--beta=-22360679774997896964091736687312762354406183596115/"
+    "16180339887498948482045868343656381177203091798058",
+]
 for _q in ("5", "7", "11", "13"):
     CONFIGS[f"quadform-orbits-q{_q}"] = ["quadform-orbits", "--q", _q]
 CONFIGS["quadform-orbits-q3-sweep"] = ["quadform-orbits", "--q", "3"]

@@ -22,13 +22,16 @@ y and of r*y).  The module action (``WaldModel.act``) and Hecke convolution
 take each coefficient product once as raw terms (``_product_triples``) and
 add count-scaled, shifted copies of them, so each of their coefficients is
 built once too.
-``_specialize_many`` specializes a whole table of values in one pass over
-shared power tables and one common denominator; ``specialize`` is its
-one-value case.
+``_specialize_sums`` specializes a whole table of values in one pass over
+shared power tables, as integers over one common denominator
+(``_frame_sums``, which the eigen check's integer action also evaluates its
+character classes with); ``_specialize_many`` makes each a Fraction, and
+``specialize`` is its one-value case.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -431,15 +434,17 @@ def specialize(x: LaurentScalar, assignment, r_value=None) -> Fraction:
 
 
 def _specialize_many(xs, assignment, r_value=None) -> list:
-    """``specialize`` of each scalar in ``xs``, in one pass.
+    """``specialize`` of each scalar in ``xs``, in one pass (``_specialize_sums``)."""
+    sums, num, den = _specialize_sums(xs, assignment, r_value)
+    return [Fraction(s * num, den) for s in sums]
 
-    The sums share their power tables and their common denominator: with
-    v = n/d and the exponents e of v in all of xs running over lo..lo+K,
-    each v^e is n^(e-lo) d^(K-e+lo) over the shared d^K (n/d)^(-lo), so the
-    terms add as integers (as Fractions only where a coefficient is not
-    integral) and one Fraction is built per value at the end.  Errors are
-    raised as evaluating the values in order, each term by term in
-    ``terms`` order, would meet them.
+
+def _specialize_sums(xs, assignment, r_value=None) -> tuple:
+    """``specialize`` of each scalar in ``xs`` as integers over one denominator.
+
+    Returns (sums, num, den) with the k-th value equal to sums[k] * num / den,
+    all ints (``_frame_sums``).  Errors are raised as evaluating the values
+    in order, each term by term in ``terms`` order, would meet them.
     """
     vals = {}
     for name, v in (assignment or {}).items():
@@ -451,6 +456,7 @@ def _specialize_many(xs, assignment, r_value=None) -> list:
         vals[name] = v
     missing = [i for i in range(3) if VARS[i] not in vals]
     products = []
+    keys = []
     ends = []
     for x in xs:
         for exps, coeff in x.terms.items():
@@ -458,10 +464,29 @@ def _specialize_many(xs, assignment, r_value=None) -> list:
             for i in missing:
                 if exps[i]:
                     raise KeyError(f"no value for {VARS[i]}")
+            keys.append(exps)
         ends.append(len(products))
+    return _frame_sums(products, keys, ends, vals)
+
+
+def _frame_sums(products, keys, ends, vals) -> tuple:
+    """The sums of products[j] * x^keys[j] over consecutive slices, in integers.
+
+    The k-th slice ends before ``ends[k]``; ``vals`` maps each variable with
+    a nonzero exponent to its nonzero rational value.  The sums share their
+    power tables and their common denominator: with v = n/d and the
+    exponents e of v running over lo..lo+K, each v^e is n^(e-lo) d^(K-e+lo)
+    over the shared d^K (n/d)^(-lo).  Rational coefficients are first
+    brought to their least common denominator, so every term adds as an
+    integer.  Returns (sums, num, den): the k-th sum is sums[k] * num / den,
+    all ints, num and den nonzero and of either sign.
+    """
     num = den = 1
+    if any(type(c) is not int for c in products):
+        den = math.lcm(*(c.denominator for c in products))
+        products = [c.numerator * (den // c.denominator) for c in products]
     if products:
-        cols = tuple(zip(*(exps for x in xs for exps in x.terms)))
+        cols = tuple(zip(*keys))
         for i in range(3):
             col = cols[i]
             lo = min(col)
@@ -478,12 +503,12 @@ def _specialize_many(xs, assignment, r_value=None) -> list:
             else:
                 num *= d**-lo
                 den *= n**-lo * d**span
-    out = []
+    sums = []
     start = 0
     for end in ends:
-        out.append(Fraction(sum(products[start:end]) * num, den))
+        sums.append(sum(products[start:end]))
         start = end
-    return out
+    return sums, num, den
 
 
 def monomial_count(x: LaurentScalar, variables) -> int:

@@ -13,8 +13,10 @@ makes one LaurentScalar per orbit index of its result: each row adds
 shifted, rescaled copies of the function's terms, as raw (exponents, a, b)
 triples, into plain (a, b) sums (``scalars._add_scaled``), and each value is
 built once from its sums, so no intermediate SqrtQ, sum or product is built.
-The eigen window check specializes its whole table of basis-function values
-in one pass (``scalars._specialize_many``).
+The eigen window check runs in integers: each table of values is an integer
+vector times one rational scale, the basis-function values are specialized
+in one pass over one common denominator (``scalars._specialize_sums``), and
+the window is read off a fraction-free back-substitution.
 """
 
 from __future__ import annotations
@@ -25,9 +27,16 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .hecke import HeckeElement, ZeroEigenvalue, _FiniteSum, satake_basis, schur_gl2
+from .hecke import HeckeElement, ZeroEigenvalue, _FiniteSum, satake_basis
 from .lattice import Coweight, Lattice2, _member_histogram
-from .scalars import LaurentScalar, _add_scaled, _product_triples, _specialize_many, specialize
+from .scalars import (
+    LaurentScalar,
+    _add_scaled,
+    _frame_sums,
+    _product_triples,
+    _specialize_sums,
+    specialize,
+)
 from .torus import EtaleKind, _envelope_raw, chi_c, orbit_representative
 
 __all__ = [
@@ -308,40 +317,49 @@ class WaldModel:
 
     # -- truncated eigenfunction window check ---------------------------------
 
-    def _act_evaluated(self, h, values, assignment, r_value, chi):
-        """``act(h, f)`` at rational character values, for f with rational values.
+    def _act_table(self, h, table, assignment, r_value):
+        """``act(h, f)`` at rational character values, for f the table (vec, scale).
 
-        Equals specializing ``act(h, WaldFunction(values))`` (evaluation is a
-        ring homomorphism) without building a LaurentScalar: each transition
-        row adds count * chi(exps) * values[m1] at its m0.  ``chi`` caches
-        the character values, the product of the kind's variables (the torus
-        per-kind table) to the class exponents, by class exponents across
-        calls.  Zero values are dropped, as in WaldFunction.
+        Equals specializing ``act(h, f)`` (evaluation is a ring homomorphism)
+        without building a LaurentScalar or a Fraction per row: each
+        transition row adds count * vec[m1] into an integer sum per orbit
+        index m0 and character class, the Hecke coefficients specialized and
+        brought to one denominator first.  The classes are then evaluated
+        at the character values from integer power tables over one common
+        denominator (``scalars._frame_sums``).  Returns the reduced table.
         """
-        xs = [Fraction(assignment[name]) for name in self.kind.variables]
-        vals = {m: v for m, v in values.items() if v}
-        out = {}
-        if not vals:
-            return out
-        mlo, mhi = min(vals), max(vals)
+        vec, scale = table
+        if not vec:
+            return _ZERO
+        vals = {name: Fraction(assignment[name]) for name in self.kind.variables}
+        terms = [(lam, specialize(c, assignment, r_value)) for lam, c in h.terms.items()]
+        terms = [(lam, c) for lam, c in terms if c]
+        lcd = math.lcm(*(c.denominator for _lam, c in terms))
+        mlo, mhi = min(vec), max(vec)
         q, kind_value = self.q, self.kind.value
-        for lam, coeff in h.terms.items():
-            c = specialize(coeff, assignment, r_value)
+        sums = {}  # m0 -> class exponents -> integer sum
+        for lam, c in terms:
+            k = c.numerator * (lcd // c.denominator)
+            scaled = {m: k * v for m, v in vec.items()}
             eff = self._effective(lam)
             width = eff.a1 - eff.a2
             for m0 in range(max(0, mlo - width), mhi + width + 1):
-                s = 0
                 for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
-                    v = vals.get(m1)
-                    if v is None:
-                        continue
-                    w = chi.get(exps)
-                    if w is None:
-                        w = chi[exps] = math.prod(x**e for x, e in zip(xs, exps))
-                    s += count * w * v
-                if s:
-                    out[m0] = out.get(m0, 0) + c * s
-        return {m: v for m, v in out.items() if v}
+                    v = scaled.get(m1)
+                    if v is not None:
+                        out = sums.setdefault(m0, {})
+                        out[exps] = out.get(exps, 0) + count * v
+        lo, hi = self.kind.pads  # around the class exponents in an exponent triple
+        coeffs, exps, ends = [], [], []
+        for by_class in sums.values():
+            for e, v in by_class.items():
+                coeffs.append(v)
+                exps.append(lo + e + hi)
+            ends.append(len(coeffs))
+        values, num, den = _frame_sums(coeffs, exps, ends, vals)
+        return _table(
+            dict(zip(sums, values)), scale.numerator * num, scale.denominator * den * lcd
+        )
 
     def eigen_check(self, depth, e1, params: CharacterParams, r_value=None) -> dict:
         """Window check that the truncated eigen-sum behaves as an eigenvector.
@@ -359,9 +377,15 @@ class WaldModel:
           c_depth * W_{depth+1} - (e1*e2) * c_{depth+1} * W_depth;
         * the central element acts by e1*e2 exactly (no truncation loss).
 
-        Everything runs in Q: the Hecke elements act on K's rational values
-        through ``_act_evaluated``, and the window is read from the one
-        expansion of the difference of the two sides.
+        Everything runs in integers.  Each table of values (the W_d, K,
+        each action's output, the defect and the difference of the two
+        sides) is an integer vector times one rational scale (``_table``):
+        the W_d share the one denominator of a single specialization pass,
+        c_d is H_d / P^d for integers H_d and P, the Hecke elements act on
+        K's integer vector (``_act_table``), and two tables are compared by
+        cross-multiplying their scales (``_agree``).  The window is read off
+        the zero pattern of a fraction-free back-substitution
+        (``_lowest_degree``).
         """
         if not isinstance(depth, int) or depth < 2:
             raise TruncationTooSmall("window checks need depth at least 2")
@@ -377,47 +401,58 @@ class WaldModel:
             raise ZeroEigenvalue("e1 must be nonzero")
         central = specialize(chi_c(self.q, self.kind), assignment, r_value)
         e2 = central / e1
+        top = depth + 1
 
-        # the W_d tables, specialized in one pass
-        ics = [self.ic_basis(d).values for d in range(depth + 2)]
-        flat = iter(_specialize_many([v for w in ics for v in w.values()], assignment, r_value))
-        wtab = [{m: next(flat) for m in w} for w in ics]
-        coeff = [
-            schur_gl2(Coweight(d, 0), e1, e2) / central ** d for d in range(depth + 2)
-        ]
+        # W_d = wsum[d] * num / den: the basis tables over the one common
+        # denominator of a single specialization pass
+        ics = [self.ic_basis(d).values for d in range(top + 1)]
+        flat, num, den = _specialize_sums(
+            [v for w in ics for v in w.values()], assignment, r_value
+        )
+        flat = iter(flat)
+        wsum = [{m: next(flat) for m in w} for w in ics]
 
-        kvals = {}
+        # with e1 = a1/b1 and e2 = a2/b2, c_d = H_d / P^d for the integers
+        # H_d = sum_i (a1 b2)^i (a2 b1)^(d-i) and P = a1 a2, and the central
+        # value is P / B with B = b1 b2
+        x = e1.numerator * e2.denominator
+        y = e2.numerator * e1.denominator
+        p = e1.numerator * e2.numerator
+        b = e1.denominator * e2.denominator
+        hs = [1]
+        for d in range(1, top + 1):
+            hs.append(x * hs[-1] + y**d)
+
+        # K over num / (den P^depth)
+        kvec = {}
         for d in range(depth + 1):
-            for m, v in wtab[d].items():
-                kvals[m] = kvals.get(m, Fraction(0)) + coeff[d] * v
+            c = hs[d] * p ** (depth - d)
+            for m, v in wsum[d].items():
+                kvec[m] = kvec.get(m, 0) + c * v
+        k = _table(kvec, num, den * p**depth)
 
-        chi = {}
-        lhs = self._act_evaluated(
-            satake_basis(self.q, Coweight(1, 0)), kvals, assignment, r_value, chi
-        )
-        rhs = {m: (e1 + e2) * v for m, v in kvals.items() if v != 0}
-        diff = {m: lhs.get(m, 0) - rhs.get(m, 0) for m in lhs.keys() | rhs.keys()}
+        lhs = self._act_table(satake_basis(self.q, Coweight(1, 0)), k, assignment, r_value)
+        diff = _difference(lhs, _times(k, e1 + e2))
 
-        # exact defect identity at every orbit index
-        defect_ok = all(
-            diff.get(m, 0)
-            == coeff[depth] * wtab[depth + 1].get(m, 0)
-            - central * coeff[depth + 1] * wtab[depth].get(m, 0)
-            for m in range(depth + 2)
-        )
+        # exact defect identity at every orbit index: c_depth W_top - central
+        # c_top W_depth is (B H_depth wsum[top] - H_top wsum[depth]) over
+        # den P^depth B
+        dvec = {m: b * hs[depth] * v for m, v in wsum[top].items()}
+        for m, v in wsum[depth].items():
+            dvec[m] = dvec.get(m, 0) - hs[top] * v
+        defect_ok = _agree(diff, _table(dvec, num, den * p**depth * b), range(top + 1))
 
         # the two sides' expansions agree below the first nonzero coefficient
         # of the expansion of their difference
-        x = _basis_expand(diff, wtab, depth + 1)
-        window = next((e for e, c in enumerate(x) if c), depth + 2) - 1
+        window = _lowest_degree(diff[0], wsum, top) - 1
         eigen_ok = window >= depth - 1
 
-        acted_c = self._act_evaluated(
-            HeckeElement.basis(self.q, Coweight(1, 1)), kvals, assignment, r_value, chi
+        acted_c = self._act_table(
+            HeckeElement.basis(self.q, Coweight(1, 1)), k, assignment, r_value
         )
-        central_ok = all(
-            acted_c.get(m, 0) == central * kvals.get(m, 0) for m in range(depth + 1)
-        ) and all(m <= depth for m in acted_c)
+        central_ok = _agree(acted_c, _times(k, central), range(depth + 1)) and all(
+            m <= depth for m in acted_c[0]
+        )
 
         return {
             "kind": self.kind.value,
@@ -434,27 +469,95 @@ class WaldModel:
         }
 
 
-def _basis_expand(values, wtab, top):
-    """Coefficients of a function over the triangular family wtab[0..top].
+# A table is a function on orbit indices as (vec, scale): a dict m -> nonzero
+# int times one Fraction.
+_ZERO = ({}, Fraction(1))
 
-    Back-substitution from the top degree; wtab[e][e] is a nonzero rational
-    (a power of the central character value), so the expansion is exact and
-    unique for functions supported in {0..top}.
+
+def _table(vec, num, den):
+    """The reduced table of vec * num / den (ints, num and den nonzero).
+
+    Zero entries are dropped, the rest divided by their gcd, and the sign
+    moved into the vector, so the scale is positive and a nonzero vector
+    is primitive.
     """
-    rem = {m: v for m, v in values.items() if v != 0}
+    vec = {m: v for m, v in vec.items() if v}
+    if not vec:
+        return _ZERO
+    g = math.gcd(*vec.values())
+    if (num < 0) != (den < 0):
+        g = -g
+    return {m: v // g for m, v in vec.items()}, Fraction(g * num, den)
+
+
+def _times(table, c):
+    """The table times the rational c (the scale takes c's sign)."""
+    return (table[0], table[1] * c) if c else _ZERO
+
+
+def _difference(a, b):
+    """a - b as a reduced table.
+
+    With a's scale over b's as x/y in lowest terms, a - b is the integer
+    vector x * a_vec - y * b_vec times b's scale over y.
+    """
+    (av, s), (bv, t) = a, b
+    if not bv:
+        return a
+    r = s / t
+    x, y = r.numerator, r.denominator
+    out = {m: x * v for m, v in av.items()}
+    for m, v in bv.items():
+        out[m] = out.get(m, 0) - y * v
+    return _table(out, t.numerator, t.denominator * y)
+
+
+def _agree(a, b, ms):
+    """Whether the tables a and b take equal values at each orbit index in ms.
+
+    The values are compared by cross-multiplying the two scales, so neither
+    table needs to be reduced.
+    """
+    (av, s), (bv, t) = a, b
+    x = s.numerator * t.denominator
+    y = t.numerator * s.denominator
+    return all(av.get(m, 0) * x == bv.get(m, 0) * y for m in ms)
+
+
+def _lowest_degree(vec, wtab, top):
+    """The lowest degree whose coefficient is nonzero in the expansion of vec.
+
+    The expansion is over the triangular family wtab[0..top] of integer
+    vectors, each with a nonzero diagonal entry wtab[e][e]; a zero vec has
+    no nonzero coefficient, and gives top + 1.  Scales do not matter, only
+    the zero pattern.  The back-substitution runs from the top degree
+    fraction-free, as in Bareiss elimination: the coefficient at e is
+    nonzero exactly when the remainder is nonzero at e, and w * rem - r *
+    wtab[e] (w, r the two entries at e over their gcd) removes that entry
+    while only rescaling the rest.  Each remainder is divided by the gcd of
+    its entries, which keeps its integers short.
+    """
+    rem = {m: v for m, v in vec.items() if v}
     if any(m > top for m in rem):
         raise ValueError("support exceeds the expansion range")
-    out = [Fraction(0)] * (top + 1)
+    lowest = top + 1
     for e in range(top, -1, -1):
-        ce = rem.get(e, Fraction(0)) / wtab[e][e]
-        out[e] = ce
-        if ce:
-            for m, v in wtab[e].items():
-                nv = rem.get(m, Fraction(0)) - ce * v
-                if nv:
-                    rem[m] = nv
-                else:
-                    rem.pop(m, None)
+        r = rem.get(e)
+        if r is None:
+            continue
+        lowest = e
+        g = math.gcd(*wtab[e].values())
+        row = {m: v // g for m, v in wtab[e].items()}
+        w = row[e]
+        g = math.gcd(w, r)
+        w, r = w // g, r // g
+        out = {m: w * v for m, v in rem.items()}
+        for m, v in row.items():
+            out[m] = out.get(m, 0) - r * v
+        rem = {m: v for m, v in out.items() if v}
+        if rem:
+            g = math.gcd(*rem.values())
+            rem = {m: v // g for m, v in rem.items()}
     if rem:
         raise ValueError("expansion residue should be empty")
-    return out
+    return lowest

@@ -331,8 +331,36 @@ def schur_gl2_naive(lam, e1, e2):
     return (e1 * e2) ** lam[1] * sum(e1**i * e2 ** (n - i) for i in range(n + 1))
 
 
+def basis_expand(values, wtab, top):
+    """Coefficients of a function over the triangular family wtab[0..top].
+
+    Back-substitution in Fractions from the top degree; wtab[e][e] is a
+    nonzero rational (a power of the central character value), so the
+    expansion is exact and unique for functions supported in {0..top}.
+    """
+    from fractions import Fraction
+
+    rem = {m: v for m, v in values.items() if v != 0}
+    if any(m > top for m in rem):
+        raise ValueError("support exceeds the expansion range")
+    out = [Fraction(0)] * (top + 1)
+    for e in range(top, -1, -1):
+        ce = rem.get(e, Fraction(0)) / wtab[e][e]
+        out[e] = ce
+        if ce:
+            for m, v in wtab[e].items():
+                nv = rem.get(m, Fraction(0)) - ce * v
+                if nv:
+                    rem[m] = nv
+                else:
+                    rem.pop(m, None)
+    if rem:
+        raise ValueError("expansion residue should be empty")
+    return out
+
+
 def eigen_check_symbolic(model, depth, e1, params, r_value=None):
-    """``WaldModel.eigen_check`` as it ran over LaurentScalars before it ran in Q.
+    """``WaldModel.eigen_check`` as it ran over LaurentScalars, in Fractions.
 
     K is built as a WaldFunction, the Hecke elements act symbolically through
     ``model.act`` and the acted values are specialized afterwards; both sides
@@ -345,7 +373,7 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
     from waldq.lattice import Coweight
     from waldq.scalars import specialize
     from waldq.torus import chi_c
-    from waldq.waldspurger import WaldFunction, _basis_expand
+    from waldq.waldspurger import WaldFunction
 
     assignment = params.values()
     e1 = Fraction(e1)
@@ -373,8 +401,8 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
         if lhs.get(m, Fraction(0)) - rhs.get(m, Fraction(0)) != want:
             defect_ok = False
             break
-    xl = _basis_expand(lhs, wtab, depth + 1)
-    xr = _basis_expand(rhs, wtab, depth + 1)
+    xl = basis_expand(lhs, wtab, depth + 1)
+    xr = basis_expand(rhs, wtab, depth + 1)
     window = -1
     for e in range(depth + 2):
         if xl[e] != xr[e]:

@@ -10,10 +10,11 @@ function value; per pair of Hecke terms, their product times each structure
 constant; products taken term by term as SqrtQ products and merged by the
 LaurentScalar constructor, so no reference goes through the raw sums; and
 one Fraction product per term and variable, value by value.  The eigen check's
-``_act_evaluated``, which acts on rational values at rational character
-values, is checked against ``specialize`` of ``act``.
+``_act_table``, which acts on an integer vector times one rational scale at
+rational character values, is checked against ``specialize`` of ``act``.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -222,6 +223,12 @@ def evaluated_act_cases(draw):
     return model, draw(hecke_elements(q)), values, assignment, draw(RATIONALS)
 
 
+def as_table(values, k=1):
+    """k times rational values as an integer vector, over their common denominator times k."""
+    lcd = math.lcm(*(v.denominator for v in values.values()))
+    return {m: k * int(v * lcd) for m, v in values.items() if v}, Fraction(1, k * lcd)
+
+
 @settings(max_examples=150, deadline=None)
 @given(evaluated_act_cases())
 def test_evaluated_act_matches_specialized_act(case):
@@ -229,12 +236,14 @@ def test_evaluated_act_matches_specialized_act(case):
     f = WaldFunction(model.q, model.kind, values)
     acted = {m: specialize(v, assignment, r_value) for m, v in model.act(h, f).values.items()}
     want = {m: v for m, v in acted.items() if v}
-    chi = {}
-    got = model._act_evaluated(h, values, assignment, r_value, chi)
-    assert got == want
-    assert all(type(v) is Fraction and v for v in got.values())
-    # a filled character cache gives the same values
-    assert model._act_evaluated(h, values, assignment, r_value, chi) == want
+    vec, scale = model._act_table(h, as_table(values), assignment, r_value)
+    assert {m: v * scale for m, v in vec.items()} == want
+    # reduced: a primitive vector of nonzero ints and a positive scale
+    assert all(type(v) is int and v for v in vec.values())
+    assert type(scale) is Fraction and scale > 0
+    assert not vec or math.gcd(*vec.values()) == 1
+    # the same function as a table that is not reduced gives the same table
+    assert model._act_table(h, as_table(values, 6), assignment, r_value) == (vec, scale)
 
 
 def outcome(fn, *args):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from waldq import hecke, waldspurger
 from waldq.hecke import HeckeElement, ZeroEigenvalue, convolve, satake_basis
 from waldq.lattice import Coweight
 from waldq.scalars import LaurentScalar
@@ -361,6 +362,62 @@ class TestEigenCheck:
             assert out["e2"] == "-2"
             assert out["window"] == (depth if depth % 2 == 0 else depth - 1)
             assert out["pass"]
+
+    # Each planted defect doubles the counts of some transition rows, and so
+    # fails one flag of the check: T(1,0) moving from orbit 1 to orbit 2
+    # (the eigen side; the defect identity fails with it), the rows into
+    # orbit 0 at total degree depth + 1 (they double W_{depth+1} alone, so
+    # the window still holds), and T(1,1) fixing orbit 1 (the central
+    # element).  No row into orbit 0 of degree <= depth changes, so the
+    # basis functions W_0..W_depth stay as they are.
+    PLANTED = {
+        "eigen_pass": lambda top, lam, m0, m1: lam == (1, 0) and (m0, m1) == (1, 2),
+        "defect_pass": lambda top, lam, m0, m1: sum(lam) == top and m1 == 0,
+        "central_pass": lambda top, lam, m0, m1: lam == (1, 1) and m0 == 1,
+    }
+
+    @pytest.mark.parametrize("flag", sorted(PLANTED))
+    @pytest.mark.parametrize("kind", [EtaleKind.SPLIT, EtaleKind.RAMIFIED])
+    def test_planted_defect_fails_like_the_symbolic_route(self, monkeypatch, flag, kind):
+        tables = (
+            hecke._pair_product,
+            hecke._satake_cached,
+            waldspurger._transitions,
+            waldspurger._stratum_table,
+            waldspurger._ic_cached,
+        )
+        planted = self.PLANTED[flag]
+        true_rows = waldspurger._transitions
+        depth = 3
+
+        def transitions(q, kind_value, m0, lam):
+            return tuple(
+                (m1, exps, 2 * n if planted(depth + 1, lam, m0, m1) else n)
+                for m1, exps, n in true_rows(q, kind_value, m0, lam)
+            )
+
+        names = kind.variables
+        params = CharacterParams(
+            kind, symbolic=False, assignment=dict(zip(names, (Fraction(3, 2), -5)))
+        )
+        model = WaldModel(3, kind)
+        for table in tables:
+            table.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(waldspurger, "_transitions", transitions)
+                out = model.eigen_check(depth, Fraction(-2, 7), params)
+                want = oracles.eigen_check_symbolic(model, depth, Fraction(-2, 7), params)
+        finally:
+            for table in tables:
+                table.cache_clear()
+        assert out == want
+        assert not out[flag] and not out["pass"]
+        # the defect is the only fault: a failing eigen side fails the defect
+        # identity too, and nothing else fails
+        failed = {f for f in self.PLANTED if not out[f]}
+        assert failed == ({"eigen_pass", "defect_pass"} if flag == "eigen_pass" else {flag})
+        assert model.eigen_check(depth, Fraction(-2, 7), params)["pass"]
 
     def test_ramified_needs_r_or_even_powers(self):
         # gamma assignments keep everything rational: chi_c = gamma^2
