@@ -56,9 +56,11 @@ MAX_COWEIGHT_WIDTH = 500
 # A single ``wald eigen`` run refuses a value (``--e1``, ``--alpha``, ...)
 # whose text spells a numerator or denominator with more digits, a decimal
 # exponent counting as its zeros; checked before the Fraction is built, which
-# alone took 8.3 s for "1e10000000".  At --D 30 with every value at the bound
-# a run takes 1.4-1.9 s, as long as the batch ``eigen --D 30``; at 100 digits
-# it took 3-4 s, at 1000 digits 62 s.
+# alone took 8.3 s for "1e10000000".  At --D 30 with every numerator and
+# denominator at the bound, the check takes 0.86 s split and 0.72 s
+# ramified, about as long as the batch ``eigen --D 30`` (0.68 s; ``bench.py``
+# configs ``eigen-digits-bound`` and ``eigen-bound``, ``run_s``); at 100
+# digits it took 1.1-1.4 s, at 1000 digits 36 s.
 MAX_RATIONAL_DIGITS = 50
 
 

@@ -331,6 +331,35 @@ def schur_gl2_naive(lam, e1, e2):
     return (e1 * e2) ** lam[1] * sum(e1**i * e2 ** (n - i) for i in range(n + 1))
 
 
+def specialize_reference(x, assignment, r_value=None):
+    """``scalars.specialize`` with one Fraction product per term and variable.
+
+    The terms are taken in ``terms`` order, so the same errors come first.
+    """
+    from fractions import Fraction
+
+    from waldq.scalars import VARS, ZeroAssignment
+
+    vals = {}
+    for name, v in (assignment or {}).items():
+        if name not in VARS:
+            raise ValueError(f"unknown variable {name!r}")
+        v = Fraction(v)
+        if v == 0:
+            raise ZeroAssignment(f"{name} = 0")
+        vals[name] = v
+    total = Fraction(0)
+    for exps, coeff in x.terms.items():
+        c = coeff.specialize_r(r_value)
+        for name, e in zip(VARS, exps):
+            if e:
+                if name not in vals:
+                    raise KeyError(f"no value for {name}")
+                c *= vals[name] ** e
+        total += c
+    return total
+
+
 def basis_expand(values, wtab, top):
     """Coefficients of a function over the triangular family wtab[0..top].
 
@@ -363,24 +392,27 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
     """``WaldModel.eigen_check`` as it ran over LaurentScalars, in Fractions.
 
     K is built as a WaldFunction, the Hecke elements act symbolically through
-    ``model.act`` and the acted values are specialized afterwards; both sides
-    of the eigen identity are expanded over the basis and compared degree by
+    ``model.act`` and the acted values are specialized afterwards, term by
+    term (``specialize_reference``); both sides of the eigen identity are
+    expanded over the basis (``basis_expand``) and compared degree by
     degree.  Only the argument checks are left out.
     """
     from fractions import Fraction
 
     from waldq.hecke import HeckeElement, satake_basis
     from waldq.lattice import Coweight
-    from waldq.scalars import specialize
     from waldq.torus import chi_c
     from waldq.waldspurger import WaldFunction
 
     assignment = params.values()
     e1 = Fraction(e1)
-    central = specialize(chi_c(model.q, model.kind), assignment, r_value)
+    central = specialize_reference(chi_c(model.q, model.kind), assignment, r_value)
     e2 = central / e1
     wtab = [
-        {m: specialize(v, assignment, r_value) for m, v in model.ic_basis(d).values.items()}
+        {
+            m: specialize_reference(v, assignment, r_value)
+            for m, v in model.ic_basis(d).values.items()
+        }
         for d in range(depth + 2)
     ]
     coeff = [schur_gl2_naive((d, 0), e1, e2) / central**d for d in range(depth + 2)]
@@ -391,7 +423,7 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
     kfun = WaldFunction(model.q, model.kind, kvals)
 
     acted = model.act(satake_basis(model.q, Coweight(1, 0)), kfun)
-    lhs = {m: specialize(v, assignment, r_value) for m, v in acted.values.items()}
+    lhs = {m: specialize_reference(v, assignment, r_value) for m, v in acted.values.items()}
     rhs = {m: (e1 + e2) * v for m, v in kvals.items() if v != 0}
     defect_ok = True
     for m in range(depth + 2):
@@ -411,7 +443,8 @@ def eigen_check_symbolic(model, depth, e1, params, r_value=None):
     eigen_ok = window >= depth - 1
     acted_c = model.act(HeckeElement.basis(model.q, Coweight(1, 1)), kfun)
     central_ok = all(
-        specialize(acted_c.value(m), assignment, r_value) == central * kvals.get(m, Fraction(0))
+        specialize_reference(acted_c.value(m), assignment, r_value)
+        == central * kvals.get(m, Fraction(0))
         for m in range(depth + 1)
     ) and all(m <= depth for m in acted_c.values)
     return {

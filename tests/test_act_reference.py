@@ -20,6 +20,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import specialize_reference
 from waldq.hecke import HeckeElement, _pair_product, convolve
 from waldq.lattice import Coweight
 from waldq.scalars import (
@@ -27,7 +28,6 @@ from waldq.scalars import (
     LaurentScalar,
     ResidualSqrtQ,
     SqrtQ,
-    ZeroAssignment,
     _specialize_many,
     specialize,
 )
@@ -95,28 +95,6 @@ def convolve_reference(x, y):
             for nu, count in _pair_product(q, tuple(lam), tuple(mu)):
                 terms.append((nu, times(times(cx, cy), LaurentScalar.from_int(q, count))))
     return HeckeElement(q, terms)
-
-
-def specialize_reference(x, assignment, r_value=None):
-    """One Fraction product per term and occurring variable, in terms order."""
-    vals = {}
-    for name, v in (assignment or {}).items():
-        if name not in VARS:
-            raise ValueError(f"unknown variable {name!r}")
-        v = Fraction(v)
-        if v == 0:
-            raise ZeroAssignment(f"{name} = 0")
-        vals[name] = v
-    total = Fraction(0)
-    for exps, coeff in x.terms.items():
-        c = coeff.specialize_r(r_value)
-        for name, e in zip(VARS, exps):
-            if e:
-                if name not in vals:
-                    raise KeyError(f"no value for {name}")
-                c *= vals[name] ** e
-        total += c
-    return total
 
 
 @st.composite

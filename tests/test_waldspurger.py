@@ -388,7 +388,7 @@ class TestEigenCheck:
         )
         planted = self.PLANTED[flag]
         true_rows = waldspurger._transitions
-        depth = 3
+        depth, e1 = 3, Fraction(-2, 7)
 
         def transitions(q, kind_value, m0, lam):
             return tuple(
@@ -396,9 +396,8 @@ class TestEigenCheck:
                 for m1, exps, n in true_rows(q, kind_value, m0, lam)
             )
 
-        names = kind.variables
         params = CharacterParams(
-            kind, symbolic=False, assignment=dict(zip(names, (Fraction(3, 2), -5)))
+            kind, symbolic=False, assignment=dict(zip(kind.variables, (Fraction(3, 2), -5)))
         )
         model = WaldModel(3, kind)
         for table in tables:
@@ -406,8 +405,8 @@ class TestEigenCheck:
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(waldspurger, "_transitions", transitions)
-                out = model.eigen_check(depth, Fraction(-2, 7), params)
-                want = oracles.eigen_check_symbolic(model, depth, Fraction(-2, 7), params)
+                out = model.eigen_check(depth, e1, params)
+                want = oracles.eigen_check_symbolic(model, depth, e1, params)
         finally:
             for table in tables:
                 table.cache_clear()
@@ -417,7 +416,7 @@ class TestEigenCheck:
         # identity too, and nothing else fails
         failed = {f for f in self.PLANTED if not out[f]}
         assert failed == ({"eigen_pass", "defect_pass"} if flag == "eigen_pass" else {flag})
-        assert model.eigen_check(depth, Fraction(-2, 7), params)["pass"]
+        assert model.eigen_check(depth, e1, params)["pass"]
 
     def test_ramified_needs_r_or_even_powers(self):
         # gamma assignments keep everything rational: chi_c = gamma^2
