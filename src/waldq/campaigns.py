@@ -647,10 +647,28 @@ def _plan_cs_matrix(cfg):
 
 
 _MODULE_H_POOL = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))
+_MODULE_H_COEFFS = (-2, -1, 1, 2, 3)
+_MODULE_F_NUMS = (-5, -3, -2, -1, 1, 2, 3, 5)
 
 
 def _plan_module_axiom(cfg):
-    rng = random.Random(cfg.seed)
+    """Fifty random (h1, h2, f) cells.
+
+    Each value below n is drawn by Random's own rejection loop, getrandbits
+    of n's bit length again while it is >= n, so the draws, and the state
+    the generator is left in, are those of ``randint``, ``choice`` and
+    ``sample(range(4), k)`` (a partial shuffle of a pool of 4), without
+    their argument checks.
+    """
+    bits = random.Random(cfg.seed).getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     kind = EtaleKind.parse(cfg.kind)
     lo, hi = kind.pads
     cells = []
@@ -658,17 +676,22 @@ def _plan_module_axiom(cfg):
         hrows = []
         for _ in range(2):
             rows = []
-            for _ in range(rng.randint(1, 2)):
-                a1, a2 = rng.choice(_MODULE_H_POOL)
-                c = rng.choice((-2, -1, 1, 2, 3))
-                rows.append((a1, a2, c))
+            for _ in range(1 + below(2)):
+                a1, a2 = _MODULE_H_POOL[below(len(_MODULE_H_POOL))]
+                rows.append((a1, a2, _MODULE_H_COEFFS[below(len(_MODULE_H_COEFFS))]))
             hrows.append(tuple(rows))
+        # the orbit indices are all drawn before their values, as sample draws them
+        pool = [0, 1, 2, 3]
+        ms = []
+        for j in range(1 + below(3)):
+            p = below(4 - j)
+            ms.append(pool[p])
+            pool[p] = pool[3 - j]
         frows = []
-        for m in rng.sample(range(4), rng.randint(1, 3)):
-            exps = lo + tuple(rng.randint(-1, 2) for _ in kind.variables) + hi
-            num = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
-            den = rng.randint(1, 3)
-            frows.append((m, exps, num, den))
+        for m in ms:
+            exps = lo + tuple(below(4) - 1 for _ in kind.variables) + hi
+            num = _MODULE_F_NUMS[below(len(_MODULE_F_NUMS))]
+            frows.append((m, exps, num, 1 + below(3)))
         cells.append(
             (
                 _cell_module_axiom,

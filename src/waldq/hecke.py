@@ -9,7 +9,10 @@ Multiplication is convolution, computed exactly by lattice counting: the
 structure constant of T_nu in T_lam * T_mu is the number of chains
 L0 -> L'' -> L_nu with the prescribed relative positions (``_pair_product``).
 ``convolve`` sums each output coefficient as plain (a, b) parts per
-exponent triple (``scalars._add_scaled``) and builds it once.
+exponent triple (``scalars._add_scaled``): each structure constant adds the
+second coefficient's raw terms once per term of the first, shifted by its
+exponents and scaled by its parts, and each output coefficient is built
+once from its sums.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from operator import itemgetter
 from . import backend
 from ._purekern import INF, PZERO
 from .lattice import Coweight, _dominant, _member_histogram
-from .scalars import LaurentScalar, _add_scaled, _product_triples
+from .scalars import LaurentScalar, _add_scaled
 from .torus import chi_c
 
 __all__ = [
@@ -45,6 +48,8 @@ def _as_scalar(q, value):
         if value.q != q:
             raise ValueError("mixed residue characteristics")
         return value
+    if type(value) is int:
+        return LaurentScalar._from_sums(q, {(0, 0, 0): (value, 0)})
     if isinstance(value, (int, Fraction)):
         return LaurentScalar.from_fraction(q, Fraction(value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
@@ -214,9 +219,12 @@ def _pair_product(q, lam, mu):
 def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     """Convolution product, bilinear over the structure constants.
 
-    Each output coefficient is built once: the product of each pair of
-    coefficients is taken as raw (exponents, a, b) triples and added, scaled
-    by the structure constants, into plain (a, b) sums per output coweight.
+    Each output coefficient is built once, with no product of two
+    coefficients taken beforehand: for each structure constant count of
+    T_nu in T_lam * T_mu, each term (a + b*r) * x^k of x's coefficient at
+    lam adds count * a times y's raw (exponents, a, b) triples at mu,
+    shifted by k, and, when b is nonzero, count * b times their r-rotated
+    triples, into plain (a, b) sums per output coweight.
     """
     if not isinstance(x, HeckeElement) or not isinstance(y, HeckeElement):
         raise TypeError("convolve expects two HeckeElements")
@@ -225,10 +233,17 @@ def convolve(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     q = x.q
     sums = {}  # nu -> exps -> [a, b]
     for lam, cx in x.terms.items():
+        xs = [(k, c.a, c.b) for k, c in cx.terms.items()]
+        rotate = any(b for _k, _a, b in xs)
         for mu, cy in y.terms.items():
-            c = _product_triples(cx, cy)
+            ys = [(k, c.a, c.b) for k, c in cy.terms.items()]
+            rys = [(k, q * tb, ta) for k, ta, tb in ys] if rotate else ()
             for nu, count in _pair_product(q, tuple(lam), tuple(mu)):
-                _add_scaled(sums.setdefault(nu, {}), count, (0, 0, 0), c)
+                out = sums.setdefault(nu, {})
+                for k, a, b in xs:
+                    _add_scaled(out, count * a, k, ys)
+                    if b:
+                        _add_scaled(out, count * b, k, rys)
     return x._from_merged({nu: LaurentScalar._from_sums(q, s) for nu, s in sums.items()})
 
 

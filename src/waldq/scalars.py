@@ -19,8 +19,10 @@ a * x^shift * terms, for a rational a, into a dict exps -> [a, b] of plain
 parts, and ``LaurentScalar._from_sums`` makes one SqrtQ per nonzero sum.
 Laurent products are built this way, a factor a + b*r as two such adds (of
 y and of r*y).  The module action (``WaldModel.act``) and Hecke convolution
-take each coefficient product once as raw terms (``_product_triples``) and
-add count-scaled, shifted copies of them, so each of their coefficients is
+multiply their coefficients in the same way as they add rows: each term
+(a + b*r) * x^e of a coefficient adds count * a times the other factor's raw
+terms shifted by e, and count * b times their r-rotated terms, so no
+coefficient product is built beforehand and each of their coefficients is
 built once too.
 ``_specialize_sums`` specializes a whole table of values in one pass over
 shared power tables, as integers over one common denominator
@@ -405,11 +407,6 @@ def _product_sums(x: LaurentScalar, y: LaurentScalar) -> dict:
                 rys = [(k2, q * tb, ta) for k2, ta, tb in ys]
             _add_scaled(sums, c.b, k, rys)
     return sums
-
-
-def _product_triples(x: LaurentScalar, y: LaurentScalar) -> list:
-    """x * y as raw terms (exps, a, b) for ``_add_scaled``, zero sums dropped."""
-    return [(k, a, b) for k, (a, b) in _product_sums(x, y).items() if a or b]
 
 
 def monomial_invert(x: LaurentScalar) -> LaurentScalar:

@@ -8,15 +8,20 @@ in the character variables unless explicitly specialized.  ``WaldFunction``
 is a finite sum over orbit indices and takes its arithmetic from
 ``hecke._FiniteSum``, the one implementation it shares with HeckeElement.
 
-``WaldModel.act`` reads the cached transition rows (``_transitions``) and
-makes one LaurentScalar per orbit index of its result: each row adds
-shifted, rescaled copies of the function's terms, as raw (exponents, a, b)
-triples, into plain (a, b) sums (``scalars._add_scaled``), and each value is
-built once from its sums, so no intermediate SqrtQ, sum or product is built.
-The eigen window check runs in integers: each table of values is an integer
-vector times one rational scale, the basis-function values are specialized
-in one pass over one common denominator (``scalars._specialize_sums``), and
-the window is read off a fraction-free back-substitution.
+The transition rows (``_transitions``, the moves out of one orbit) are
+regrouped by where they arrive (``_arrivals``, the moves into one orbit), so
+both actions walk from the function's support: ``WaldModel.act`` visits, per
+Hecke term, the rows into each orbit where the function is nonzero, and no
+row that misses the support.  It makes one LaurentScalar per orbit index of
+its result: each row adds shifted, rescaled copies of the function's terms,
+as raw (exponents, a, b) triples, into plain (a, b) sums
+(``scalars._add_scaled``), once per term of the Hecke coefficient, and each
+value is built once from its sums, so no intermediate SqrtQ, sum or product
+is built.  The eigen window check runs in integers on the same rows: each
+table of values is an integer vector times one rational scale, the
+basis-function values are specialized in one pass over one common
+denominator (``scalars._specialize_sums``), and the window is read off a
+fraction-free back-substitution.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .scalars import (
     LaurentScalar,
     _add_scaled,
     _frame_sums,
-    _product_triples,
     _specialize_sums,
     specialize,
 )
@@ -150,7 +154,8 @@ def _transitions(q, kind_value, m0, lam):
     Returns a sorted tuple of (m_target, class_exponents, multiplicity): the
     lattices in exact position lam from representative m0 grouped by their
     orbit data.  Every target satisfies |m_target - m0| <= lam1 - lam2
-    because envelopes are monotone under inclusion.
+    because envelopes are monotone under inclusion.  The actions read these
+    rows regrouped by target (``_arrivals``).
     """
     kind = EtaleKind(kind_value)
     rep = orbit_representative(q, kind, m0)
@@ -160,6 +165,24 @@ def _transitions(q, kind_value, m0, lam):
             exps, m1 = _envelope_raw(kind, a2, b2, vc)
             agg[m1, exps] += n
     return tuple(sorted((m1, exps, n) for (m1, exps), n in agg.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _arrivals(q, kind_value, m1, lam):
+    """The ``_transitions`` rows into orbit m1, as (m0, exponents, multiplicity).
+
+    Gathered over the sources m0 in [max(0, m1 - w), m1 + w], w = lam1 - lam2,
+    which holds every source with a move into m1 (``_transitions``); the
+    class exponents are padded to an exponent triple (``EtaleKind.pads``).
+    """
+    lo, hi = EtaleKind(kind_value).pads
+    width = lam[0] - lam[1]
+    return tuple(
+        (m0, lo + exps + hi, n)
+        for m0 in range(max(0, m1 - width), m1 + width + 1)
+        for m, exps, n in _transitions(q, kind_value, m0, lam)
+        if m == m1
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,11 +249,14 @@ class WaldModel:
         lam of chi(class of L') * f[invariant of L'], summed over the terms
         of h with their coefficients.
 
-        Each output value is built once, from plain (a, b) sums: the Hecke
-        coefficient is multiplied into the function values once per term, as
-        raw (exponents, a, b) triples, and every transition row adds copies
-        of them shifted by its character class and scaled by its
-        multiplicity (``scalars._add_scaled``).
+        The walk starts from f's support: for each term of h and each orbit
+        m1 where f is nonzero, the rows into m1 (``_arrivals``) each add
+        f[m1]'s raw (exponents, a, b) triples, shifted by the row's
+        character class and a coefficient term's exponents and scaled by
+        the row's multiplicity times that term's parts, into plain (a, b)
+        sums per m0 (``scalars._add_scaled``).  A coefficient part b * r
+        scales f[m1]'s r-rotated triples.  Each output value is built once
+        from its sums.
         """
         if not isinstance(h, HeckeElement) or not isinstance(f, WaldFunction):
             raise TypeError("act expects (HeckeElement, WaldFunction)")
@@ -241,24 +267,31 @@ class WaldModel:
         q = self.q
         if h.is_zero() or f.is_zero():
             return WaldFunction(q, self.kind, {})
-        mlo = min(f.values)
-        mhi = max(f.values)
-        sums = {}  # m0 -> exps -> [a, b]
-        lo, hi = self.kind.pads  # around the class exponents in an exponent triple
-        kind_value = self.kind.value
+        coeffs = []  # (lam, raw terms of its coefficient, None for exponents (0, 0, 0))
         for lam, coeff in h.terms.items():
-            eff = self._effective(lam)
-            width = eff.a1 - eff.a2
-            scaled = {m1: _product_triples(coeff, fv) for m1, fv in f.values.items()}
-            for m0 in range(max(0, mlo - width), mhi + width + 1):
-                out = sums.setdefault(m0, {})
-                for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
-                    terms = scaled.get(m1)
-                    if terms is not None:
-                        _add_scaled(out, count, lo + exps + hi, terms)
-        return f._from_merged(
-            {m0: LaurentScalar._from_sums(q, s) for m0, s in sums.items() if s}
-        )
+            cterms = [(k if any(k) else None, c.a, c.b) for k, c in coeff.terms.items()]
+            coeffs.append((tuple(self._effective(lam)), cterms))
+        rotate = any(b for _lam, cterms in coeffs for _e, _a, b in cterms)
+        fterms = []  # (m1, raw terms of f[m1], their r-rotations when some b is nonzero)
+        for m1, fv in f.values.items():
+            ys = [(k, c.a, c.b) for k, c in fv.terms.items()]
+            fterms.append((m1, ys, [(k, q * tb, ta) for k, ta, tb in ys] if rotate else ()))
+        sums = {}  # m0 -> exps -> [a, b]
+        kind_value = self.kind.value
+        for lam, cterms in coeffs:
+            for m1, ys, rys in fterms:
+                for m0, exps, count in _arrivals(q, kind_value, m1, lam):
+                    out = sums.get(m0)
+                    if out is None:
+                        out = sums[m0] = {}
+                    for e, a, b in cterms:
+                        shift = exps
+                        if e is not None:
+                            shift = (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])
+                        _add_scaled(out, count * a, shift, ys)
+                        if b:
+                            _add_scaled(out, count * b, shift, rys)
+        return f._from_merged({m0: LaurentScalar._from_sums(q, s) for m0, s in sums.items()})
 
     def ic_basis(self, d) -> WaldFunction:
         """Action of A(d,0) (``hecke.satake_basis``) on the delta at 0.
@@ -321,11 +354,12 @@ class WaldModel:
         """``act(h, f)`` at rational character values, for f the table (vec, scale).
 
         Equals specializing ``act(h, f)`` (evaluation is a ring homomorphism)
-        without building a LaurentScalar or a Fraction per row: each
-        transition row adds count * vec[m1] into an integer sum per orbit
-        index m0 and character class, the Hecke coefficients specialized and
-        brought to one denominator first.  The classes are then evaluated
-        at the character values from integer power tables over one common
+        without building a LaurentScalar or a Fraction per row: it walks the
+        rows ``act`` walks (``_arrivals`` into each orbit of the support),
+        and each adds count * vec[m1] into an integer sum per orbit index m0
+        and character class, the Hecke coefficients specialized and brought
+        to one denominator first.  The classes are then evaluated at the
+        character values from integer power tables over one common
         denominator (``scalars._frame_sums``).  Returns the reduced table.
         """
         vec, scale = table
@@ -335,26 +369,23 @@ class WaldModel:
         terms = [(lam, specialize(c, assignment, r_value)) for lam, c in h.terms.items()]
         terms = [(lam, c) for lam, c in terms if c]
         lcd = math.lcm(*(c.denominator for _lam, c in terms))
-        mlo, mhi = min(vec), max(vec)
         q, kind_value = self.q, self.kind.value
-        sums = {}  # m0 -> class exponents -> integer sum
+        sums = {}  # m0 -> exponent triple -> integer sum
         for lam, c in terms:
             k = c.numerator * (lcd // c.denominator)
-            scaled = {m: k * v for m, v in vec.items()}
-            eff = self._effective(lam)
-            width = eff.a1 - eff.a2
-            for m0 in range(max(0, mlo - width), mhi + width + 1):
-                for m1, exps, count in _transitions(q, kind_value, m0, (eff.a1, eff.a2)):
-                    v = scaled.get(m1)
-                    if v is not None:
-                        out = sums.setdefault(m0, {})
-                        out[exps] = out.get(exps, 0) + count * v
-        lo, hi = self.kind.pads  # around the class exponents in an exponent triple
+            eff = tuple(self._effective(lam))
+            for m1, v in vec.items():
+                v *= k
+                for m0, exps, count in _arrivals(q, kind_value, m1, eff):
+                    out = sums.get(m0)
+                    if out is None:
+                        out = sums[m0] = {}
+                    out[exps] = out.get(exps, 0) + count * v
         coeffs, exps, ends = [], [], []
         for by_class in sums.values():
             for e, v in by_class.items():
                 coeffs.append(v)
-                exps.append(lo + e + hi)
+                exps.append(e)
             ends.append(len(coeffs))
         values, num, den = _frame_sums(coeffs, exps, ends, vals)
         return _table(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 from waldq._purekern import (
     PZERO,
@@ -571,6 +572,37 @@ def random_poly_raw_reference(rng, q, max_deg, unit=False):
     if unit:
         coeffs[0] = rng.randrange(1, q)
     return pnorm(q, 0, coeffs)
+
+
+def plan_module_axiom_reference(cfg):
+    """The ``module-axiom`` planner's cells, drawn through ``randint``,
+    ``choice`` and ``sample``."""
+    from waldq.campaigns import _MODULE_H_POOL, _cell_module_axiom
+    from waldq.torus import EtaleKind
+
+    rng = random.Random(cfg.seed)
+    kind = EtaleKind.parse(cfg.kind)
+    lo, hi = kind.pads
+    cells = []
+    for i in range(50):
+        hrows = []
+        for _ in range(2):
+            rows = []
+            for _ in range(rng.randint(1, 2)):
+                a1, a2 = rng.choice(_MODULE_H_POOL)
+                c = rng.choice((-2, -1, 1, 2, 3))
+                rows.append((a1, a2, c))
+            hrows.append(tuple(rows))
+        frows = []
+        for m in rng.sample(range(4), rng.randint(1, 3)):
+            exps = lo + tuple(rng.randint(-1, 2) for _ in kind.variables) + hi
+            num = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
+            den = rng.randint(1, 3)
+            frows.append((m, exps, num, den))
+        cells.append(
+            (_cell_module_axiom, f"rand-{i:02d}", cfg.q, cfg.kind, hrows[0], hrows[1], tuple(frows))
+        )
+    return cells
 
 
 # -- exhaustive form sweep -----------------------------------------------------

@@ -1,17 +1,22 @@
 """WaldModel.act, hecke.convolve and scalars.specialize against term-by-term routes.
 
-``act`` and ``convolve`` sum each output coefficient as plain (a, b) parts
+``act`` walks from the function's support, over the rows into each orbit
+where it is nonzero (``waldspurger._arrivals``), and ``convolve`` over the
+structure constants; both multiply each coefficient in term by term as the
+rows are added, summing each output coefficient as plain (a, b) parts
 (``scalars._add_scaled``, the one raw-sum loop, which Laurent products with
-sqrt(q) parts also take) and build it once, and ``specialize`` sums over a
+sqrt(q) parts also take), and build it once.  ``specialize`` sums over a
 common denominator in integers, for one value or, in the eigen check, a
 whole table of values at once.  The references here are the object routes
-those replace: per transition row, one character monomial times the scaled
-function value; per pair of Hecke terms, their product times each structure
-constant; products taken term by term as SqrtQ products and merged by the
-LaurentScalar constructor, so no reference goes through the raw sums; and
-one Fraction product per term and variable, value by value.  The eigen check's
-``_act_table``, which acts on an integer vector times one rational scale at
-rational character values, is checked against ``specialize`` of ``act``.
+those replace: per row out of every source orbit in a window wider than any
+row reaches (``_transitions``), one character monomial times the function
+value times the coefficient; per pair of Hecke terms, their product times
+each structure constant; products taken term by term as SqrtQ products and
+merged by the LaurentScalar constructor, so no reference goes through the
+raw sums; and one Fraction product per term and variable, value by value.
+The eigen check's ``_act_table``, which walks the same arrival rows on an
+integer vector times one rational scale at rational character values, is
+checked against ``specialize`` of ``act``.
 """
 
 import math

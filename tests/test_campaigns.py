@@ -65,6 +65,15 @@ FIRST_DRAWS = {
 }
 
 
+@pytest.mark.parametrize("kind", ["split", "ramified"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_module_axiom_draws_are_randint_choice_and_sample(q, kind):
+    # the getrandbits draws make the cells of the randint/choice/sample planner
+    for seed in range(200):
+        cfg = SessionConfig(q=q, kind=kind, seed=seed).validate()
+        assert campaigns._plan_module_axiom(cfg) == oracles.plan_module_axiom_reference(cfg)
+
+
 @pytest.mark.parametrize("name", CAMPAIGNS)
 def test_plan_payloads_pickle_and_name_their_handler(name):
     cells = plan(name, small_config())

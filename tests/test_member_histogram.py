@@ -28,7 +28,7 @@ from waldq.lattice import (
     relative_position,
 )
 from waldq.torus import EtaleKind, envelope, orbit_representative
-from waldq.waldspurger import WaldModel, _stratum_table, _transitions
+from waldq.waldspurger import WaldModel, _arrivals, _stratum_table, _transitions
 
 # dominant coweights with lam1 - lam2 <= 3
 LAMS = [(a2 + width, a2) for a2 in (-1, 0, 1) for width in range(4)]
@@ -47,6 +47,21 @@ def test_transitions(q, kind):
                 want[m, cls.exps] += 1
             got = _transitions(q, kind.value, m0, lam)
             assert got == tuple(sorted((m, exps, n) for (m, exps), n in want.items()))
+    # the rows into m1 are the padded rows out of its window's sources, and
+    # no source past the window, |m1 - m0| > lam1 - lam2, has one
+    lo, hi = kind.pads
+    for m1 in range(4):
+        for lam in LAMS:
+            width = lam[0] - lam[1]
+            want = [
+                (m0, lo + exps + hi, n)
+                for m0 in range(max(0, m1 - width), m1 + width + 1)
+                for m, exps, n in _transitions(q, kind.value, m0, lam)
+                if m == m1
+            ]
+            assert list(_arrivals(q, kind.value, m1, lam)) == want
+            for m0 in range(m1 + width + 1, m1 + 2 * width + 3):
+                assert all(m != m1 for m, _exps, _n in _transitions(q, kind.value, m0, lam))
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -383,6 +383,7 @@ class TestEigenCheck:
             hecke._pair_product,
             hecke._satake_cached,
             waldspurger._transitions,
+            waldspurger._arrivals,
             waldspurger._stratum_table,
             waldspurger._ic_cached,
         )
