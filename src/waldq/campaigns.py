@@ -42,7 +42,7 @@ from .quadform import (
     least_nonsquare,
     normal_form,
 )
-from .scalars import LaurentScalar, ResidualSqrtQ, monomial_count, specialize
+from .scalars import LaurentScalar, monomial_count
 from .series import LaurentPoly, _check_q
 from .torus import EtaleKind, chi_c
 from .waldspurger import CharacterParams, WaldFunction, WaldModel
@@ -262,12 +262,17 @@ def _cell_hecke_pieri(cell, q, d):
 
 
 def _scalar_as_int(x):
-    """The scalar as a plain integer, or None when it is not a constant."""
-    try:
-        v = specialize(x, {})
-    except (KeyError, ResidualSqrtQ):
-        return None
-    return int(v) if v.denominator == 1 else None
+    """The scalar as a plain integer, or None when it is not an integer constant.
+
+    An integer constant has no term but the one at exponents (0, 0, 0), and
+    that term has no r part and an ``int`` part (integral parts are ints).
+    """
+    if not x.terms:
+        return 0
+    c = x.terms.get((0, 0, 0))
+    if len(x.terms) == 1 and c is not None and not c.b and type(c.a) is int:
+        return c.a
+    return None
 
 
 def _cell_hecke_satake(cell, q, lam, mu):

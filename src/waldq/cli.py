@@ -172,8 +172,8 @@ def _check_digits(flag, text):
     mantissa, _e, exp = num.lower().partition("e")
     whole, _dot, frac = mantissa.partition(".")
     shift = -len(frac)  # the value is int(whole + frac) * 10**shift / den
-    if len(exp) > len(str(MAX_RATIONAL_DIGITS)) + 2:
-        # longer than a sign and one digit more than the bound has: past it
+    if len(exp.lstrip("+-").lstrip("0")) > len(str(MAX_RATIONAL_DIGITS)) + 1:
+        # two digits more than the bound has, past its sign and leading zeros: past it
         shift = MAX_RATIONAL_DIGITS + 1
     elif exp:
         try:

@@ -8,7 +8,7 @@ Nothing is ever evaluated in floating point: ``specialize`` substitutes exact
 rationals for the variables, and r survives symbolically unless a value for
 it is supplied.
 
-``Rational`` is the stdlib Fraction: exact, hashable, and sufficient.  A
+Rationals are the stdlib Fraction: exact, hashable, and sufficient.  A
 coefficient part stays a plain ``int`` while it is integral and becomes a
 Fraction only when it is not, so the integer values that almost every
 computation produces cost integer arithmetic; an int and the equal Fraction
@@ -27,8 +27,8 @@ built once too.
 ``_specialize_sums`` specializes a whole table of values in one pass over
 shared power tables, as integers over one common denominator
 (``_frame_sums``, which the eigen check's integer action also evaluates its
-character classes with); ``_specialize_many`` makes each a Fraction, and
-``specialize`` is its one-value case.
+character classes with); ``specialize`` is its one-value case, made a
+Fraction.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-
-Rational = Fraction
 
 VARS = ("alpha", "beta", "gamma")
 
@@ -425,15 +423,10 @@ def specialize(x: LaurentScalar, assignment, r_value=None) -> Fraction:
     ``r_value`` substitutes sqrt(q) when coefficients involve it; if omitted
     and some coefficient has a sqrt(q) part, ResidualSqrtQ is raised.
 
-    This is the one-value case of ``_specialize_many``.
+    This is the one-value case of ``_specialize_sums``.
     """
-    return _specialize_many((x,), assignment, r_value)[0]
-
-
-def _specialize_many(xs, assignment, r_value=None) -> list:
-    """``specialize`` of each scalar in ``xs``, in one pass (``_specialize_sums``)."""
-    sums, num, den = _specialize_sums(xs, assignment, r_value)
-    return [Fraction(s * num, den) for s in sums]
+    (s,), num, den = _specialize_sums((x,), assignment, r_value)
+    return Fraction(s * num, den)
 
 
 def _specialize_sums(xs, assignment, r_value=None) -> tuple:

@@ -20,8 +20,9 @@ value is built once from its sums, so no intermediate SqrtQ, sum or product
 is built.  The eigen window check runs in integers on the same rows: each
 table of values is an integer vector times one rational scale, the
 basis-function values are specialized in one pass over one common
-denominator (``scalars._specialize_sums``), and the window is read off a
-fraction-free back-substitution.
+denominator (``scalars._specialize_sums``), T(1,0) and T(1,1) each act by
+their one coweight's rows at the character values (``_act_table``), and
+the window is read off a fraction-free back-substitution.
 """
 
 from __future__ import annotations
@@ -350,37 +351,30 @@ class WaldModel:
 
     # -- truncated eigenfunction window check ---------------------------------
 
-    def _act_table(self, h, table, assignment, r_value):
-        """``act(h, f)`` at rational character values, for f the table (vec, scale).
+    def _act_table(self, lam, table, vals):
+        """T_lam acting on the table (vec, scale), at rational character values.
 
-        Equals specializing ``act(h, f)`` (evaluation is a ring homomorphism)
-        without building a LaurentScalar or a Fraction per row: it walks the
-        rows ``act`` walks (``_arrivals`` into each orbit of the support),
-        and each adds count * vec[m1] into an integer sum per orbit index m0
-        and character class, the Hecke coefficients specialized and brought
-        to one denominator first.  The classes are then evaluated at the
-        character values from integer power tables over one common
+        ``vals`` maps the kind's variables to their values.  Equals
+        specializing ``act(T_lam, f)`` for f the table's function (evaluation
+        is a ring homomorphism) without building a LaurentScalar or a
+        Fraction per row: it walks the rows ``act`` walks (``_arrivals`` into
+        each orbit of the support), and each adds count * vec[m1] into an
+        integer sum per orbit index m0 and character class.  The classes are
+        then evaluated at ``vals`` from integer power tables over one common
         denominator (``scalars._frame_sums``).  Returns the reduced table.
         """
         vec, scale = table
         if not vec:
             return _ZERO
-        vals = {name: Fraction(assignment[name]) for name in self.kind.variables}
-        terms = [(lam, specialize(c, assignment, r_value)) for lam, c in h.terms.items()]
-        terms = [(lam, c) for lam, c in terms if c]
-        lcd = math.lcm(*(c.denominator for _lam, c in terms))
         q, kind_value = self.q, self.kind.value
+        eff = tuple(self._effective(lam))
         sums = {}  # m0 -> exponent triple -> integer sum
-        for lam, c in terms:
-            k = c.numerator * (lcd // c.denominator)
-            eff = tuple(self._effective(lam))
-            for m1, v in vec.items():
-                v *= k
-                for m0, exps, count in _arrivals(q, kind_value, m1, eff):
-                    out = sums.get(m0)
-                    if out is None:
-                        out = sums[m0] = {}
-                    out[exps] = out.get(exps, 0) + count * v
+        for m1, v in vec.items():
+            for m0, exps, count in _arrivals(q, kind_value, m1, eff):
+                out = sums.get(m0)
+                if out is None:
+                    out = sums[m0] = {}
+                out[exps] = out.get(exps, 0) + count * v
         coeffs, exps, ends = [], [], []
         for by_class in sums.values():
             for e, v in by_class.items():
@@ -388,9 +382,7 @@ class WaldModel:
                 exps.append(e)
             ends.append(len(coeffs))
         values, num, den = _frame_sums(coeffs, exps, ends, vals)
-        return _table(
-            dict(zip(sums, values)), scale.numerator * num, scale.denominator * den * lcd
-        )
+        return _table(dict(zip(sums, values)), scale.numerator * num, scale.denominator * den)
 
     def eigen_check(self, depth, e1, params: CharacterParams, r_value=None) -> dict:
         """Window check that the truncated eigen-sum behaves as an eigenvector.
@@ -412,10 +404,11 @@ class WaldModel:
         each action's output, the defect and the difference of the two
         sides) is an integer vector times one rational scale (``_table``):
         the W_d share the one denominator of a single specialization pass,
-        c_d is H_d / P^d for integers H_d and P, the Hecke elements act on
-        K's integer vector (``_act_table``), and two tables are compared by
-        cross-multiplying their scales (``_agree``).  The window is read off
-        the zero pattern of a fraction-free back-substitution
+        c_d is H_d / P^d for integers H_d and P, T(1,0) and T(1,1) act on
+        K's integer vector through their arrival rows at the character
+        values, built once per check (``_act_table``), and two tables are
+        compared by cross-multiplying their scales (``_agree``).  The window
+        is read off the zero pattern of a fraction-free back-substitution
         (``_lowest_degree``).
         """
         if not isinstance(depth, int) or depth < 2:
@@ -427,6 +420,7 @@ class WaldModel:
         if params.symbolic:
             raise ValueError("the eigen check needs numeric parameters")
         assignment = params.values()
+        vals = {name: Fraction(assignment[name]) for name in self.kind.variables}
         e1 = Fraction(e1)
         if e1 == 0:
             raise ZeroEigenvalue("e1 must be nonzero")
@@ -462,7 +456,8 @@ class WaldModel:
                 kvec[m] = kvec.get(m, 0) + c * v
         k = _table(kvec, num, den * p**depth)
 
-        lhs = self._act_table(satake_basis(self.q, Coweight(1, 0)), k, assignment, r_value)
+        # T(1,0) is A(1,0) (``satake_basis``): the minuscule A is one basis term
+        lhs = self._act_table(Coweight(1, 0), k, vals)
         diff = _difference(lhs, _times(k, e1 + e2))
 
         # exact defect identity at every orbit index: c_depth W_top - central
@@ -478,9 +473,7 @@ class WaldModel:
         window = _lowest_degree(diff[0], wsum, top) - 1
         eigen_ok = window >= depth - 1
 
-        acted_c = self._act_table(
-            HeckeElement.basis(self.q, Coweight(1, 1)), k, assignment, r_value
-        )
+        acted_c = self._act_table(Coweight(1, 1), k, vals)
         central_ok = _agree(acted_c, _times(k, central), range(depth + 1)) and all(
             m <= depth for m in acted_c[0]
         )

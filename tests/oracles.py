@@ -361,6 +361,21 @@ def specialize_reference(x, assignment, r_value=None):
     return total
 
 
+def scalar_as_int_reference(x):
+    """``campaigns._scalar_as_int`` by specializing at no values.
+
+    A scalar with a character variable or a sqrt(q) part cannot be
+    specialized without values, so it is no constant.
+    """
+    from waldq.scalars import ResidualSqrtQ, specialize
+
+    try:
+        v = specialize(x, {})
+    except (KeyError, ResidualSqrtQ):
+        return None
+    return int(v) if v.denominator == 1 else None
+
+
 def basis_expand(values, wtab, top):
     """Coefficients of a function over the triangular family wtab[0..top].
 

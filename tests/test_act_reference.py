@@ -6,17 +6,20 @@ structure constants; both multiply each coefficient in term by term as the
 rows are added, summing each output coefficient as plain (a, b) parts
 (``scalars._add_scaled``, the one raw-sum loop, which Laurent products with
 sqrt(q) parts also take), and build it once.  ``specialize`` sums over a
-common denominator in integers, for one value or, in the eigen check, a
-whole table of values at once.  The references here are the object routes
-those replace: per row out of every source orbit in a window wider than any
-row reaches (``_transitions``), one character monomial times the function
-value times the coefficient; per pair of Hecke terms, their product times
-each structure constant; products taken term by term as SqrtQ products and
-merged by the LaurentScalar constructor, so no reference goes through the
-raw sums; and one Fraction product per term and variable, value by value.
-The eigen check's ``_act_table``, which walks the same arrival rows on an
-integer vector times one rational scale at rational character values, is
-checked against ``specialize`` of ``act``.
+common denominator in integers (``scalars._specialize_sums``), for one value
+or, in the eigen check, a whole table of values at once.  The references
+here are the object routes those replace: per row out of every source orbit
+in a window wider than any row reaches (``_transitions``), one character
+monomial times the function value times the coefficient; per pair of Hecke
+terms, their product times each structure constant; products taken term by
+term as SqrtQ products and merged by the LaurentScalar constructor, so no
+reference goes through the raw sums; and one Fraction product per term and
+variable, value by value.  The eigen check's ``_act_table``, which acts by
+one coweight's arrival rows on an integer vector times one rational scale at
+rational character values, is checked against ``specialize`` of ``act`` by
+that coweight's basis element; sums of basis elements follow by linearity.
+``campaigns._scalar_as_int``, which reads an integer constant off the
+scalar's terms, is checked against specializing at no values.
 """
 
 import math
@@ -25,7 +28,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import specialize_reference
+from oracles import scalar_as_int_reference, specialize_reference
+from waldq.campaigns import _scalar_as_int
 from waldq.hecke import HeckeElement, _pair_product, convolve
 from waldq.lattice import Coweight
 from waldq.scalars import (
@@ -33,7 +37,7 @@ from waldq.scalars import (
     LaurentScalar,
     ResidualSqrtQ,
     SqrtQ,
-    _specialize_many,
+    _specialize_sums,
     specialize,
 )
 from waldq.torus import EtaleKind
@@ -195,6 +199,11 @@ def test_convolve_merges_sqrt_q_parts():
     assert got.coefficient((0, 0)) == LaurentScalar.from_int(q, q)
 
 
+def dominant_coweights():
+    """A dominant coweight (a1, a2) with a2 in -1..1 and width a1 - a2 in 0..2."""
+    return st.builds(lambda a2, w: Coweight(a2 + w, a2), st.integers(-1, 1), st.integers(0, 2))
+
+
 @st.composite
 def evaluated_act_cases(draw):
     q, kind = draw(QS), draw(KINDS)
@@ -202,8 +211,8 @@ def evaluated_act_cases(draw):
     support = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
     values = {m: draw(RATIONALS) for m in support}
     nonzero = RATIONALS.filter(bool)
-    assignment = {name: draw(nonzero) for name in VARS}
-    return model, draw(hecke_elements(q)), values, assignment, draw(RATIONALS)
+    vals = {name: draw(nonzero) for name in kind.variables}
+    return model, draw(dominant_coweights()), values, vals
 
 
 def as_table(values, k=1):
@@ -215,18 +224,19 @@ def as_table(values, k=1):
 @settings(max_examples=150, deadline=None)
 @given(evaluated_act_cases())
 def test_evaluated_act_matches_specialized_act(case):
-    model, h, values, assignment, r_value = case
+    model, lam, values, vals = case
     f = WaldFunction(model.q, model.kind, values)
-    acted = {m: specialize(v, assignment, r_value) for m, v in model.act(h, f).values.items()}
+    t = HeckeElement.basis(model.q, lam)
+    acted = {m: specialize(v, vals) for m, v in model.act(t, f).values.items()}
     want = {m: v for m, v in acted.items() if v}
-    vec, scale = model._act_table(h, as_table(values), assignment, r_value)
+    vec, scale = model._act_table(lam, as_table(values), vals)
     assert {m: v * scale for m, v in vec.items()} == want
     # reduced: a primitive vector of nonzero ints and a positive scale
     assert all(type(v) is int and v for v in vec.values())
     assert type(scale) is Fraction and scale > 0
     assert not vec or math.gcd(*vec.values()) == 1
     # the same function as a table that is not reduced gives the same table
-    assert model._act_table(h, as_table(values, 6), assignment, r_value) == (vec, scale)
+    assert model._act_table(lam, as_table(values, 6), vals) == (vec, scale)
 
 
 def outcome(fn, *args):
@@ -308,11 +318,17 @@ def specialize_each(xs, assignment, r_value=None):
     return [specialize_reference(x, assignment, r_value) for x in xs]
 
 
+def specialize_many(xs, assignment, r_value=None):
+    """Each value of ``_specialize_sums`` as a Fraction: the eigen check's many-value route."""
+    sums, num, den = _specialize_sums(xs, assignment, r_value)
+    return [Fraction(s * num, den) for s in sums]
+
+
 @settings(max_examples=100, deadline=None)
 @given(specialize_many_cases())
 def test_specialize_many_matches_each_value(case):
     xs, assignment, r_value = case
-    got = outcome(_specialize_many, xs, assignment, r_value)
+    got = outcome(specialize_many, xs, assignment, r_value)
     assert got == outcome(specialize_each, xs, assignment, r_value)
     if got[0] == "value":
         assert all(type(v) is Fraction for v in got[2])
@@ -329,12 +345,36 @@ def test_specialize_many_errors_come_in_value_order():
         [zero, needs_r, needs_beta],
         [needs_r, plain, needs_beta],
     ):
-        got = outcome(_specialize_many, xs, {"alpha": 2})
+        got = outcome(specialize_many, xs, {"alpha": 2})
         assert got == outcome(specialize_each, xs, {"alpha": 2})
         first = next(x for x in xs if x in (needs_beta, needs_r))
         assert got[1] is (KeyError if first is needs_beta else ResidualSqrtQ)
     # with r given, beta is the only fault left, wherever its value stands
-    assert outcome(_specialize_many, [needs_r, zero, needs_beta], {"alpha": 2}, 1)[1] is KeyError
-    got = _specialize_many([plain, zero, needs_r], {"alpha": 2}, Fraction(1, 3))
+    assert outcome(specialize_many, [needs_r, zero, needs_beta], {"alpha": 2}, 1)[1] is KeyError
+    got = specialize_many([plain, zero, needs_r], {"alpha": 2}, Fraction(1, 3))
     assert got == [8, 0, Fraction(4, 3) / 8]
     assert [specialize(x, {"alpha": 2}, Fraction(1, 3)) for x in (plain, zero, needs_r)] == got
+
+
+@st.composite
+def constant_like_scalars(draw):
+    """A term a + b*r, maybe zero and maybe constant, plus at most two more terms.
+
+    a and b are big integers or small Fractions, b often zero, so this draws
+    zero, integer and Fraction constants, monomials, terms with sqrt(q) parts,
+    and a constant beside other terms.
+    """
+    q = draw(QS)
+    parts = st.one_of(st.integers(-10**30, 10**30), RATIONALS)
+    first = SqrtQ(q, draw(parts), draw(st.one_of(st.just(0), parts)))
+    terms = [(draw(st.one_of(st.just((0, 0, 0)), EXPS)), first)]
+    terms += draw(st.lists(st.tuples(EXPS, st.builds(SqrtQ, st.just(q), RATIONALS)), max_size=2))
+    return LaurentScalar(q, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_like_scalars())
+def test_scalar_as_int_matches_specializing_at_no_values(x):
+    got = _scalar_as_int(x)
+    assert got == scalar_as_int_reference(x)
+    assert got is None or type(got) is int

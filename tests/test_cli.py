@@ -798,12 +798,20 @@ class TestSingleEigen:
 
     def test_huge_exponent_exits_2_at_once(self, capsys):
         # Fraction("1e100000") alone would build a 100,001-digit integer
-        start = time.perf_counter()
-        rc, out, err = run_wald(capsys, "eigen", "--e1", "1e100000", "--alpha", "1", "--beta", "1")
-        assert time.perf_counter() - start < 1.0
-        assert rc == 2 and out == ""
         limit = f"of more than {MAX_RATIONAL_DIGITS} digits"
-        assert f"wald: error: --e1 has a numerator or denominator {limit}" in err
+        for e1 in ("1e100000", "1e51", "1" * (MAX_RATIONAL_DIGITS + 1)):
+            start = time.perf_counter()
+            rc, out, err = run_wald(capsys, "eigen", "--e1", e1, "--alpha", "1", "--beta", "1")
+            assert time.perf_counter() - start < 1.0
+            assert rc == 2 and out == "", e1
+            assert f"wald: error: --e1 has a numerator or denominator {limit}" in err
+
+    @pytest.mark.parametrize("e1", ["1e+0001", "1e00001", "1e-00001"])
+    def test_zero_padded_exponents_run(self, capsys, e1):
+        # the exponent's sign and leading zeros add no digits: each value is 10 or 1/10
+        rc, out, err = run_wald(capsys, "eigen", "--D", "2", "--e1", e1, "--alpha", "1", "--beta", "2")
+        assert rc == 0, err
+        assert parse_ndjson(out)[-1]["pass"] is True
 
     @pytest.mark.parametrize("flag", ["--e1", "--alpha", "--beta"])
     def test_values_at_the_digit_bound_run(self, capsys, flag):

@@ -3,7 +3,8 @@
 ``quadform-orbits`` is pinned at four primes in ``tests/test_campaigns.py``;
 every other campaign is pinned here at the default ``SessionConfig``, in
 both kinds where it reads ``kind`` and at seeds 0 and 1 where it reads
-``seed``.  A refactor of any layer must leave these bytes as they are.
+``seed``, and so are two single eigen runs at 50-digit values.  A refactor
+of any layer must leave these bytes as they are.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import pytest
 
 from waldq import campaigns
 from waldq.campaigns import SessionConfig
+from waldq.cli import wald_main
 
 #: SHA-256 of ``render_report(run_campaign(name, SessionConfig(kind=kind,
 #: seed=seed)))`` by (name, kind, seed).
@@ -46,6 +48,42 @@ def test_default_report_bytes_are_pinned(name, kind, seed):
     report = campaigns.run_campaign(name, SessionConfig(kind=kind, seed=seed))
     digest = hashlib.sha256(campaigns.render_report(report).encode()).hexdigest()
     assert digest == REPORT_SHA256[name, kind, seed]
+
+
+#: The 50-digit values of ``benchmarks/bench.py``'s ``eigen-digits-bound``
+#: config, the longest ``cli.MAX_RATIONAL_DIGITS`` allows.
+E1 = (
+    "31415926535897932384626433832795028841971693993751/"
+    "27182818284590452353602874713526624977572470936999"
+)
+ALPHA = (
+    "14142135623730950488016887242096980785696718753769/"
+    "17320508075688772935274463415058723669428052538104"
+)
+BETA = (
+    "-22360679774997896964091736687312762354406183596115/"
+    "16180339887498948482045868343656381177203091798058"
+)
+
+#: SHA-256 of the report of single ``wald eigen --D 8`` runs at those values,
+#: whose integers run far past 50 digits.
+BIG_EIGEN_SHA256 = {
+    "split": (
+        ["eigen", "--D", "8", "--e1", E1, "--alpha", ALPHA, f"--beta={BETA}"],
+        "35715e388cf598bb81209676eeabcc87c5cc95d29e5fb81e5094c6136acb3fa0",
+    ),
+    "ramified": (
+        ["eigen", "--kind", "ramified", "--D", "8", "--e1", E1, "--gamma", ALPHA],
+        "09490dc9e9caed25637598c1f31faeccdee2b54a7db05cfefa5175f8b4b7c32d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BIG_EIGEN_SHA256))
+def test_big_integer_eigen_report_bytes_are_pinned(capsys, kind):
+    argv, want = BIG_EIGEN_SHA256[kind]
+    assert wald_main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_every_other_campaign_is_pinned():
